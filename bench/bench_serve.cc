@@ -253,6 +253,7 @@ int RunBench(int argc, char** argv) {
   soptions.admission.tenants["abuser"] = abuser;
 
   Server server(fleet.get(), soptions);
+  const auto served_from = std::chrono::steady_clock::now();
   if (const Status status = server.Start(); !status.ok()) {
     std::fprintf(stderr, "server start failed: %s\n",
                  status.message().c_str());
@@ -381,6 +382,19 @@ int RunBench(int argc, char** argv) {
 
   // Graceful stop, then the determinism contract over the accepted set.
   server.Stop();
+  // The pump snapshots fleet stats at most once per advance interval, plus
+  // Start()'s and the stop drain's: never once per delivery round.
+  const ServerStats pump = server.stats();
+  const double served_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - served_from)
+                               .count();
+  const double snapshot_bound =
+      served_ms / static_cast<double>(soptions.advance_interval_ms) + 2.0;
+  std::printf("\npump: %llu batches delivered, %llu fleet-stats snapshots "
+              "over %.0f ms (bound %.0f)\n",
+              static_cast<unsigned long long>(pump.batches_delivered),
+              static_cast<unsigned long long>(pump.fleet_stats_snapshots),
+              served_ms, snapshot_bound);
   const auto accepted_streams = server.accepted_streams();
   bool fingerprints_identical = !accepted_streams.empty();
   for (const auto& [instance, log] : accepted_streams) {
@@ -411,6 +425,8 @@ int RunBench(int argc, char** argv) {
       {"tenant-1 incident diagnosed and served", report_served},
       {"accepted streams replay fingerprint-identical at 1 vs 4 threads",
        fingerprints_identical},
+      {"fleet-stats snapshots at most one per advance interval",
+       static_cast<double>(pump.fleet_stats_snapshots) <= snapshot_bound},
   };
   std::printf("\nshape checks:\n");
   int violations = 0;

@@ -15,6 +15,7 @@
 #include <limits>
 
 #include "obs/metrics.h"
+#include "util/json.h"
 
 namespace pinsql::serve {
 namespace {
@@ -113,10 +114,7 @@ Status Server::Start() {
     return Status::Internal("pipe2() failed");
   }
 
-  {
-    std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    fleet_stats_cache_ = fleet_->stats();
-  }
+  SnapshotFleetStats();
 
   stopping_.store(false);
   io_thread_ = std::thread(&Server::IoLoop, this);
@@ -412,7 +410,9 @@ void Server::ProcessParserProgress(Conn* conn, int64_t now_ms) {
         } else {
           PendingIngest pending;
           pending.conn_id = conn->id;
-          pending.request = request;  // copy: parser resets under us
+          // `request` is not read past this point; the parser is reset
+          // once the response is written.
+          pending.request = parser.TakeRequest();
           pending.arrival_ms = now_ms;
           pending.keep_alive = keep_alive;
           handler_queue_.push_back(std::move(pending));
@@ -627,7 +627,17 @@ void Server::HandlerLoop() {
 // --- Delivery pump -------------------------------------------------------
 
 void Server::PumpLoop() {
+  using Clock = std::chrono::steady_clock;
+  const auto interval = std::chrono::milliseconds(options_.advance_interval_ms);
   int64_t advanced_to = std::numeric_limits<int64_t>::min();
+  // The fleet-stats cache has not seen every delivery yet.
+  bool stats_stale = false;
+  Clock::time_point snapshot_at = Clock::now();
+  const auto snapshot = [&] {
+    SnapshotFleetStats();
+    stats_stale = false;
+    snapshot_at = Clock::now();
+  };
 
   const auto deliver_round = [&]() -> bool {
     std::vector<StagedBatch> batches =
@@ -637,30 +647,42 @@ void Server::PumpLoop() {
     for (StagedBatch& batch : batches) {
       max_sec = std::max(max_sec, DeliverBatch(std::move(batch)));
     }
-    std::vector<fleet::FleetOutcome> outcomes;
     if (max_sec != std::numeric_limits<int64_t>::min() &&
         max_sec > advanced_to) {
       advanced_to = max_sec;
-      outcomes = fleet_->AdvanceTo(max_sec);
+      PublishOutcomes(fleet_->AdvanceTo(max_sec));
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.advanced_to_sec = max_sec;
     }
-    RefreshCachesAfterAdvance(std::move(outcomes));
+    stats_stale = true;
     return true;
   };
 
   while (true) {
-    if (deliver_round()) continue;
+    if (deliver_round()) {
+      // A snapshot is a consistent cut over every instance and shard, far
+      // dearer than a delivery round: take it at most once per interval
+      // while batches keep arriving.
+      if (Clock::now() - snapshot_at >= interval) snapshot();
+      continue;
+    }
     std::unique_lock<std::mutex> lock(pump_mu_);
+    // Producers notify under pump_mu_ after staging, so a batch staged
+    // after the empty dequeue above is seen here or wakes the wait.
+    const bool woken = pump_cv_.wait_for(lock, interval, [this] {
+      return pump_stop_ || admission_.pending_batches() > 0;
+    });
     if (pump_stop_) break;
-    pump_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.advance_interval_ms));
-    if (pump_stop_) break;
+    lock.unlock();
+    // A whole interval without a batch: catch the snapshot up.
+    if (!woken && stats_stale) snapshot();
   }
   // Graceful drain: everything admitted is flushed into the fleet (whose
-  // durable journals capture it) before the pump exits.
+  // durable journals capture it) before the pump exits, and the caches
+  // end exact.
   while (deliver_round()) {
   }
+  snapshot();
 }
 
 int64_t Server::DeliverBatch(StagedBatch batch) {
@@ -704,32 +726,74 @@ int64_t Server::DeliverBatch(StagedBatch batch) {
   return max_sec;
 }
 
-void Server::RefreshCachesAfterAdvance(
-    std::vector<fleet::FleetOutcome> outcomes) {
-  const fleet::FleetStats fresh = fleet_->stats();
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  fleet_stats_cache_ = fresh;
-  for (const fleet::FleetOutcome& fo : outcomes) {
-    OutcomeEntry entry;
-    entry.instance_id = fo.outcome.trigger.instance_id;
-    entry.onset_sec = fo.outcome.trigger.onset_sec;
-    entry.trigger_sec = fo.outcome.trigger.trigger_sec;
-    entry.severity = fo.outcome.trigger.severity;
-    entry.source = fo.outcome.trigger.source;
-    entry.ok = fo.outcome.ok;
-    entry.storm_deferred =
-        fo.disposition == fleet::FleetOutcome::Disposition::kStormDeferred;
-    entry.storm_batch = fo.storm_batch;
-    entry.error = fo.outcome.error;
-    if (fo.outcome.ok) entry.report_json = fo.outcome.report.ToJson();
-    outcome_cache_.push_back(std::move(entry));
+void Server::SnapshotFleetStats() {
+  fleet::FleetStats fresh = fleet_->stats();
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    fleet_stats_cache_ = std::move(fresh);
   }
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++stats_.fleet_stats_snapshots;
+}
+
+void Server::PublishOutcomes(
+    const std::vector<fleet::FleetOutcome>& outcomes) {
   // Only the pump mutates the fleet, so reading its storm list here (new
   // entries only) is race-free.
   const auto& storms = fleet_->storms();
-  for (; storms_seen_ < storms.size(); ++storms_seen_) {
-    storm_cache_.push_back(storms[storms_seen_]);
+  if (outcomes.empty() && storms_seen_ == storms.size()) return;
+  // Render outside cache_mu_: reads never wait on report serialization.
+  std::vector<OutcomeEntry> entries;
+  entries.reserve(outcomes.size());
+  for (const fleet::FleetOutcome& fo : outcomes) {
+    const online::AnomalyTrigger& t = fo.outcome.trigger;
+    const bool storm_deferred =
+        fo.disposition == fleet::FleetOutcome::Disposition::kStormDeferred;
+    Json trigger = Json::MakeObject();
+    trigger.Set("instance", static_cast<int64_t>(t.instance_id));
+    trigger.Set("onset_sec", t.onset_sec);
+    trigger.Set("trigger_sec", t.trigger_sec);
+    trigger.Set("severity", t.severity);
+    trigger.Set("source", t.source);
+    trigger.Set("storm_deferred", storm_deferred);
+    trigger.Set("storm_batch", static_cast<int64_t>(fo.storm_batch));
+    OutcomeEntry entry;
+    entry.instance_id = t.instance_id;
+    entry.trigger = trigger.Dump();
+    // A reports entry is its trigger entry plus the outcome.
+    Json report = std::move(trigger);
+    report.Set("ok", fo.outcome.ok);
+    if (!fo.outcome.error.empty()) report.Set("error", fo.outcome.error);
+    if (fo.outcome.ok) {
+      Json report_json = fo.outcome.report.ToJson();
+      Json repair = Json::MakeObject();
+      repair.Set("instance", static_cast<int64_t>(t.instance_id));
+      repair.Set("trigger_sec", t.trigger_sec);
+      const Json* events = report_json.Find("repair_events");
+      repair.Set("events", events != nullptr ? *events : Json::MakeArray());
+      entry.repair = repair.Dump();
+      report.Set("report", std::move(report_json));
+    }
+    entry.report = report.Dump();
+    entries.push_back(std::move(entry));
   }
+  std::vector<std::string> closed;
+  for (; storms_seen_ < storms.size(); ++storms_seen_) {
+    const fleet::StormBatch& storm = storms[storms_seen_];
+    Json s = Json::MakeObject();
+    s.Set("id", static_cast<int64_t>(storm.id));
+    s.Set("opened_sec", storm.opened_sec);
+    s.Set("closed_sec", storm.closed_sec);
+    s.Set("members", static_cast<int64_t>(storm.members.size()));
+    s.Set("triaged", static_cast<int64_t>(storm.triaged.size()));
+    closed.push_back(s.Dump());
+  }
+
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  for (OutcomeEntry& entry : entries) {
+    outcome_cache_.push_back(std::move(entry));
+  }
+  for (std::string& storm : closed) storm_cache_.push_back(std::move(storm));
   // Evict oldest entries so a long-running server's caches stay bounded;
   // the read endpoints serve newest-first, so recent history survives.
   while (outcome_cache_.size() > options_.max_cached_outcomes) {
@@ -754,9 +818,11 @@ HttpResponse Server::HandleRequest(const HttpRequest& request,
   if (request.method != "GET") return ErrorResponse(405, "GET required");
   if (path == "/v1/healthz") return HandleHealthz();
   if (path == "/v1/metricsz") return HandleMetricsz();
-  if (path == "/v1/reports") return HandleReports(request);
-  if (path == "/v1/triggers") return HandleTriggers(request);
-  if (path == "/v1/repairs") return HandleRepairs(request);
+  if (path == "/v1/reports") return HandleRead(request, &OutcomeEntry::report);
+  if (path == "/v1/triggers") {
+    return HandleRead(request, &OutcomeEntry::trigger);
+  }
+  if (path == "/v1/repairs") return HandleRead(request, &OutcomeEntry::repair);
   return ErrorResponse(404, "unknown endpoint");
 }
 
@@ -869,7 +935,12 @@ HttpResponse Server::HandleIngest(const HttpRequest& request,
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.ingest_accepted;
       }
-      pump_cv_.notify_one();
+      {
+        // Under pump_mu_: the pump checks for pending batches under it
+        // before waiting, so this wake-up cannot fall in between.
+        std::lock_guard<std::mutex> lock(pump_mu_);
+        pump_cv_.notify_one();
+      }
       HttpResponse response;
       response.status = 202;
       response.body = "{\"accepted\":true,\"records\":" +
@@ -1005,6 +1076,8 @@ HttpResponse Server::HandleMetricsz() const {
              static_cast<int64_t>(server_stats.deadline_expired));
   server.Set("records_delivered",
              static_cast<int64_t>(server_stats.records_delivered));
+  server.Set("fleet_stats_snapshots",
+             static_cast<int64_t>(server_stats.fleet_stats_snapshots));
   root.Set("server", std::move(server));
 
   if constexpr (obs::kEnabled) {
@@ -1045,125 +1118,53 @@ size_t ParseLimit(const HttpRequest& request) {
   return limit;
 }
 
+/// Appends a JSON array of the pre-rendered values `select` picks from
+/// `cache` (nullptr skips an entry), newest first, at most `limit`.
+template <typename Entry, typename Select>
+void AppendNewestFirst(const std::deque<Entry>& cache, size_t limit,
+                       Select select, std::string* out) {
+  out->push_back('[');
+  size_t emitted = 0;
+  for (auto it = cache.rbegin(); it != cache.rend() && emitted < limit;
+       ++it) {
+    const std::string* bytes = select(*it);
+    if (bytes == nullptr) continue;
+    if (emitted++ > 0) out->push_back(',');
+    out->append(*bytes);
+  }
+  out->push_back(']');
+}
+
 }  // namespace
 
-HttpResponse Server::HandleReports(const HttpRequest& request) const {
+HttpResponse Server::HandleRead(const HttpRequest& request,
+                                std::string OutcomeEntry::*field) const {
   const std::string* tenant = request.FindHeader(kTenantHeader);
   if (tenant == nullptr || !admission_.KnownTenant(*tenant)) {
     return ErrorResponse(403, "unknown tenant");
   }
   const std::vector<uint32_t> scope = admission_.TenantInstances(*tenant);
   const size_t limit = ParseLimit(request);
-  Json reports = Json::MakeArray();
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  size_t emitted = 0;
-  for (auto it = outcome_cache_.rbegin();
-       it != outcome_cache_.rend() && emitted < limit; ++it) {
-    if (std::find(scope.begin(), scope.end(), it->instance_id) ==
-        scope.end()) {
-      continue;
-    }
-    Json entry = Json::MakeObject();
-    entry.Set("instance", static_cast<int64_t>(it->instance_id));
-    entry.Set("onset_sec", it->onset_sec);
-    entry.Set("trigger_sec", it->trigger_sec);
-    entry.Set("severity", it->severity);
-    entry.Set("source", it->source);
-    entry.Set("ok", it->ok);
-    entry.Set("storm_deferred", it->storm_deferred);
-    entry.Set("storm_batch", static_cast<int64_t>(it->storm_batch));
-    if (!it->error.empty()) entry.Set("error", it->error);
-    if (it->ok) entry.Set("report", it->report_json);
-    reports.Append(std::move(entry));
-    ++emitted;
-  }
-  Json root = Json::MakeObject();
-  root.Set("reports", std::move(reports));
+  const auto in_scope = [&](const OutcomeEntry& entry) -> const std::string* {
+    const std::string& bytes = entry.*field;
+    const bool visible = std::find(scope.begin(), scope.end(),
+                                   entry.instance_id) != scope.end();
+    return visible && !bytes.empty() ? &bytes : nullptr;
+  };
   HttpResponse response;
-  response.body = root.Dump();
-  return response;
-}
-
-HttpResponse Server::HandleTriggers(const HttpRequest& request) const {
-  const std::string* tenant = request.FindHeader(kTenantHeader);
-  if (tenant == nullptr || !admission_.KnownTenant(*tenant)) {
-    return ErrorResponse(403, "unknown tenant");
-  }
-  const std::vector<uint32_t> scope = admission_.TenantInstances(*tenant);
-  const size_t limit = ParseLimit(request);
-  Json triggers = Json::MakeArray();
-  Json storms = Json::MakeArray();
+  std::string& body = response.body;
   std::lock_guard<std::mutex> lock(cache_mu_);
-  size_t emitted = 0;
-  for (auto it = outcome_cache_.rbegin();
-       it != outcome_cache_.rend() && emitted < limit; ++it) {
-    if (std::find(scope.begin(), scope.end(), it->instance_id) ==
-        scope.end()) {
-      continue;
-    }
-    Json t = Json::MakeObject();
-    t.Set("instance", static_cast<int64_t>(it->instance_id));
-    t.Set("onset_sec", it->onset_sec);
-    t.Set("trigger_sec", it->trigger_sec);
-    t.Set("severity", it->severity);
-    t.Set("source", it->source);
-    t.Set("storm_deferred", it->storm_deferred);
-    t.Set("storm_batch", static_cast<int64_t>(it->storm_batch));
-    triggers.Append(std::move(t));
-    ++emitted;
+  if (field == &OutcomeEntry::trigger) {
+    // Storms are fleet-wide: every tenant sees them.
+    body = "{\"storms\":";
+    AppendNewestFirst(storm_cache_, limit,
+                      [](const std::string& storm) { return &storm; }, &body);
+    body += ",\"triggers\":";
+  } else {
+    body = field == &OutcomeEntry::report ? "{\"reports\":" : "{\"repairs\":";
   }
-  size_t storms_emitted = 0;
-  for (auto it = storm_cache_.rbegin();
-       it != storm_cache_.rend() && storms_emitted < limit; ++it) {
-    Json s = Json::MakeObject();
-    s.Set("id", static_cast<int64_t>(it->id));
-    s.Set("opened_sec", it->opened_sec);
-    s.Set("closed_sec", it->closed_sec);
-    s.Set("members", static_cast<int64_t>(it->members.size()));
-    s.Set("triaged", static_cast<int64_t>(it->triaged.size()));
-    storms.Append(std::move(s));
-    ++storms_emitted;
-  }
-  Json root = Json::MakeObject();
-  root.Set("triggers", std::move(triggers));
-  root.Set("storms", std::move(storms));
-  HttpResponse response;
-  response.body = root.Dump();
-  return response;
-}
-
-HttpResponse Server::HandleRepairs(const HttpRequest& request) const {
-  const std::string* tenant = request.FindHeader(kTenantHeader);
-  if (tenant == nullptr || !admission_.KnownTenant(*tenant)) {
-    return ErrorResponse(403, "unknown tenant");
-  }
-  const std::vector<uint32_t> scope = admission_.TenantInstances(*tenant);
-  const size_t limit = ParseLimit(request);
-  Json repairs = Json::MakeArray();
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  size_t emitted = 0;
-  for (auto it = outcome_cache_.rbegin();
-       it != outcome_cache_.rend() && emitted < limit; ++it) {
-    if (!it->ok) continue;
-    if (std::find(scope.begin(), scope.end(), it->instance_id) ==
-        scope.end()) {
-      continue;
-    }
-    Json r = Json::MakeObject();
-    r.Set("instance", static_cast<int64_t>(it->instance_id));
-    r.Set("trigger_sec", it->trigger_sec);
-    if (const Json* events = it->report_json.Find("repair_events")) {
-      r.Set("events", *events);
-    } else {
-      r.Set("events", Json::MakeArray());
-    }
-    repairs.Append(std::move(r));
-    ++emitted;
-  }
-  Json root = Json::MakeObject();
-  root.Set("repairs", std::move(repairs));
-  HttpResponse response;
-  response.body = root.Dump();
+  AppendNewestFirst(outcome_cache_, limit, in_scope, &body);
+  body += '}';
   return response;
 }
 

@@ -15,7 +15,6 @@
 #include "online/replay.h"
 #include "serve/admission.h"
 #include "serve/http.h"
-#include "util/json.h"
 #include "util/status.h"
 
 namespace pinsql::serve {
@@ -46,7 +45,10 @@ struct ServerOptions {
   /// directly from the event loop, so ingest floods cannot starve it.
   size_t handler_queue_capacity = 512;
   int num_handler_threads = 2;
-  /// Delivery pump cadence when the staging queues are empty.
+  /// Fleet-stats snapshot cadence: while batches keep arriving the pump
+  /// snapshots FleetService::stats() for /v1/healthz and /v1/metricsz at
+  /// most once per interval, and once more after an interval without a
+  /// batch. Deliveries themselves are never delayed by it.
   int64_t advance_interval_ms = 10;
   /// Budget for the graceful drain of open connections on Stop().
   int64_t drain_deadline_ms = 1000;
@@ -86,6 +88,8 @@ struct ServerStats {
   uint64_t records_delivered = 0;
   uint64_t samples_delivered = 0;
   int64_t advanced_to_sec = 0;
+  /// FleetService::stats() snapshots taken for the read caches.
+  uint64_t fleet_stats_snapshots = 0;
 };
 
 /// HTTP/JSON front door for a FleetService: tenant-scoped ingest behind
@@ -189,17 +193,30 @@ class Server {
   void DrainOutbound(int64_t now_ms);
   void Wake();
 
+  /// Rendered read-endpoint entries of one fleet outcome. The pump renders
+  /// them once; the read endpoints only filter and concatenate.
+  struct OutcomeEntry {
+    uint32_t instance_id = 0;
+    std::string report;   // /v1/reports entry
+    std::string trigger;  // /v1/triggers entry
+    std::string repair;   // /v1/repairs entry; empty unless diagnosed ok
+  };
+
   /// Delivers one staged batch into the fleet; returns the max accepted
   /// sample second (INT64_MIN if none).
   int64_t DeliverBatch(StagedBatch batch);
-  void RefreshCachesAfterAdvance(std::vector<fleet::FleetOutcome> outcomes);
+  /// Renders an advance's outcomes and newly closed storms into the read
+  /// caches (pump thread only).
+  void PublishOutcomes(const std::vector<fleet::FleetOutcome>& outcomes);
+  void SnapshotFleetStats();
 
   HttpResponse HandleIngest(const HttpRequest& request, int64_t now_ms);
   HttpResponse HandleHealthz() const;
   HttpResponse HandleMetricsz() const;
-  HttpResponse HandleReports(const HttpRequest& request) const;
-  HttpResponse HandleTriggers(const HttpRequest& request) const;
-  HttpResponse HandleRepairs(const HttpRequest& request) const;
+  /// /v1/reports, /v1/triggers and /v1/repairs: the tenant's newest cached
+  /// outcomes, as their rendered `field`.
+  HttpResponse HandleRead(const HttpRequest& request,
+                          std::string OutcomeEntry::*field) const;
   StatusOr<StagedBatch> ParseIngestBody(const std::string& tenant,
                                         const std::string& body) const;
 
@@ -244,21 +261,9 @@ class Server {
   // fleet's advance mutex on the request path).
   mutable std::mutex cache_mu_;
   fleet::FleetStats fleet_stats_cache_;
-  struct OutcomeEntry {
-    uint32_t instance_id = 0;
-    int64_t onset_sec = 0;
-    int64_t trigger_sec = 0;
-    double severity = 0.0;
-    std::string source;  // confirming detector (ensemble attribution)
-    bool ok = false;
-    bool storm_deferred = false;
-    uint64_t storm_batch = 0;
-    std::string error;
-    Json report_json;  // null unless ok
-  };
   std::deque<OutcomeEntry> outcome_cache_;
-  std::deque<fleet::StormBatch> storm_cache_;
-  size_t storms_seen_ = 0;
+  std::deque<std::string> storm_cache_;  // rendered /v1/triggers storms
+  size_t storms_seen_ = 0;  // pump thread only
   std::map<uint32_t, online::ReplayLog> capture_;
   std::map<uint32_t, int64_t> capture_last_sample_sec_;
 

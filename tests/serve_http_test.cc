@@ -72,6 +72,25 @@ TEST(HttpParserTest, PipelinedRequestsSurviveReset) {
   EXPECT_EQ(parser.request().target, "/b");
 }
 
+TEST(HttpParserTest, TakeRequestMovesOutAndResetStillPipelines) {
+  HttpParser parser{HttpLimits{}};
+  auto state = parser.Feed(
+      "POST /v1/ingest HTTP/1.1\r\nX-Pinsql-Tenant: acme\r\n"
+      "Content-Length: 5\r\n\r\nabcdeGET /b HTTP/1.1\r\n\r\n");
+  ASSERT_EQ(state, HttpParser::State::kComplete);
+  const HttpRequest taken = parser.TakeRequest();
+  EXPECT_EQ(taken.body, "abcde");
+  ASSERT_NE(taken.FindHeader("X-Pinsql-Tenant"), nullptr);
+  EXPECT_EQ(*taken.FindHeader("X-Pinsql-Tenant"), "acme");
+  // The parser keeps its state; only the request left it.
+  EXPECT_EQ(parser.state(), HttpParser::State::kComplete);
+  EXPECT_TRUE(parser.request().body.empty());
+  EXPECT_TRUE(parser.request().headers.empty());
+  parser.Reset();
+  ASSERT_EQ(parser.state(), HttpParser::State::kComplete);
+  EXPECT_EQ(parser.request().target, "/b");
+}
+
 TEST(HttpParserTest, LenientLineEndings) {
   HttpParser parser{HttpLimits{}};
   const auto state =

@@ -5,7 +5,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -97,21 +99,40 @@ ClientResponse ReadResponse(int fd, std::string* carry = nullptr) {
   return response;
 }
 
+std::string WireRequest(const std::string& method, const std::string& target,
+                        const std::string& tenant, const std::string& body,
+                        bool close) {
+  std::string wire = method + " " + target + " HTTP/1.1\r\n";
+  if (!tenant.empty()) wire += "X-Pinsql-Tenant: " + tenant + "\r\n";
+  if (!body.empty()) {
+    wire += "Content-Length: " + std::to_string(body.size()) + "\r\n";
+  }
+  if (close) wire += "Connection: close\r\n";
+  return wire + "\r\n" + body;
+}
+
+/// One request on a fresh connection.
 ClientResponse Request(uint16_t port, const std::string& method,
                        const std::string& target, const std::string& tenant,
                        const std::string& body = "") {
   const int fd = ConnectTo(port);
   ClientResponse response;
   if (fd < 0) return response;
-  std::string wire = method + " " + target + " HTTP/1.1\r\n";
-  if (!tenant.empty()) wire += "X-Pinsql-Tenant: " + tenant + "\r\n";
-  if (!body.empty()) {
-    wire += "Content-Length: " + std::to_string(body.size()) + "\r\n";
+  if (SendAll(fd, WireRequest(method, target, tenant, body, true))) {
+    response = ReadResponse(fd);
   }
-  wire += "Connection: close\r\n\r\n" + body;
-  if (SendAll(fd, wire)) response = ReadResponse(fd);
   ::close(fd);
   return response;
+}
+
+/// One request on an open keep-alive connection.
+ClientResponse RoundTrip(int fd, const std::string& method,
+                         const std::string& target, const std::string& tenant,
+                         const std::string& body = "") {
+  if (!SendAll(fd, WireRequest(method, target, tenant, body, false))) {
+    return {};
+  }
+  return ReadResponse(fd);
 }
 
 // --- Synthetic incident (same shape as the online replay tests) ----------
@@ -125,13 +146,17 @@ online::PerfSample Sample(int64_t sec, double session) {
   return s;
 }
 
-online::ReplayLog SyntheticIncident() {
+/// 200 s of baseline, then a 120-s flood of sql_id 9 starting
+/// `onset_shift` seconds later; baseline resumes after it until `end_sec`
+/// (when that is later).
+online::ReplayLog SyntheticIncident(int64_t onset_shift = 0,
+                                    int64_t end_sec = 0) {
   online::ReplayLog log;
   const int64_t t0 = 100'000;
-  const int64_t onset = t0 + 200;
-  const int64_t t1 = onset + 120;
+  const int64_t onset = t0 + 200 + onset_shift;
+  const int64_t t1 = std::max(onset + 120, end_sec);
   for (int64_t sec = t0; sec < t1; ++sec) {
-    const bool anomalous = sec >= onset;
+    const bool anomalous = sec >= onset && sec < onset + 120;
     log.samples.push_back(Sample(sec, anomalous ? 380.0 : 4.0));
     uint64_t state = static_cast<uint64_t>(sec) * 2654435761ULL + 17;
     const int base = 6;
@@ -211,6 +236,18 @@ std::string BatchBody(uint32_t instance,
   return root.Dump();
 }
 
+/// A quota no test traffic exhausts.
+TenantQuota OpenQuota(std::vector<uint32_t> instances) {
+  TenantQuota quota;
+  quota.records_per_sec = 1e9;
+  quota.record_burst = 1e9;
+  quota.bytes_per_sec = 1e12;
+  quota.byte_burst = 1e12;
+  quota.queue_capacity_batches = 100'000;
+  quota.instances = std::move(instances);
+  return quota;
+}
+
 struct Stack {
   std::unique_ptr<fleet::FleetService> fleet;
   std::unique_ptr<Server> server;
@@ -225,22 +262,17 @@ struct Stack {
 };
 
 Stack MakeStack(ServerOptions soptions = {},
-                std::vector<fleet::FleetInstanceSpec> specs = {{1, 0}}) {
+                std::vector<fleet::FleetInstanceSpec> specs = {{1, 0}},
+                const fleet::FleetOptions& foptions = {}) {
   Stack stack;
-  fleet::FleetOptions foptions;
   stack.fleet =
       std::make_unique<fleet::FleetService>(specs, foptions);
   RegisterCatalog(stack.fleet.get());
   stack.fleet->Start();
   if (soptions.admission.tenants.empty()) {
-    TenantQuota quota;
-    quota.records_per_sec = 1e9;
-    quota.record_burst = 1e9;
-    quota.bytes_per_sec = 1e12;
-    quota.byte_burst = 1e12;
-    quota.queue_capacity_batches = 100'000;
-    for (const auto& spec : specs) quota.instances.push_back(spec.instance_id);
-    soptions.admission.tenants["acme"] = quota;
+    std::vector<uint32_t> instances;
+    for (const auto& spec : specs) instances.push_back(spec.instance_id);
+    soptions.admission.tenants["acme"] = OpenQuota(std::move(instances));
   }
   stack.server = std::make_unique<Server>(stack.fleet.get(), soptions);
   return stack;
@@ -603,6 +635,423 @@ TEST(ServeServerTest, ConnectionTableIsBounded) {
   }
   EXPECT_GT(stack.server->stats().connections_rejected_table_full, 0u);
   for (int fd : fds) ::close(fd);
+}
+
+// --- Read-endpoint rendering reference ------------------------------------
+//
+// One Json tree per response, built from the outcome fields and dumped:
+// the bytes the read endpoints' pre-rendered caches must reproduce.
+
+struct TreeEntry {
+  uint32_t instance_id = 0;
+  int64_t onset_sec = 0;
+  int64_t trigger_sec = 0;
+  double severity = 0.0;
+  std::string source;
+  bool ok = false;
+  bool storm_deferred = false;
+  uint64_t storm_batch = 0;
+  std::string error;
+  Json report_json;  // null unless ok
+};
+
+TreeEntry ToTreeEntry(const fleet::FleetOutcome& fo) {
+  TreeEntry entry;
+  entry.instance_id = fo.outcome.trigger.instance_id;
+  entry.onset_sec = fo.outcome.trigger.onset_sec;
+  entry.trigger_sec = fo.outcome.trigger.trigger_sec;
+  entry.severity = fo.outcome.trigger.severity;
+  entry.source = fo.outcome.trigger.source;
+  entry.ok = fo.outcome.ok;
+  entry.storm_deferred =
+      fo.disposition == fleet::FleetOutcome::Disposition::kStormDeferred;
+  entry.storm_batch = fo.storm_batch;
+  entry.error = fo.outcome.error;
+  if (fo.outcome.ok) entry.report_json = fo.outcome.report.ToJson();
+  return entry;
+}
+
+bool InScope(const std::vector<uint32_t>& scope, uint32_t instance_id) {
+  return std::find(scope.begin(), scope.end(), instance_id) != scope.end();
+}
+
+std::string TreeReports(const std::vector<TreeEntry>& cache,
+                        const std::vector<uint32_t>& scope, size_t limit) {
+  Json reports = Json::MakeArray();
+  size_t emitted = 0;
+  for (auto it = cache.rbegin(); it != cache.rend() && emitted < limit;
+       ++it) {
+    if (!InScope(scope, it->instance_id)) continue;
+    Json entry = Json::MakeObject();
+    entry.Set("instance", static_cast<int64_t>(it->instance_id));
+    entry.Set("onset_sec", it->onset_sec);
+    entry.Set("trigger_sec", it->trigger_sec);
+    entry.Set("severity", it->severity);
+    entry.Set("source", it->source);
+    entry.Set("ok", it->ok);
+    entry.Set("storm_deferred", it->storm_deferred);
+    entry.Set("storm_batch", static_cast<int64_t>(it->storm_batch));
+    if (!it->error.empty()) entry.Set("error", it->error);
+    if (it->ok) entry.Set("report", it->report_json);
+    reports.Append(std::move(entry));
+    ++emitted;
+  }
+  Json root = Json::MakeObject();
+  root.Set("reports", std::move(reports));
+  return root.Dump();
+}
+
+std::string TreeTriggers(const std::vector<TreeEntry>& cache,
+                         const std::vector<fleet::StormBatch>& storms,
+                         const std::vector<uint32_t>& scope, size_t limit) {
+  Json triggers = Json::MakeArray();
+  size_t emitted = 0;
+  for (auto it = cache.rbegin(); it != cache.rend() && emitted < limit;
+       ++it) {
+    if (!InScope(scope, it->instance_id)) continue;
+    Json t = Json::MakeObject();
+    t.Set("instance", static_cast<int64_t>(it->instance_id));
+    t.Set("onset_sec", it->onset_sec);
+    t.Set("trigger_sec", it->trigger_sec);
+    t.Set("severity", it->severity);
+    t.Set("source", it->source);
+    t.Set("storm_deferred", it->storm_deferred);
+    t.Set("storm_batch", static_cast<int64_t>(it->storm_batch));
+    triggers.Append(std::move(t));
+    ++emitted;
+  }
+  Json storm_list = Json::MakeArray();
+  size_t storms_emitted = 0;
+  for (auto it = storms.rbegin();
+       it != storms.rend() && storms_emitted < limit; ++it) {
+    Json s = Json::MakeObject();
+    s.Set("id", static_cast<int64_t>(it->id));
+    s.Set("opened_sec", it->opened_sec);
+    s.Set("closed_sec", it->closed_sec);
+    s.Set("members", static_cast<int64_t>(it->members.size()));
+    s.Set("triaged", static_cast<int64_t>(it->triaged.size()));
+    storm_list.Append(std::move(s));
+    ++storms_emitted;
+  }
+  Json root = Json::MakeObject();
+  root.Set("triggers", std::move(triggers));
+  root.Set("storms", std::move(storm_list));
+  return root.Dump();
+}
+
+std::string TreeRepairs(const std::vector<TreeEntry>& cache,
+                        const std::vector<uint32_t>& scope, size_t limit) {
+  Json repairs = Json::MakeArray();
+  size_t emitted = 0;
+  for (auto it = cache.rbegin(); it != cache.rend() && emitted < limit;
+       ++it) {
+    if (!it->ok) continue;
+    if (!InScope(scope, it->instance_id)) continue;
+    Json r = Json::MakeObject();
+    r.Set("instance", static_cast<int64_t>(it->instance_id));
+    r.Set("trigger_sec", it->trigger_sec);
+    if (const Json* events = it->report_json.Find("repair_events")) {
+      r.Set("events", *events);
+    } else {
+      r.Set("events", Json::MakeArray());
+    }
+    repairs.Append(std::move(r));
+    ++emitted;
+  }
+  Json root = Json::MakeObject();
+  root.Set("repairs", std::move(repairs));
+  return root.Dump();
+}
+
+TEST(ServeServerTest, ReadEndpointsMatchTreeRenderingByteForByte) {
+  // Six instances. 1-3 flood together, which opens a storm at
+  // storm_min_instances 3 (two triaged, one deferred); 4-6 flood a minute
+  // apart and are diagnosed directly.
+  constexpr int64_t kFirstSec = 100'000;
+  constexpr int64_t kEndSec = kFirstSec + 540;
+  std::vector<fleet::FleetInstanceSpec> specs;
+  std::vector<online::ReplayLog> streams;
+  for (uint32_t id = 1; id <= 6; ++id) {
+    specs.push_back({id, id});
+    streams.push_back(
+        SyntheticIncident(id <= 3 ? 0 : 60 * (int64_t{id} - 3), kEndSec));
+  }
+  fleet::FleetOptions foptions;
+  foptions.correlator.storm_min_instances = 3;
+  foptions.correlator.storm_triage_k = 2;
+  const std::map<std::string, std::vector<uint32_t>> scopes = {
+      {"acme", {1, 2, 3, 4, 5, 6}}, {"beta", {2, 5}}};
+  ServerOptions soptions;
+  for (const auto& [tenant, instances] : scopes) {
+    soptions.admission.tenants[tenant] = OpenQuota(instances);
+  }
+  Stack stack = MakeStack(soptions, specs, foptions);
+  ASSERT_TRUE(stack.server->Start().ok());
+  const int fd = ConnectTo(stack.server->port());
+  ASSERT_GE(fd, 0);
+
+  // Ten seconds per batch, every instance in turn.
+  std::vector<size_t> cursors(streams.size(), 0);
+  uint64_t posts = 0;
+  for (int64_t from = kFirstSec; from < kEndSec; from += 10) {
+    for (size_t i = 0; i < streams.size(); ++i) {
+      const online::ReplayLog& log = streams[i];
+      std::vector<QueryLogRecord> records;
+      while (cursors[i] < log.records.size() &&
+             log.records[cursors[i]].arrival_ms < (from + 10) * 1000) {
+        records.push_back(log.records[cursors[i]++]);
+      }
+      std::vector<online::PerfSample> samples;
+      for (const online::PerfSample& sample : log.samples) {
+        if (sample.sec >= from && sample.sec < from + 10) {
+          samples.push_back(sample);
+        }
+      }
+      const ClientResponse response =
+          RoundTrip(fd, "POST", "/v1/ingest", "acme",
+                    BatchBody(specs[i].instance_id, records, samples));
+      ASSERT_EQ(response.status, 202) << "instance " << i + 1 << " @" << from;
+      ++posts;
+    }
+  }
+  // advanced_to_sec is set once the last advance's outcomes are cached.
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    const ServerStats stats = stack.server->stats();
+    if (stats.batches_delivered == posts &&
+        stats.advanced_to_sec == kEndSec - 1) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(stack.server->stats().batches_delivered, posts);
+  ASSERT_EQ(stack.server->stats().advanced_to_sec, kEndSec - 1);
+
+  struct Read {
+    std::string tenant;
+    std::string endpoint;
+    size_t limit = 0;
+    std::string body;
+  };
+  std::vector<Read> reads;
+  for (const auto& [tenant, scope] : scopes) {
+    for (const std::string endpoint :
+         {"/v1/reports", "/v1/triggers", "/v1/repairs"}) {
+      for (size_t limit : {1, 4, 100}) {
+        const std::string target =
+            endpoint + "?limit=" + std::to_string(limit);
+        const ClientResponse response = RoundTrip(fd, "GET", target, tenant);
+        ASSERT_EQ(response.status, 200) << tenant << " " << target;
+        reads.push_back({tenant, endpoint, limit, response.body});
+      }
+    }
+  }
+  ::close(fd);
+  stack.server->Stop();
+
+  // What the pump cached: every outcome AdvanceTo returned, in order —
+  // diagnosed ones only, since storm-deferred outcomes reach the fleet's
+  // own outcome list but are not returned by AdvanceTo.
+  std::vector<TreeEntry> cache;
+  for (const fleet::FleetOutcome& fo : stack.fleet->outcomes()) {
+    if (fo.disposition == fleet::FleetOutcome::Disposition::kDiagnosed) {
+      cache.push_back(ToTreeEntry(fo));
+    }
+  }
+  const std::vector<fleet::StormBatch>& storms = stack.fleet->storms();
+  // The scenario exercises truncation at limit 4, tenant scoping, storm
+  // rendering and full reports with repair arrays.
+  ASSERT_GT(cache.size(), 4u);
+  EXPECT_FALSE(storms.empty());
+  const size_t ok_count = std::count_if(
+      cache.begin(), cache.end(), [](const TreeEntry& e) { return e.ok; });
+  EXPECT_GT(ok_count, 0u);
+  const size_t beta_count =
+      std::count_if(cache.begin(), cache.end(), [&](const TreeEntry& e) {
+        return InScope(scopes.at("beta"), e.instance_id);
+      });
+  EXPECT_GT(beta_count, 0u);
+  EXPECT_LT(beta_count, cache.size());
+
+  for (const Read& read : reads) {
+    const std::vector<uint32_t>& scope = scopes.at(read.tenant);
+    std::string expected;
+    if (read.endpoint == "/v1/reports") {
+      expected = TreeReports(cache, scope, read.limit);
+    } else if (read.endpoint == "/v1/triggers") {
+      expected = TreeTriggers(cache, storms, scope, read.limit);
+    } else {
+      expected = TreeRepairs(cache, scope, read.limit);
+    }
+    EXPECT_EQ(read.body, expected)
+        << read.tenant << " " << read.endpoint << " limit " << read.limit;
+    // The handler serves the same bytes after Stop().
+    HttpRequest request;
+    request.method = "GET";
+    request.target = read.endpoint + "?limit=" + std::to_string(read.limit);
+    request.headers = {{"X-Pinsql-Tenant", read.tenant}};
+    EXPECT_EQ(stack.server->HandleRequest(request, Server::NowMs()).body,
+              expected);
+  }
+}
+
+// --- Fleet-stats snapshot cadence ------------------------------------------
+
+std::vector<QueryLogRecord> Records(size_t n, int64_t first_ms) {
+  std::vector<QueryLogRecord> records(n);
+  for (size_t i = 0; i < n; ++i) {
+    records[i].arrival_ms = first_ms + static_cast<int64_t>(i * 10);
+    records[i].sql_id = 1 + i % 4;
+    records[i].response_ms = 2.0;
+    records[i].examined_rows = 10;
+  }
+  return records;
+}
+
+Json Metricsz(Server* server) {
+  HttpRequest request;
+  request.method = "GET";
+  request.target = "/v1/metricsz";
+  auto parsed =
+      Json::Parse(server->HandleRequest(request, Server::NowMs()).body);
+  return parsed.ok() ? std::move(parsed).value() : Json();
+}
+
+TEST(ServeServerTest, RecordsOnlyBatchReachesMetricszWithinAFewIntervals) {
+  ServerOptions soptions;
+  soptions.advance_interval_ms = 50;
+  Stack stack = MakeStack(soptions);
+  ASSERT_TRUE(stack.server->Start().ok());
+  const uint16_t port = stack.server->port();
+
+  // No sample, so the fleet never advances: only the snapshot cadence can
+  // bring the enqueued count to /v1/metricsz.
+  const auto posted = std::chrono::steady_clock::now();
+  ASSERT_EQ(Request(port, "POST", "/v1/ingest", "acme",
+                    BatchBody(1, Records(20, 600'000'000), {}))
+                .status,
+            202);
+  double enqueued = 0.0;
+  for (int attempt = 0; attempt < 500 && enqueued != 20.0; ++attempt) {
+    const ClientResponse metrics = Request(port, "GET", "/v1/metricsz", "");
+    ASSERT_EQ(metrics.status, 200);
+    auto parsed = Json::Parse(metrics.body);
+    ASSERT_TRUE(parsed.ok());
+    enqueued = parsed.value().Find("fleet")->GetNumberOr("records_enqueued",
+                                                         -1.0);
+    if (enqueued != 20.0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - posted);
+  EXPECT_EQ(enqueued, 20.0);
+  EXPECT_LT(waited.count(), 10 * soptions.advance_interval_ms);
+}
+
+TEST(ServeServerTest, BurstOfBatchesTakesFarFewerSnapshotsThanBatches) {
+  ServerOptions soptions;
+  soptions.advance_interval_ms = 1000;
+  Stack stack = MakeStack(soptions);
+  ASSERT_TRUE(stack.server->Start().ok());
+  const uint64_t before = stack.server->stats().fleet_stats_snapshots;
+  EXPECT_EQ(before, 1u);  // Start()'s
+
+  // Back to back, each batch with a sample, so every delivery round also
+  // advances the fleet.
+  constexpr uint64_t kBatches = 200;
+  const int fd = ConnectTo(stack.server->port());
+  ASSERT_GE(fd, 0);
+  for (uint64_t i = 0; i < kBatches; ++i) {
+    const int64_t sec = 700'000 + static_cast<int64_t>(i);
+    const std::string body =
+        BatchBody(1, Records(5, sec * 1000), {Sample(sec, 4.0)});
+    ASSERT_EQ(RoundTrip(fd, "POST", "/v1/ingest", "acme", body).status, 202);
+  }
+  ::close(fd);
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    if (stack.server->stats().batches_delivered == kBatches) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const ServerStats stats = stack.server->stats();
+  ASSERT_EQ(stats.batches_delivered, kBatches);
+  EXPECT_LT(stats.fleet_stats_snapshots - before, kBatches / 10);
+  // The count is served with the other server counters.
+  const Json metrics = Metricsz(stack.server.get());
+  ASSERT_NE(metrics.Find("server"), nullptr);
+  EXPECT_GE(metrics.Find("server")->GetNumberOr("fleet_stats_snapshots", -1),
+            static_cast<double>(stats.fleet_stats_snapshots));
+}
+
+TEST(ServeServerTest, CachedStatsEqualFleetStatsAfterStop) {
+  ServerOptions soptions;
+  soptions.advance_interval_ms = 60'000;  // no cadence snapshot in the run
+  Stack stack = MakeStack(soptions);
+  ASSERT_TRUE(stack.server->Start().ok());
+  const int fd = ConnectTo(stack.server->port());
+  ASSERT_GE(fd, 0);
+  for (int64_t i = 0; i < 30; ++i) {
+    const int64_t sec = 800'000 + i;
+    // The last batch is records-only: the stop snapshot must see it too.
+    std::vector<online::PerfSample> samples;
+    if (i < 29) samples.push_back(Sample(sec, 4.0));
+    ASSERT_EQ(RoundTrip(fd, "POST", "/v1/ingest", "acme",
+                        BatchBody(1, Records(7, sec * 1000), samples))
+                  .status,
+              202);
+  }
+  ::close(fd);
+  stack.server->Stop();
+
+  const fleet::FleetStats fleet = stack.fleet->stats();
+  const Json metrics = Metricsz(stack.server.get());
+  const Json* cached = metrics.Find("fleet");
+  ASSERT_NE(cached, nullptr);
+  EXPECT_EQ(fleet.ingest.records_enqueued, 30u * 7u);
+  EXPECT_EQ(cached->GetNumberOr("instances", -1),
+            static_cast<double>(fleet.instances));
+  EXPECT_EQ(cached->GetNumberOr("seconds_processed", -1),
+            static_cast<double>(fleet.seconds_processed));
+  EXPECT_EQ(cached->GetNumberOr("records_enqueued", -1),
+            static_cast<double>(fleet.ingest.records_enqueued));
+  EXPECT_EQ(cached->GetNumberOr("records_folded", -1),
+            static_cast<double>(fleet.ingest.records_folded));
+  EXPECT_EQ(cached->GetNumberOr("triggers_accepted", -1),
+            static_cast<double>(fleet.triggers_accepted));
+  EXPECT_EQ(cached->GetNumberOr("diagnoses_ok", -1),
+            static_cast<double>(fleet.diagnoses_ok));
+  EXPECT_EQ(cached->GetNumberOr("pending_journal_records", -1),
+            static_cast<double>(fleet.pending_journal_records));
+  const Json* ingest_drops = metrics.Find("drops")->Find("ingest");
+  EXPECT_EQ(ingest_drops->GetNumberOr("late", -1),
+            static_cast<double>(fleet.ingest.records_dropped_late));
+  EXPECT_EQ(ingest_drops->GetNumberOr("backpressure", -1),
+            static_cast<double>(fleet.ingest.records_dropped_backpressure));
+}
+
+TEST(ServeServerTest, PumpWakesForEveryBatchWithoutWaitingForItsTimer) {
+  // A lost wake-up would leave a batch staged until the timer fires, a
+  // full minute here.
+  ServerOptions soptions;
+  soptions.advance_interval_ms = 60'000;
+  Stack stack = MakeStack(soptions);
+  ASSERT_TRUE(stack.server->Start().ok());
+  const int fd = ConnectTo(stack.server->port());
+  ASSERT_GE(fd, 0);
+  for (uint64_t i = 0; i < 50; ++i) {
+    const int64_t sec = 900'000 + static_cast<int64_t>(i);
+    const std::string body =
+        BatchBody(1, Records(3, sec * 1000), {Sample(sec, 4.0)});
+    ASSERT_EQ(RoundTrip(fd, "POST", "/v1/ingest", "acme", body).status, 202);
+    const auto posted = std::chrono::steady_clock::now();
+    while (stack.server->stats().batches_delivered < i + 1 &&
+           std::chrono::steady_clock::now() - posted <
+               std::chrono::seconds(1)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    ASSERT_EQ(stack.server->stats().batches_delivered, i + 1)
+        << "batch " << i << " not delivered within a second";
+  }
+  ::close(fd);
 }
 
 }  // namespace

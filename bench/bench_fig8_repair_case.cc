@@ -23,7 +23,7 @@
 #include "dbsim/engine.h"
 #include "dbsim/monitor.h"
 #include "eval/runner.h"
-#include "pipeline/stream_aggregator.h"
+#include "pipeline/template_metrics.h"
 #include "repair/actions.h"
 #include "repair/rule_engine.h"
 #include "repair/supervisor.h"

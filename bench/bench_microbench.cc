@@ -1,7 +1,7 @@
 /// Google-benchmark micro-benchmarks for the hot kernels of PinSQL: SQL
 /// fingerprinting, Pearson correlation, session estimation, the lock
 /// manager, the simulation engine, JSON parsing, and the arena-backed
-/// ingest path (staging, pump/fold, arena and log-store primitives). These
+/// ingest path (staging, pump, arena and log-store primitives). These
 /// back the efficiency discussion of Sec. VIII-B (stage times of the
 /// 14.94 s average diagnosis) and the DESIGN.md §13 memory-layout numbers.
 ///
@@ -175,8 +175,8 @@ void BM_IngestStage(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestStage);
 
-/// Full single-core path: stage a batch, pump it (fold into SoA ring
-/// cells), alternating — the sustained records/sec/core number.
+/// Staging plus pump without an archive: stage a batch, detach and
+/// recycle its chunks, alternating — the queue-handoff cost per record.
 void BM_IngestStagePump(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   pinsql::online::IngestorOptions options;
@@ -224,14 +224,16 @@ void BM_IngestStagePumpArchived(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestStagePumpArchived)->Arg(4096)->Arg(65536);
 
-/// Window assembly out of the rings: the snapshot the detector and the
-/// scheduler consume each second.
+/// Per-template window assembly out of the archive: SnapshotRange plus
+/// the aggregation, the series a diagnosis of that window computes.
 void BM_IngestSnapshotTemplates(benchmark::State& state) {
   pinsql::online::IngestorOptions options;
   options.num_shards = 16;
   options.window_sec = 600;
   options.shard_queue_capacity = 1 << 20;
   pinsql::online::StreamIngestor ingestor(options);
+  pinsql::LogStore archive;
+  ingestor.AttachArchive(&archive);
   for (size_t i = 0; i < (1 << 19); ++i) {
     ingestor.IngestRecord(IngestRecordAt(i));
     if (i % (1 << 16) == 0) ingestor.Pump();

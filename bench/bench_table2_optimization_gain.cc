@@ -17,7 +17,7 @@
 
 #include "dbsim/engine.h"
 #include "eval/runner.h"
-#include "pipeline/stream_aggregator.h"
+#include "pipeline/template_metrics.h"
 #include "workload/arrivals.h"
 
 namespace {

@@ -1,16 +1,16 @@
 /// Example: a tour of the data-collection substrate (paper Sec. IV-A).
 ///
-/// Raw SQL statements are fingerprinted into templates, published as query
-/// -log records to a Kafka-like topic, folded by the Flink-like aggregator
-/// into per-template 1 s / 1 min metric series, archived in the LogStore
-/// with retention, and finally fed to the active-session estimator. This
-/// is the plumbing every PinSQL diagnosis runs on.
+/// Raw SQL statements are fingerprinted into templates, staged as query-log
+/// records in the streaming ingestor, pumped into the LogStore archive,
+/// aggregated into per-template 1 s / 1 min metric series, trimmed by
+/// retention, and finally fed to the active-session estimator. This is the
+/// plumbing every PinSQL diagnosis runs on.
 
 #include <cstdio>
 
 #include "core/session_estimator.h"
-#include "pipeline/message_queue.h"
-#include "pipeline/stream_aggregator.h"
+#include "online/stream_ingestor.h"
+#include "pipeline/template_metrics.h"
 #include "sqltpl/fingerprint.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -44,8 +44,13 @@ int main() {
                   ? "yes"
                   : "BUG");
 
-  // 2. Collectors publish per-query records to a partitioned topic.
-  pinsql::pipeline::Topic<pinsql::QueryLogRecord> topic("query_logs", 4);
+  // 2. Collectors stage per-query records in the ingestor's sql_id-sharded
+  //    queues; a pump moves everything staged into the archive.
+  pinsql::online::IngestorOptions options;
+  options.num_shards = 4;
+  pinsql::online::StreamIngestor ingestor(options);
+  pinsql::LogStore archive;
+  ingestor.AttachArchive(&archive);
   pinsql::Rng rng(5);
   const int64_t window_sec = 120;
   for (int64_t sec = 0; sec < window_sec; ++sec) {
@@ -56,7 +61,7 @@ int main() {
       rec.response_ms = rng.LogNormalWithMean(8.0, 0.5);
       rec.sql_id = select_id;
       rec.examined_rows = rng.UniformInt(1, 200);
-      topic.Publish(rec.sql_id, rec);
+      ingestor.IngestRecord(rec);
     }
     const int updates = static_cast<int>(rng.Poisson(6));
     for (int i = 0; i < updates; ++i) {
@@ -65,29 +70,27 @@ int main() {
       rec.response_ms = rng.LogNormalWithMean(25.0, 0.5);
       rec.sql_id = update_id;
       rec.examined_rows = rng.UniformInt(50, 3000);
-      topic.Publish(rec.sql_id, rec);
+      ingestor.IngestRecord(rec);
     }
   }
-  std::printf("published %zu records across %zu partitions\n",
-              topic.TotalSize(), topic.num_partitions());
+  std::printf("staged %zu records across %zu shards\n",
+              ingestor.stats().records_staged, options.num_shards);
+  const size_t pumped = ingestor.Pump();
+  std::printf("pump archived %zu records\n", pumped);
 
-  // 3. The streaming aggregator drains the topic into per-template series
-  //    and archives raw records.
-  pinsql::LogStore archive;
-  pinsql::StreamAggregator aggregator(&topic, 0, window_sec);
-  aggregator.AttachLogStore(&archive);
-  const size_t consumed = aggregator.PumpAll();
-  std::printf("aggregator consumed %zu records into %zu template series\n",
-              consumed, aggregator.metrics().num_templates());
-  const pinsql::TemplateSeries* select_series =
-      aggregator.metrics().Find(select_id);
+  // 3. The window's per-template series, aggregated from the archive the
+  //    same way every diagnosis does.
+  const pinsql::TemplateMetricsStore metrics =
+      pinsql::AggregateWindow(archive, 0, window_sec);
+  std::printf("aggregated %zu template series\n", metrics.num_templates());
+  const pinsql::TemplateSeries* select_series = metrics.Find(select_id);
   std::printf("  SELECT template: %.0f executions, %.1f ms total RT in "
               "second 0\n",
               select_series->execution_count.Sum(),
               select_series->total_response_ms[0]);
 
   // 4. Minute-granularity view (the long-retention storage format).
-  const auto per_minute = aggregator.metrics().Resample(60);
+  const auto per_minute = metrics.Resample(60);
   const pinsql::TemplateSeries* minute_series = per_minute.Find(select_id);
   std::printf("  1-min resample: %zu buckets, first bucket %.0f "
               "executions\n",

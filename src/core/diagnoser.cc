@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "obs/trace.h"
-#include "pipeline/stream_aggregator.h"
+#include "pipeline/template_metrics.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 

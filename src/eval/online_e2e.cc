@@ -228,8 +228,8 @@ ThroughputPoint RunIngestThroughput(int threads, size_t records_per_thread) {
   online::StreamIngestor ingestor(ingest_options);
 
   if (point.threads == 0) {
-    // Cooperative single-core: stage a batch, fold it, repeat — the same
-    // records and the same full path (stage + pump + fold), but one thread
+    // Cooperative single-core: stage a batch, pump it, repeat — the same
+    // records and the same full path (stage + pump), but one thread
     // doing both halves so the measurement is per-core work, not
     // scheduling.
     constexpr size_t kPumpEvery = 4096;

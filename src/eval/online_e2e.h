@@ -90,7 +90,7 @@ OnlineE2ESummary RunOnlineE2E(const OnlineE2EOptions& options);
 ///
 /// `threads == 0` is the cooperative single-core case: ONE thread
 /// alternates staging batches with Pump(), so the number is the stage +
-/// fold capability of one core with no scheduler interference. On hosts
+/// pump capability of one core with no scheduler interference. On hosts
 /// with fewer cores than threads the threaded cases time the kernel
 /// scheduler as much as the ingest path; the cooperative case is the
 /// records/sec/core figure.

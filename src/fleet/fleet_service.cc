@@ -105,7 +105,7 @@ void FleetService::Stop() {
   AdvanceToLocked(drain_to);
   if (auto batch = correlator_.CloseOpenStorm(last_fleet_sec_);
       batch.has_value()) {
-    TriageClosedStorm(std::move(*batch), last_fleet_sec_);
+    TriageClosedStorm(std::move(*batch), last_fleet_sec_, nullptr);
   }
   std::vector<FleetOutcome> completed;
   AppendCompletions(scheduler_->Drain(last_fleet_sec_), &completed);
@@ -132,7 +132,7 @@ bool FleetService::IngestRecord(uint32_t instance_id,
   Instance& instance = instances_[it->second];
   if (!durable()) return instance.ingestor->IngestRecord(record);
   // The inner ingest and the journal buffer form one atomic step, so the
-  // journal replays in exactly the order the rings accepted.
+  // journal replays in exactly the order the ingestor accepted.
   std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
   const bool accepted = instance.ingestor->IngestRecord(record);
   // Buffer for the journal only while a writer exists to drain it: an
@@ -154,8 +154,8 @@ bool FleetService::IngestMetrics(uint32_t instance_id,
   const bool accepted = instance.ingestor->IngestMetrics(sample);
   if (accepted && instance.writer != nullptr) {
     if (!instance.pending.empty()) {
-      // Degraded on append failure: the records already sit in the rings,
-      // and re-journaling them would duplicate them on replay.
+      // Degraded on append failure: the records are already staged, and
+      // re-journaling them would duplicate them on replay.
       instance.writer->AppendRecordBatch(instance.pending);
       instance.pending.clear();
     }
@@ -333,7 +333,8 @@ void FleetService::RouteAcceptedTrigger(const online::AnomalyTrigger& trigger) {
   scheduler_->Enqueue(trigger, trigger.trigger_sec, due_sec, base_priority);
 }
 
-void FleetService::TriageClosedStorm(StormBatch batch, int64_t now_sec) {
+void FleetService::TriageClosedStorm(StormBatch batch, int64_t now_sec,
+                                     std::vector<FleetOutcome>* out) {
   // Triage rank: highest severity first, ties broken by earlier onset,
   // then lower instance id — fully deterministic.
   std::vector<size_t> order(batch.members.size());
@@ -365,6 +366,7 @@ void FleetService::TriageClosedStorm(StormBatch batch, int64_t now_sec) {
       deferred.outcome.ok = false;
       deferred.outcome.error =
           "storm_deferred:batch=" + std::to_string(batch.id);
+      if (out != nullptr) out->push_back(deferred);
       outcomes_.push_back(std::move(deferred));
       ++storm_deferred_;
       PINSQL_OBS_COUNT("fleet.storm_deferred", 1);
@@ -481,7 +483,7 @@ std::vector<FleetOutcome> FleetService::AdvanceToLocked(int64_t fleet_sec) {
       correlator_.AdoptIntoOpenStorm(members);
     }
     for (StormBatch& batch : tick_events.closed) {
-      TriageClosedStorm(std::move(batch), sec);
+      TriageClosedStorm(std::move(batch), sec, &completed);
     }
     for (NoisyNeighborVerdict& verdict : tick_events.verdicts) {
       verdicts_.push_back(std::move(verdict));

@@ -164,7 +164,9 @@ class FleetService {
   bool IngestMetrics(uint32_t instance_id, const online::PerfSample& sample);
 
   /// Advances the fleet watermark to `fleet_sec` and processes everything
-  /// up to it. Returns the fleet outcomes completed by this call.
+  /// up to it. Returns the fleet outcomes this call produced — diagnoses
+  /// and storm-deferred triggers alike — in the order outcomes() records
+  /// them.
   std::vector<FleetOutcome> AdvanceTo(int64_t fleet_sec);
 
   /// Every fleet outcome so far, in completion order.
@@ -194,7 +196,7 @@ class FleetService {
     /// Durable journal (null when the fleet runs in-memory, or between
     /// Stop() and the next Start()). journal_mu orders the inner ingest
     /// and the journal append as one atomic step, so the journal replays
-    /// in exactly the ingest order the rings saw.
+    /// in exactly the order the ingestor accepted.
     std::unique_ptr<std::mutex> journal_mu;
     std::vector<QueryLogRecord> pending;
     std::unique_ptr<store::WalWriter> writer;
@@ -221,7 +223,10 @@ class FleetService {
   void ProcessInstance(Instance* instance, int64_t fleet_sec,
                        std::vector<SecondEvent>* events);
   void RouteAcceptedTrigger(const online::AnomalyTrigger& trigger);
-  void TriageClosedStorm(StormBatch batch, int64_t now_sec);
+  /// Enqueues the storm's top-k members and records the rest as deferred
+  /// outcomes (also appended to `out` when non-null).
+  void TriageClosedStorm(StormBatch batch, int64_t now_sec,
+                         std::vector<FleetOutcome>* out);
   void AppendCompletions(std::vector<FleetScheduler::Completion> completions,
                          std::vector<FleetOutcome>* out);
   online::DiagnosisOutcome RunOne(const QueuedTrigger& entry);

@@ -137,19 +137,19 @@ struct DiagnosisSideStats {
 };
 
 /// Runs one complete windowed diagnosis for an accepted trigger: snapshots
-/// the window [onset - delta_s, window_end) from the ingestor's rings and
-/// the archive, runs Diagnose(), builds the report and (optionally) hands
-/// confirmed R-SQLs to the repair supervisor. The window end is fixed by
-/// the caller at trigger time, so the result is independent of *when* the
-/// diagnosis actually runs — the property the fleet's bounded pool relies
-/// on for schedule-invariant fingerprints.
+/// the window [onset - delta_s, window_end) from the archive and the
+/// ingestor's metric ring, runs Diagnose(), builds the report and
+/// (optionally) hands confirmed R-SQLs to the repair supervisor. The
+/// window end is fixed by the caller at trigger time, so the result is
+/// independent of *when* the diagnosis actually runs — the property the
+/// fleet's bounded pool relies on for schedule-invariant fingerprints.
 DiagnosisOutcome RunWindowedDiagnosis(const WindowedDiagnosisContext& ctx,
                                       const AnomalyTrigger& trigger,
                                       int64_t window_end_sec,
                                       DiagnosisSideStats* side);
 
 /// Turns confirmed anomaly triggers into full diagnoses: snapshots the
-/// window from the ingestor's rings and the archive, assembles a
+/// window from the archive and the ingestor's metric ring, assembles a
 /// DiagnosisInput, runs Diagnose() (which fans out on its internal thread
 /// pool), builds the report, and hands confirmed R-SQLs to the repair
 /// supervisor. Overlapping triggers of one incident are deduplicated with

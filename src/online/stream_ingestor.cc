@@ -9,69 +9,6 @@
 
 namespace pinsql::online {
 
-namespace {
-
-constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
-/// Below this many templates in a bucket, a linear scan over the
-/// contiguous ids column beats hashing.
-constexpr size_t kLinearSlots = 8;
-
-inline size_t HashId(uint64_t id) {
-  uint64_t h = id * 0x9E3779B97F4A7C15ull;
-  return static_cast<size_t>(h ^ (h >> 29));
-}
-
-}  // namespace
-
-size_t StreamIngestor::Bucket::FindOrAddSlot(uint64_t id) {
-  const size_t n = ids.size();
-  if (lookup.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      if (ids[i] == id) return i;
-    }
-  } else {
-    const size_t mask = lookup.size() - 1;
-    for (size_t p = HashId(id) & mask;; p = (p + 1) & mask) {
-      const uint32_t slot = lookup[p];
-      if (slot == kNoSlot) break;
-      if (ids[slot] == id) return slot;
-    }
-  }
-  ids.push_back(id);
-  count.push_back(0.0);
-  total_response_ms.push_back(0.0);
-  examined_rows.push_back(0.0);
-  if (ids.size() > kLinearSlots && ids.size() * 4 >= lookup.size()) {
-    RebuildLookup();
-  } else if (!lookup.empty()) {
-    const size_t mask = lookup.size() - 1;
-    size_t p = HashId(id) & mask;
-    while (lookup[p] != kNoSlot) p = (p + 1) & mask;
-    lookup[p] = static_cast<uint32_t>(n);
-  }
-  return n;
-}
-
-void StreamIngestor::Bucket::RebuildLookup() {
-  size_t cap = 64;
-  while (cap < ids.size() * 8) cap <<= 1;
-  lookup.assign(cap, kNoSlot);
-  const size_t mask = cap - 1;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    size_t p = HashId(ids[i]) & mask;
-    while (lookup[p] != kNoSlot) p = (p + 1) & mask;
-    lookup[p] = static_cast<uint32_t>(i);
-  }
-}
-
-void StreamIngestor::Bucket::ClearCells() {
-  ids.clear();
-  count.clear();
-  total_response_ms.clear();
-  examined_rows.clear();
-  lookup.clear();
-}
-
 StreamIngestor::StreamIngestor(const IngestorOptions& options,
                                std::shared_ptr<IngestChunkPool> pool)
     : options_(options),
@@ -86,9 +23,7 @@ StreamIngestor::StreamIngestor(const IngestorOptions& options,
   }
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->ring.resize(static_cast<size_t>(options_.window_sec));
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>());
   }
 }
 
@@ -110,9 +45,17 @@ void StreamIngestor::DropStagedLocked(Shard* shard) {
 }
 
 bool StreamIngestor::IngestRecord(const QueryLogRecord& record) {
+  const int64_t mark = watermark_.load(std::memory_order_relaxed);
   Shard& shard = *shards_[ShardIndex(record.sql_id)];
   std::lock_guard<std::mutex> lock(shard.queue_mu);
   ++shard.enqueued;
+  // Strictly older than the grace horizon: a record at exactly
+  // watermark - late_grace_sec is still on time.
+  if (mark != std::numeric_limits<int64_t>::min() &&
+      record.arrival_ms / 1000 < mark - options_.late_grace_sec) {
+    ++shard.dropped_late;
+    return false;
+  }
   if (shard.staged >= options_.shard_queue_capacity) {
     ++shard.dropped_backpressure;
     return false;
@@ -135,7 +78,7 @@ bool StreamIngestor::IngestMetrics(const PerfSample& sample) {
   std::lock_guard<std::mutex> lock(metrics_mu_);
   const int64_t mark = watermark_.load(std::memory_order_relaxed);
   // Strict: a sample at exactly mark - window_sec + 1 (the window floor)
-  // is the oldest retained instant; one second older misses the rings.
+  // is the oldest retained instant; one second older misses the ring.
   if (mark != std::numeric_limits<int64_t>::min() &&
       sample.sec <= mark - options_.window_sec) {
     ++metric_samples_dropped_;
@@ -156,81 +99,33 @@ bool StreamIngestor::IngestMetrics(const PerfSample& sample) {
   return true;
 }
 
-void StreamIngestor::FoldRecord(Shard* shard, const QueryLogRecord& record,
-                                int64_t watermark, int64_t* cached_sec,
-                                Bucket** cached_bucket) {
-  const int64_t sec = record.arrival_ms / 1000;
-  // Strictly older than the grace horizon: a record at exactly
-  // watermark - late_grace_sec is still on time.
-  if (watermark != std::numeric_limits<int64_t>::min() &&
-      sec < watermark - options_.late_grace_sec) {
-    ++shard->dropped_late;
-    return;
-  }
-  Bucket* bucket;
-  if (sec == *cached_sec && *cached_bucket != nullptr) {
-    bucket = *cached_bucket;
-  } else {
-    bucket = &shard->ring[RingIndex(sec)];
-    if (bucket->sec != sec) {
-      if (bucket->sec > sec) {
-        // Bucket already recycled for a newer second: the record is too
-        // late.
-        ++shard->dropped_late;
-        return;
-      }
-      bucket->sec = sec;
-      bucket->ClearCells();
-    }
-    *cached_sec = sec;
-    *cached_bucket = bucket;
-  }
-  const size_t slot = bucket->FindOrAddSlot(record.sql_id);
-  bucket->count[slot] += 1.0;
-  bucket->total_response_ms[slot] += record.response_ms;
-  bucket->examined_rows[slot] += static_cast<double>(record.examined_rows);
-  ++shard->folded;
-}
-
 size_t StreamIngestor::Pump() {
-  // Everything one pump folds is archived in ONE AppendSpans call, chunk
-  // spans in shard-index order (the same order the per-shard folds ran). A
-  // concurrent LogStore::SnapshotRange therefore observes a pump
-  // atomically — all of its records or none — which is also the granularity
-  // the durable WAL journals (frame == batch). The chunks themselves only
-  // return to the pool after the archive has copied them.
+  // Everything one pump takes is archived in ONE AppendSpans call, chunk
+  // spans in shard-index order. A concurrent LogStore::SnapshotRange
+  // therefore observes a pump atomically — all of its records or none —
+  // which is also the granularity the durable WAL journals (frame ==
+  // batch). The chunks themselves only return to the pool after the
+  // archive has copied them.
   std::vector<std::pair<const QueryLogRecord*, size_t>> spans;
   IngestChunk* release_head = nullptr;
   IngestChunk** release_tail = &release_head;
   IngestChunk* release_last = nullptr;
   size_t release_count = 0;
   size_t pumped = 0;
-  const int64_t mark = watermark_.load(std::memory_order_relaxed);
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     IngestChunk* chunks = nullptr;
     {
-      // fold_mu is held across the detach *and* the fold, so a record is
-      // always visible to stats() as either staged (in the queue) or
-      // folded/late — never in an invisible in-between (see the IngestStats
-      // consistency contract).
-      std::lock_guard<std::mutex> fold_lock(shard.fold_mu);
-      {
-        std::lock_guard<std::mutex> queue_lock(shard.queue_mu);
-        chunks = shard.head;
-        shard.head = nullptr;
-        shard.tail = nullptr;
-        shard.staged = 0;
-      }
-      if (chunks == nullptr) continue;
-      int64_t cached_sec = kEmptySec;
-      Bucket* cached_bucket = nullptr;
-      for (const IngestChunk* c = chunks; c != nullptr; c = c->next) {
-        for (uint32_t i = 0; i < c->size; ++i) {
-          FoldRecord(&shard, c->items[i], mark, &cached_sec, &cached_bucket);
-        }
-      }
+      // The detach and the count move together under queue_mu, so a
+      // record is always visible to stats() as either staged or folded.
+      std::lock_guard<std::mutex> queue_lock(shard.queue_mu);
+      chunks = shard.head;
+      shard.head = nullptr;
+      shard.tail = nullptr;
+      shard.folded += shard.staged;
+      shard.staged = 0;
     }
+    if (chunks == nullptr) continue;
     for (IngestChunk* c = chunks;; c = c->next) {
       spans.emplace_back(c->items, c->size);
       pumped += c->size;
@@ -269,18 +164,12 @@ std::optional<PerfSample> StreamIngestor::SampleAt(int64_t sec) const {
 TemplateMetricsStore StreamIngestor::SnapshotTemplates(int64_t t0_sec,
                                                        int64_t t1_sec) const {
   TemplateMetricsStore store(t0_sec, t1_sec, /*interval_sec=*/1);
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.fold_mu);
-    for (int64_t sec = t0_sec; sec < t1_sec; ++sec) {
-      const Bucket& bucket = shard.ring[RingIndex(sec)];
-      if (bucket.sec != sec) continue;
-      for (size_t i = 0; i < bucket.ids.size(); ++i) {
-        store.AccumulateCell(bucket.ids[i], sec, bucket.count[i],
-                             bucket.total_response_ms[i],
-                             bucket.examined_rows[i]);
-      }
-    }
+  if (archive_ == nullptr) return store;
+  // Arrival-ordered, ties in append order: the scan order AggregateWindow
+  // sees over the diagnosis window's copy of the same records.
+  for (const QueryLogRecord& record :
+       archive_->SnapshotRange(t0_sec * 1000, t1_sec * 1000)) {
+    store.Accumulate(record);
   }
   return store;
 }
@@ -325,13 +214,8 @@ std::optional<int64_t> StreamIngestor::window_floor_sec() const {
 }
 
 IngestorState StreamIngestor::ExportState() const {
-  // Same consistent-cut locking discipline as stats(): every fold_mu, then
-  // every queue_mu, then the metrics mutex.
-  std::vector<std::unique_lock<std::mutex>> fold_locks;
-  fold_locks.reserve(shards_.size());
-  for (const auto& shard_ptr : shards_) {
-    fold_locks.emplace_back(shard_ptr->fold_mu);
-  }
+  // Same consistent-cut locking discipline as stats(): every queue_mu,
+  // then the metrics mutex.
   std::vector<std::unique_lock<std::mutex>> queue_locks;
   queue_locks.reserve(shards_.size());
   for (const auto& shard_ptr : shards_) {
@@ -351,22 +235,9 @@ IngestorState StreamIngestor::ExportState() const {
     shard_state.dropped_backpressure = shard.dropped_backpressure;
     shard_state.folded = shard.folded;
     shard_state.dropped_late = shard.dropped_late;
-    for (const Bucket& bucket : shard.ring) {
-      if (bucket.sec == kEmptySec) continue;
-      IngestorBucketState bucket_state;
-      bucket_state.sec = bucket.sec;
-      bucket_state.cells.reserve(bucket.ids.size());
-      for (size_t i = 0; i < bucket.ids.size(); ++i) {
-        bucket_state.cells.push_back({bucket.ids[i], bucket.count[i],
-                                      bucket.total_response_ms[i],
-                                      bucket.examined_rows[i]});
-      }
-      shard_state.buckets.push_back(std::move(bucket_state));
-    }
     state.shards.push_back(std::move(shard_state));
   }
   queue_locks.clear();
-  fold_locks.clear();
   std::lock_guard<std::mutex> lock(metrics_mu_);
   for (const MetricBucket& bucket : metric_ring_) {
     if (bucket.sec == kEmptySec) continue;
@@ -387,46 +258,26 @@ Status StreamIngestor::ImportState(const IngestorState& state) {
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     const IngestorShardState& shard_state = state.shards[i];
-    {
-      std::lock_guard<std::mutex> lock(shard.queue_mu);
-      DropStagedLocked(&shard);
-      for (const QueryLogRecord& record : shard_state.queue) {
-        if (shard.tail == nullptr || shard.tail->full()) {
-          IngestChunk* chunk = pool_->Acquire();
-          if (shard.tail == nullptr) {
-            shard.head = chunk;
-          } else {
-            shard.tail->next = chunk;
-          }
-          shard.tail = chunk;
+    std::lock_guard<std::mutex> lock(shard.queue_mu);
+    DropStagedLocked(&shard);
+    for (const QueryLogRecord& record : shard_state.queue) {
+      if (shard.tail == nullptr || shard.tail->full()) {
+        IngestChunk* chunk = pool_->Acquire();
+        if (shard.tail == nullptr) {
+          shard.head = chunk;
+        } else {
+          shard.tail->next = chunk;
         }
-        shard.tail->push(record);
-        ++shard.staged;
+        shard.tail = chunk;
       }
+      shard.tail->push(record);
+      ++shard.staged;
     }
     shard.enqueued = static_cast<size_t>(shard_state.enqueued);
     shard.dropped_backpressure =
         static_cast<size_t>(shard_state.dropped_backpressure);
     shard.folded = static_cast<size_t>(shard_state.folded);
     shard.dropped_late = static_cast<size_t>(shard_state.dropped_late);
-    for (Bucket& bucket : shard.ring) {
-      bucket.sec = kEmptySec;
-      bucket.ClearCells();
-    }
-    for (const IngestorBucketState& bucket_state : shard_state.buckets) {
-      if (bucket_state.sec == kEmptySec) {
-        return Status::InvalidArgument("ingestor bucket with sentinel sec");
-      }
-      Bucket& bucket = shard.ring[RingIndex(bucket_state.sec)];
-      bucket.sec = bucket_state.sec;
-      bucket.ClearCells();
-      for (const IngestorCellState& cell : bucket_state.cells) {
-        const size_t slot = bucket.FindOrAddSlot(cell.sql_id);
-        bucket.count[slot] = cell.count;
-        bucket.total_response_ms[slot] = cell.total_response_ms;
-        bucket.examined_rows[slot] = cell.examined_rows;
-      }
-    }
   }
   std::lock_guard<std::mutex> lock(metrics_mu_);
   for (MetricBucket& bucket : metric_ring_) bucket.sec = kEmptySec;
@@ -445,18 +296,12 @@ Status StreamIngestor::ImportState(const IngestorState& state) {
 }
 
 IngestStats StreamIngestor::stats() const {
-  // Consistent cut: hold every shard's fold_mu, then every queue_mu, and
-  // only then read. With all locks held no record can move between the
-  // staged / folded / dropped states, so the totals satisfy
+  // Consistent cut: hold every shard's queue_mu (in shard order), and only
+  // then read. With all locks held no record can move between the staged
+  // / folded / dropped states, so the totals satisfy
   // enqueued == folded + dropped_late + dropped_backpressure + staged
   // exactly — a fleet summing per-instance snapshots never sees a torn
-  // read. Lock order (fold before queue, shards in index order) matches
-  // Pump(), so this cannot deadlock.
-  std::vector<std::unique_lock<std::mutex>> fold_locks;
-  fold_locks.reserve(shards_.size());
-  for (const auto& shard_ptr : shards_) {
-    fold_locks.emplace_back(shard_ptr->fold_mu);
-  }
+  // read.
   std::vector<std::unique_lock<std::mutex>> queue_locks;
   queue_locks.reserve(shards_.size());
   for (const auto& shard_ptr : shards_) {
@@ -472,7 +317,6 @@ IngestStats StreamIngestor::stats() const {
     stats.records_staged += shard.staged;
   }
   queue_locks.clear();
-  fold_locks.clear();
   std::lock_guard<std::mutex> lock(metrics_mu_);
   stats.metric_samples = metric_samples_;
   stats.metric_samples_dropped = metric_samples_dropped_;

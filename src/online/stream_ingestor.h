@@ -42,7 +42,7 @@ using IngestChunk = util::Chunk<QueryLogRecord, kIngestChunkCapacity>;
 using IngestChunkPool = util::ChunkPool<QueryLogRecord, kIngestChunkCapacity>;
 
 struct IngestorOptions {
-  /// Sliding window the ring buffers retain, in seconds. Must cover the
+  /// Sliding window the metric ring retains, in seconds. Must cover the
   /// scheduler's delta_s lookback plus the longest anomaly it should be
   /// able to diagnose.
   int64_t window_sec = 1800;
@@ -54,15 +54,15 @@ struct IngestorOptions {
   /// counts it (explicit backpressure — the collector never blocks the
   /// database it watches).
   size_t shard_queue_capacity = 1 << 16;
-  /// Records older than watermark - late_grace_sec are dropped as late
-  /// (their ring bucket may already be recycled).
+  /// Records older than watermark - late_grace_sec are refused as late
+  /// when offered: never staged, archived or journaled.
   int64_t late_grace_sec = 120;
 };
 
 /// Every drop is accounted: nothing leaves the pipeline silently.
 ///
 /// stats() returns a *consistent cut*: the shard counters are read with
-/// every shard's fold and queue locks held at once, so the invariant
+/// every shard's queue lock held at once, so the invariant
 /// `records_enqueued == records_folded + records_dropped_late +
 /// records_dropped_backpressure + records_staged` holds exactly in every
 /// snapshot, even while producers and pumpers race — never a torn
@@ -70,10 +70,11 @@ struct IngestorOptions {
 struct IngestStats {
   /// Every record offered to IngestRecord, accepted or not.
   size_t records_enqueued = 0;
+  /// Records a Pump() took from the shard queues.
   size_t records_folded = 0;
   size_t records_dropped_backpressure = 0;
   size_t records_dropped_late = 0;
-  /// Records accepted into a shard queue but not yet folded by a Pump().
+  /// Records accepted into a shard queue but not yet taken by a Pump().
   size_t records_staged = 0;
   size_t metric_samples = 0;
   size_t metric_samples_dropped = 0;
@@ -87,29 +88,15 @@ struct WindowMetrics {
 
 /// Serializable mirror of a StreamIngestor's full mutable state, for the
 /// durable service's checkpoints (see online/service_state.h). A restored
-/// ingestor folds, snapshots and drops bit-identically to the one the
-/// state was exported from.
-struct IngestorCellState {
-  uint64_t sql_id = 0;
-  double count = 0.0;
-  double total_response_ms = 0.0;
-  double examined_rows = 0.0;
-};
-
-struct IngestorBucketState {
-  int64_t sec = -1;
-  std::vector<IngestorCellState> cells;
-};
-
+/// ingestor stages, pumps, snapshots and drops bit-identically to the one
+/// the state was exported from.
 struct IngestorShardState {
-  /// Staged records accepted but not yet folded by a Pump().
+  /// Staged records accepted but not yet taken by a Pump().
   std::vector<QueryLogRecord> queue;
   uint64_t enqueued = 0;
   uint64_t dropped_backpressure = 0;
   uint64_t folded = 0;
   uint64_t dropped_late = 0;
-  /// Occupied ring buckets only (sec >= 0), in ring-index order.
-  std::vector<IngestorBucketState> buckets;
 };
 
 struct IngestorMetricBucketState {
@@ -127,30 +114,20 @@ struct IngestorState {
 };
 
 /// Thread-safe streaming ingestion of query-log records and per-second
-/// perf samples, maintaining *incremental* sliding-window aggregates in
-/// ring buffers — assembling a diagnosis window never rescans a LogStore.
+/// perf samples: the staging front of the one aggregation path (records ->
+/// LogStore archive -> AggregateWindow over the diagnosis window).
 ///
 /// Data flow: producers stage records into sql_id-sharded chunk lists
 /// (multi-producer, lock per shard, one pooled chunk per ~256 records);
 /// Pump() detaches each shard's whole chunk list under one lock hold,
-/// folds it into per-shard rings of per-second template cells, archives
-/// every chunk span into the attached LogStore in one call, and recycles
-/// the chunks. Metric samples go straight into a per-second ring and
-/// advance the watermark (the service's virtual clock). Snapshot*()
-/// assembles the window views the detector and the DiagnosisScheduler
-/// consume.
+/// archives every chunk span into the attached LogStore in one call, and
+/// recycles the chunks. Metric samples go straight into a per-second ring
+/// and advance the watermark (the service's virtual clock). Snapshot*()
+/// assembles the window views the DiagnosisScheduler consumes.
 ///
-/// Memory layout (DESIGN.md §13): ring cells are structure-of-arrays —
-/// per bucket, parallel `ids` / `count` / `total_response_ms` /
-/// `examined_rows` columns — so folds touch four contiguous arrays and
-/// snapshot scans stream over doubles.
-///
-/// Determinism: a template's records all land in one shard queue, so their
-/// fold order is the producer's publish order; ring cells are sequential
-/// per-(sql_id, sec) sums kept in first-touch order and snapshots insert
-/// cells into disjoint series buckets, so a snapshot is bit-identical to
-/// the batch AggregateWindow over the same records in the same
-/// per-template order.
+/// Determinism: a template's records all land in one shard queue, so the
+/// archive holds them in the producer's publish order, and SnapshotTemplates
+/// is exactly the AggregateWindow a diagnosis runs over that archive.
 class StreamIngestor {
  public:
   /// `pool` shares chunk capacity across ingestors (the fleet passes one
@@ -161,13 +138,14 @@ class StreamIngestor {
   StreamIngestor(const StreamIngestor&) = delete;
   StreamIngestor& operator=(const StreamIngestor&) = delete;
 
-  /// Optional: folded records are also archived here (one AppendSpans call
-  /// per pump). The archive is what Diagnose() scans; concurrent readers
-  /// must use LogStore::SnapshotRange.
+  /// Optional: pumped records are archived here (one AppendSpans call per
+  /// pump). The archive is what Diagnose() scans; concurrent readers must
+  /// use LogStore::SnapshotRange.
   void AttachArchive(LogStore* store) { archive_ = store; }
 
-  /// Stages one record (thread-safe). Returns false when the shard queue
-  /// was full and the record was dropped.
+  /// Stages one record (thread-safe). Returns false when the record was
+  /// dropped and counted: late (older than watermark - late_grace_sec) or
+  /// refused by a full shard queue.
   bool IngestRecord(const QueryLogRecord& record);
 
   /// Ingests one per-second sample (thread-safe) and advances the
@@ -176,9 +154,8 @@ class StreamIngestor {
   /// oldest retained instant.
   bool IngestMetrics(const PerfSample& sample);
 
-  /// Folds every staged record into the rings (and the archive). Safe to
-  /// call from any thread; concurrent pumps serialize per shard. Returns
-  /// the number of records folded.
+  /// Moves every staged record into the archive. Safe to call from any
+  /// thread. Returns the number of records taken from the queues.
   size_t Pump();
 
   /// Latest metric second seen (the virtual clock), or nullopt before the
@@ -188,8 +165,9 @@ class StreamIngestor {
   /// The sample for `sec`, if it is inside the retained window.
   std::optional<PerfSample> SampleAt(int64_t sec) const;
 
-  /// Assembles the per-template aggregates over [t0_sec, t1_sec) from the
-  /// rings. Seconds outside the retained window contribute nothing.
+  /// Per-template aggregates over [t0_sec, t1_sec): AggregateWindow over a
+  /// SnapshotRange of the attached archive — the series a diagnosis of that
+  /// window computes. Empty without an archive.
   TemplateMetricsStore SnapshotTemplates(int64_t t0_sec, int64_t t1_sec) const;
 
   /// Assembles the metric series over [t0_sec, t1_sec); seconds without a
@@ -197,9 +175,9 @@ class StreamIngestor {
   /// up as usual.
   WindowMetrics SnapshotMetrics(int64_t t0_sec, int64_t t1_sec) const;
 
-  /// Oldest second still retained by the rings (watermark - window + 1),
-  /// or nullopt before the first sample. Snapshots at exactly this second
-  /// see retained data; one second older is outside the rings.
+  /// Oldest second still retained by the metric ring (watermark - window
+  /// + 1), or nullopt before the first sample. Snapshots at exactly this
+  /// second see retained data; one second older is outside the ring.
   std::optional<int64_t> window_floor_sec() const;
 
   IngestStats stats() const;
@@ -207,8 +185,9 @@ class StreamIngestor {
   /// The chunk pool backing the shard queues (shared or private).
   const IngestChunkPool& chunk_pool() const { return *pool_; }
 
-  /// Captures the full mutable state (rings, staged queues, counters,
-  /// watermark) as one consistent cut — safe while producers race.
+  /// Captures the full mutable state (metric ring, staged queues,
+  /// counters, watermark) as one consistent cut — safe while producers
+  /// race.
   IngestorState ExportState() const;
 
   /// Restores an exported state. The ingestor must be shaped identically
@@ -218,45 +197,23 @@ class StreamIngestor {
   Status ImportState(const IngestorState& state);
 
  private:
-  /// One second of one shard's template aggregates, structure-of-arrays:
-  /// slot i of every column belongs to ids[i]; slots are in first-touch
-  /// (fold) order, which snapshots and exports preserve. `lookup` is an
-  /// open-addressing id->slot table engaged once the linear scan over the
-  /// contiguous `ids` column stops being the faster option.
-  /// Empty-slot sentinel for the ring buckets. INT64_MIN (not -1): early
+  /// Empty-slot sentinel for the metric ring. INT64_MIN (not -1): early
   /// streams have genuinely negative window-floor seconds, and the
   /// sentinel must compare older than every real second so the
   /// recycled-slot checks stay branch-free.
   static constexpr int64_t kEmptySec = std::numeric_limits<int64_t>::min();
 
-  struct Bucket {
-    int64_t sec = kEmptySec;
-    std::vector<uint64_t> ids;
-    std::vector<double> count;
-    std::vector<double> total_response_ms;
-    std::vector<double> examined_rows;
-    std::vector<uint32_t> lookup;
-
-    size_t FindOrAddSlot(uint64_t id);
-    void RebuildLookup();
-    void ClearCells();
-  };
   struct Shard {
-    // Lock order: fold_mu before queue_mu wherever both are held (Pump and
-    // stats), and the pool mutex only ever after queue_mu/fold_mu (the
-    // pool is a leaf). IngestRecord takes only queue_mu (+ pool on chunk
-    // boundaries), so producers never wait on a fold in progress.
+    // Lock order: the pool mutex only ever after queue_mu (the pool is a
+    // leaf). stats() and ExportState() take every queue_mu in shard order.
     mutable std::mutex queue_mu;
     IngestChunk* head = nullptr;
     IngestChunk* tail = nullptr;
     size_t staged = 0;
     size_t enqueued = 0;
     size_t dropped_backpressure = 0;
-
-    mutable std::mutex fold_mu;
-    std::vector<Bucket> ring;
-    size_t folded = 0;
     size_t dropped_late = 0;
+    size_t folded = 0;
   };
   struct MetricBucket {
     int64_t sec = kEmptySec;
@@ -272,13 +229,6 @@ class StreamIngestor {
     return static_cast<size_t>(m < 0 ? m + w : m);
   }
 
-  /// `cached_sec` / `cached_bucket` memoize the last resolved ring slot
-  /// across a fold run: consecutive records in a chunk overwhelmingly
-  /// share a second, so the ring-index modulo (a runtime division) runs
-  /// once per second transition instead of once per record.
-  void FoldRecord(Shard* shard, const QueryLogRecord& record,
-                  int64_t watermark, int64_t* cached_sec,
-                  Bucket** cached_bucket);
   /// Shard for a template id: bitmask when num_shards is a power of two,
   /// modulo otherwise.
   size_t ShardIndex(uint64_t sql_id) const {
@@ -299,8 +249,8 @@ class StreamIngestor {
   std::vector<MetricBucket> metric_ring_;
   size_t metric_samples_ = 0;
   size_t metric_samples_dropped_ = 0;
-  /// INT64_MIN before the first sample. Relaxed loads are fine: folding
-  /// only needs a recent-enough lateness horizon.
+  /// INT64_MIN before the first sample. Relaxed loads are fine: the late
+  /// check only needs a recent-enough horizon.
   std::atomic<int64_t> watermark_;
 };
 

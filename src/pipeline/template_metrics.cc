@@ -48,17 +48,6 @@ void TemplateMetricsStore::Accumulate(const QueryLogRecord& record) {
       t_sec, static_cast<double>(record.examined_rows));
 }
 
-void TemplateMetricsStore::AccumulateCell(uint64_t sql_id, int64_t t_sec,
-                                          double count,
-                                          double total_response_ms,
-                                          double examined_rows) {
-  if (t_sec < start_sec_ || t_sec >= end_sec_) return;
-  TemplateSeries* series = FindOrCreate(sql_id);
-  series->execution_count.AccumulateAt(t_sec, count);
-  series->total_response_ms.AccumulateAt(t_sec, total_response_ms);
-  series->examined_rows.AccumulateAt(t_sec, examined_rows);
-}
-
 const TemplateSeries* TemplateMetricsStore::Find(uint64_t sql_id) const {
   auto it = slot_.find(sql_id);
   return it == slot_.end() ? nullptr : &series_[it->second];
@@ -138,6 +127,48 @@ TemplateMetricsStore TemplateMetricsStore::Resample(
     out.series_.push_back(std::move(resampled));
   }
   return out;
+}
+
+TemplateMetricsStore AggregateWindow(const LogStore& store, int64_t start_sec,
+                                     int64_t end_sec, int64_t interval_sec) {
+  TemplateMetricsStore metrics(start_sec, end_sec, interval_sec);
+  store.ScanRange(start_sec * 1000, end_sec * 1000,
+                  [&metrics](const QueryLogRecord& record) {
+                    metrics.Accumulate(record);
+                  });
+  return metrics;
+}
+
+TemplateMetricsStore AggregateWindow(const LogStore& store, int64_t start_sec,
+                                     int64_t end_sec, int64_t interval_sec,
+                                     util::ThreadPool* pool) {
+  if (pool == nullptr || pool->num_threads() <= 1) {
+    return AggregateWindow(store, start_sec, end_sec, interval_sec);
+  }
+  const size_t num_shards = static_cast<size_t>(pool->num_threads());
+  // Force the lazy sort once, outside the parallel region, so the shard
+  // scans below are pure concurrent reads.
+  (void)store.SortedRecords();
+
+  std::vector<TemplateMetricsStore> shards;
+  shards.reserve(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    shards.emplace_back(start_sec, end_sec, interval_sec);
+  }
+  pool->ParallelFor(num_shards, [&](size_t s) {
+    store.ScanRange(start_sec * 1000, end_sec * 1000,
+                    [&, s](const QueryLogRecord& record) {
+                      if (record.sql_id % num_shards == s) {
+                        shards[s].Accumulate(record);
+                      }
+                    });
+  });
+
+  TemplateMetricsStore metrics(start_sec, end_sec, interval_sec);
+  for (size_t s = 0; s < num_shards; ++s) {
+    metrics.MergeFrom(std::move(shards[s]));
+  }
+  return metrics;
 }
 
 }  // namespace pinsql

@@ -7,6 +7,7 @@
 
 #include "logstore/log_store.h"
 #include "ts/time_series.h"
+#include "util/thread_pool.h"
 
 namespace pinsql {
 
@@ -21,8 +22,8 @@ struct TemplateSeries {
 };
 
 /// Aggregated template metrics for one instance and one time window.
-/// Produced by the StreamAggregator at 1 s granularity; 1 min granularity
-/// is derived via Resample.
+/// Produced by AggregateWindow at 1 s granularity; 1 min granularity is
+/// derived via Resample.
 ///
 /// Memory layout (DESIGN.md §13): the series live in one contiguous
 /// vector in first-touch order — scans over every template (AllSorted,
@@ -34,7 +35,7 @@ struct TemplateSeries {
 /// aggregated stores without losing the tail.
 ///
 /// Pointer stability: TemplateSeries pointers returned by Find / AllSorted
-/// are invalidated by any subsequent mutation (Accumulate*, MergeFrom) —
+/// are invalidated by any subsequent mutation (Accumulate, MergeFrom) —
 /// the usage pattern everywhere is build-then-read.
 class TemplateMetricsStore {
  public:
@@ -51,15 +52,6 @@ class TemplateMetricsStore {
   /// Folds one query-log record into the aggregates. Records outside the
   /// window are ignored (late/early data).
   void Accumulate(const QueryLogRecord& record);
-
-  /// Folds an already-aggregated cell — the count / response-time / rows
-  /// totals of one (sql_id, bucket) pair — into the store. The online
-  /// ingestor's ring-buffer snapshot uses this: each ring cell is a
-  /// sequential fold over that template's records, so cell insertion order
-  /// cannot change any sum and the snapshot is bit-deterministic. Cells
-  /// outside the window are ignored, matching Accumulate.
-  void AccumulateCell(uint64_t sql_id, int64_t t_sec, double count,
-                      double total_response_ms, double examined_rows);
 
   /// Lookup; nullptr when the template never executed in the window.
   /// Invalidated by mutation (see pointer-stability note above).
@@ -87,9 +79,9 @@ class TemplateMetricsStore {
   /// templates unknown here are moved in, overlapping templates have their
   /// series summed element-wise. Shards merged in a fixed order yield a
   /// deterministic result; shards with *disjoint* template sets (the
-  /// sql_id-sharded parallel aggregation paths) merge with no floating-
-  /// point additions at all, so the merged store is bit-identical to the
-  /// serial aggregation.
+  /// sql_id-sharded parallel AggregateWindow) merge with no floating-point
+  /// additions at all, so the merged store is bit-identical to the serial
+  /// aggregation.
   void MergeFrom(TemplateMetricsStore&& shard);
 
  private:
@@ -107,6 +99,23 @@ class TemplateMetricsStore {
   std::vector<TemplateSeries> series_;
   std::unordered_map<uint64_t, uint32_t> slot_;
 };
+
+/// The one per-template aggregation (paper Sec. IV-A): folds the records
+/// of `store` over [start_sec, end_sec) into a TemplateMetricsStore, in
+/// arrival order. Every diagnosis window goes through here.
+TemplateMetricsStore AggregateWindow(const LogStore& store, int64_t start_sec,
+                                     int64_t end_sec,
+                                     int64_t interval_sec = 1);
+
+/// Parallel variant: shards templates across the pool (shard = sql_id
+/// modulo pool size), each shard scanning the window and accumulating only
+/// its own templates, then merges the disjoint shards in shard order. The
+/// per-template series see their records in the same arrival order as the
+/// serial scan, so the result is bit-identical to AggregateWindow. Falls
+/// back to the serial path when `pool` is null or single-threaded.
+TemplateMetricsStore AggregateWindow(const LogStore& store, int64_t start_sec,
+                                     int64_t end_sec, int64_t interval_sec,
+                                     util::ThreadPool* pool);
 
 }  // namespace pinsql
 

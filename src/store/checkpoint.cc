@@ -17,10 +17,11 @@ namespace {
 
 constexpr char kCheckpointMagic[8] = {'P', 'S', 'Q', 'L', 'C', 'K', 'P', '1'};
 // v2: ensemble-backed detector state (forecaster snapshots, gap-reset
-// counters) and trigger source attribution. v1 checkpoints fail the
-// version check and recovery falls back to the WAL, which replays into
-// the new format.
-constexpr uint32_t kCheckpointVersion = 2;
+// counters) and trigger source attribution. v3: the ingestor's
+// per-template ring buckets are gone (template series come from the
+// archive). Older checkpoints fail the version check and recovery falls
+// back to the WAL, which replays into the new format.
+constexpr uint32_t kCheckpointVersion = 3;
 // magic(8) + version(4) at the front, crc(4) at the back.
 constexpr size_t kCheckpointOverhead = 16;
 
@@ -52,17 +53,6 @@ void EncodeIngestor(codec::Writer* w, const online::IngestorState& state) {
     w->U64(shard.dropped_backpressure);
     w->U64(shard.folded);
     w->U64(shard.dropped_late);
-    w->U64(shard.buckets.size());
-    for (const online::IngestorBucketState& bucket : shard.buckets) {
-      w->I64(bucket.sec);
-      w->U64(bucket.cells.size());
-      for (const online::IngestorCellState& cell : bucket.cells) {
-        w->U64(cell.sql_id);
-        w->F64(cell.count);
-        w->F64(cell.total_response_ms);
-        w->F64(cell.examined_rows);
-      }
-    }
   }
   w->U64(state.metric_buckets.size());
   for (const online::IngestorMetricBucketState& bucket : state.metric_buckets) {
@@ -215,7 +205,7 @@ bool DecodeSample(codec::Reader* r, online::PerfSample* sample) {
 
 bool DecodeIngestor(codec::Reader* r, online::IngestorState* state) {
   uint64_t num_shards = 0;
-  if (!r->U64(&num_shards) || !PlausibleCount(*r, num_shards, 48)) {
+  if (!r->U64(&num_shards) || !PlausibleCount(*r, num_shards, 40)) {
     return false;
   }
   state->shards.resize(num_shards);
@@ -231,25 +221,6 @@ bool DecodeIngestor(codec::Reader* r, online::IngestorState* state) {
     if (!r->U64(&shard.enqueued) || !r->U64(&shard.dropped_backpressure) ||
         !r->U64(&shard.folded) || !r->U64(&shard.dropped_late)) {
       return false;
-    }
-    uint64_t num_buckets = 0;
-    if (!r->U64(&num_buckets) || !PlausibleCount(*r, num_buckets, 16)) {
-      return false;
-    }
-    shard.buckets.resize(num_buckets);
-    for (online::IngestorBucketState& bucket : shard.buckets) {
-      uint64_t num_cells = 0;
-      if (!r->I64(&bucket.sec) || !r->U64(&num_cells) ||
-          !PlausibleCount(*r, num_cells, 32)) {
-        return false;
-      }
-      bucket.cells.resize(num_cells);
-      for (online::IngestorCellState& cell : bucket.cells) {
-        if (!r->U64(&cell.sql_id) || !r->F64(&cell.count) ||
-            !r->F64(&cell.total_response_ms) || !r->F64(&cell.examined_rows)) {
-          return false;
-        }
-      }
     }
   }
   uint64_t num_metric_buckets = 0;

@@ -349,6 +349,59 @@ TEST(FleetServiceTest, DegradedJournalDoesNotAccumulatePendingRecords) {
   service.Stop();
 }
 
+TEST(FleetServiceTest, LateRecordIsRefusedAndNeverJournaled) {
+  std::string data_dir = ::testing::TempDir() + "pinsql_fleet_XXXXXX";
+  ASSERT_NE(mkdtemp(data_dir.data()), nullptr);
+  FleetOptions options;
+  options.data_dir = data_dir;
+  options.ingestor.late_grace_sec = 60;
+  constexpr uint64_t kLateId = 4242;
+  size_t accepted = 0;
+  {
+    FleetService service({{7, 0}}, options);
+    service.Start();
+    for (int64_t sec = 0; sec < 120; ++sec) {
+      for (int64_t k = 0; k < 3; ++k) {
+        QueryLogRecord record;
+        record.arrival_ms = sec * 1000 + k;
+        record.sql_id = 1001;
+        record.response_ms = 4.0;
+        record.examined_rows = 40;
+        ASSERT_TRUE(service.IngestRecord(7, record));
+        ++accepted;
+      }
+      if (sec == 100) {
+        // Older than watermark (99) - grace (60): refused and counted once.
+        QueryLogRecord late;
+        late.arrival_ms = 10'000;
+        late.sql_id = kLateId;
+        EXPECT_FALSE(service.IngestRecord(7, late));
+      }
+      online::PerfSample sample;
+      sample.sec = sec;
+      sample.active_session = 5.0;
+      ASSERT_TRUE(service.IngestMetrics(7, sample));
+      service.AdvanceTo(sec);
+    }
+    const FleetStats stats = service.stats();
+    EXPECT_EQ(stats.ingest.records_dropped_late, 1u);
+    EXPECT_EQ(stats.ingest.records_enqueued, accepted + 1);
+    EXPECT_EQ(stats.ingest.records_folded, accepted);
+    service.Stop();
+    const std::vector<QueryLogRecord> archived =
+        service.archive(7)->SnapshotRange(0, 120'000);
+    EXPECT_EQ(archived.size(), accepted);
+    for (const QueryLogRecord& record : archived) {
+      EXPECT_NE(record.sql_id, kLateId) << "late record was archived";
+    }
+  }
+  // The journal holds only what the ingestor accepted.
+  FleetService restarted({{7, 0}}, options);
+  restarted.Start();
+  EXPECT_EQ(restarted.recovery().records, accepted);
+  restarted.Stop();
+}
+
 TEST(FleetServiceTest, UnknownInstanceIngestIsRejected) {
   FleetService service({{7, 0}}, FleetOptions{});
   service.Start();

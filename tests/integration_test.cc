@@ -7,7 +7,7 @@
 #include "core/diagnoser.h"
 #include "eval/case_generator.h"
 #include "eval/runner.h"
-#include "pipeline/stream_aggregator.h"
+#include "pipeline/template_metrics.h"
 #include "repair/rule_engine.h"
 
 namespace pinsql {

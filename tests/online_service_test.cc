@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <thread>
@@ -56,32 +57,68 @@ std::vector<QueryLogRecord> SyntheticRecords(int64_t t0_sec, int64_t t1_sec,
 
 // --- StreamIngestor ------------------------------------------------------
 
+/// Bit-equality, not approximate: both stores must be the same sequential
+/// per-template folds.
+void ExpectSameTemplates(const TemplateMetricsStore& actual,
+                         const TemplateMetricsStore& expected) {
+  ASSERT_EQ(actual.SqlIdsSorted(), expected.SqlIdsSorted());
+  for (const uint64_t sql_id : expected.SqlIdsSorted()) {
+    const TemplateSeries* e = expected.Find(sql_id);
+    const TemplateSeries* a = actual.Find(sql_id);
+    ASSERT_NE(a, nullptr) << "template " << sql_id << " missing";
+    EXPECT_EQ(a->execution_count.values(), e->execution_count.values());
+    EXPECT_EQ(a->total_response_ms.values(), e->total_response_ms.values());
+    EXPECT_EQ(a->examined_rows.values(), e->examined_rows.values());
+  }
+}
+
 TEST(StreamIngestorTest, SnapshotMatchesBatchAggregation) {
   const int64_t t0 = 5000, t1 = 5120;
-  const auto records = SyntheticRecords(t0, t1, 13, 42);
+  {
+    const auto records = SyntheticRecords(t0, t1, 13, 42);
+    IngestorOptions options;
+    options.window_sec = 600;
+    StreamIngestor ingestor(options);
+    LogStore archive;
+    ingestor.AttachArchive(&archive);
+    ASSERT_TRUE(ingestor.IngestMetrics(Sample(t1, 5.0)));
+    for (const auto& r : records) ASSERT_TRUE(ingestor.IngestRecord(r));
+    ingestor.Pump();
 
-  IngestorOptions options;
-  options.window_sec = 600;
-  StreamIngestor ingestor(options);
-  ASSERT_TRUE(ingestor.IngestMetrics(Sample(t1, 5.0)));
-  for (const auto& r : records) ASSERT_TRUE(ingestor.IngestRecord(r));
-  ingestor.Pump();
-
-  // Batch reference: the offline aggregation over the same records.
-  TemplateMetricsStore batch(t0, t1, 1);
-  for (const auto& r : records) batch.Accumulate(r);
-
-  const TemplateMetricsStore snap = ingestor.SnapshotTemplates(t0, t1);
-  ASSERT_EQ(snap.num_templates(), batch.num_templates());
-  for (const uint64_t sql_id : batch.SqlIdsSorted()) {
-    const TemplateSeries* b = batch.Find(sql_id);
-    const TemplateSeries* s = snap.Find(sql_id);
-    ASSERT_NE(s, nullptr) << "template " << sql_id << " missing";
-    // Bit-equality, not approximate: each ring cell is the same sequential
-    // per-template fold the batch store performs.
-    EXPECT_EQ(s->execution_count.values(), b->execution_count.values());
-    EXPECT_EQ(s->total_response_ms.values(), b->total_response_ms.values());
-    EXPECT_EQ(s->examined_rows.values(), b->examined_rows.values());
+    // Batch reference: the offline aggregation over the same records.
+    TemplateMetricsStore batch(t0, t1, 1);
+    for (const auto& r : records) batch.Accumulate(r);
+    ExpectSameTemplates(ingestor.SnapshotTemplates(t0, t1), batch);
+  }
+  {
+    // Records published out of arrival order across every shard, over
+    // several pumps, with fractional response times: the snapshot is the
+    // diagnosis window's AggregateWindow over the archive, bit for bit.
+    auto records = SyntheticRecords(t0, t1, 29, 7);
+    for (size_t i = 0; i < records.size(); ++i) {
+      records[i].response_ms += 0.1 * static_cast<double>(i % 7);
+    }
+    std::reverse(records.begin(), records.end());
+    std::rotate(records.begin(), records.begin() + records.size() / 3,
+                records.end());
+    IngestorOptions options;
+    options.window_sec = 600;
+    StreamIngestor ingestor(options);
+    LogStore archive;
+    ingestor.AttachArchive(&archive);
+    ASSERT_TRUE(ingestor.IngestMetrics(Sample(t1, 5.0)));
+    for (size_t i = 0; i < records.size(); ++i) {
+      ASSERT_TRUE(ingestor.IngestRecord(records[i]));
+      if (i % 1000 == 999) ingestor.Pump();
+    }
+    ingestor.Pump();
+    ASSERT_EQ(archive.size(), records.size());
+    const TemplateMetricsStore snap = ingestor.SnapshotTemplates(t0, t1);
+    EXPECT_GT(snap.num_templates(), 1u);
+    ExpectSameTemplates(snap, AggregateWindow(archive, t0, t1));
+    // A sub-window sees exactly that window's records.
+    ExpectSameTemplates(ingestor.SnapshotTemplates(t0 + 30, t0 + 45),
+                        AggregateWindow(archive, t0 + 30, t0 + 45));
   }
 }
 
@@ -115,15 +152,24 @@ TEST(StreamIngestorTest, LateRecordsAreDroppedAndCounted) {
   options.window_sec = 600;
   options.late_grace_sec = 60;
   StreamIngestor ingestor(options);
+  LogStore archive;
+  ingestor.AttachArchive(&archive);
   ASSERT_TRUE(ingestor.IngestMetrics(Sample(10'000, 5.0)));
-  // Older than watermark - grace: dropped at fold time, with the drop
-  // accounted (nothing leaves the pipeline silently).
-  ASSERT_TRUE(ingestor.IngestRecord(Rec(9'000'000, 1)));
-  ASSERT_TRUE(ingestor.IngestRecord(Rec(9'990'000, 2)));
-  ingestor.Pump();
+  // Older than watermark - grace: refused when offered, with the drop
+  // accounted once (nothing leaves the pipeline silently) — never staged,
+  // so never archived.
+  EXPECT_FALSE(ingestor.IngestRecord(Rec(9'000'000, 1)));
+  EXPECT_EQ(ingestor.stats().records_staged, 0u);
+  // Exactly at the grace horizon is still on time.
+  ASSERT_TRUE(ingestor.IngestRecord(Rec(9'940'000, 2)));
+  ASSERT_TRUE(ingestor.IngestRecord(Rec(9'990'000, 3)));
+  EXPECT_EQ(ingestor.Pump(), 2u);
   const IngestStats stats = ingestor.stats();
+  EXPECT_EQ(stats.records_enqueued, 3u);
   EXPECT_EQ(stats.records_dropped_late, 1u);
-  EXPECT_EQ(stats.records_folded, 1u);
+  EXPECT_EQ(stats.records_folded, 2u);
+  EXPECT_EQ(archive.size(), 2u);
+  EXPECT_TRUE(archive.Range(9'000'000, 9'001'000).empty());
 }
 
 TEST(StreamIngestorTest, StaleMetricSamplesAreDropped) {
@@ -145,13 +191,15 @@ TEST(StreamIngestorTest, WindowFloorBoundaryRetainsFloorDropsBelow) {
   options.window_sec = 100;
   options.late_grace_sec = 99;  // grace horizon == the whole retained ring
   StreamIngestor ingestor(options);
+  LogStore archive;
+  ingestor.AttachArchive(&archive);
   ASSERT_TRUE(ingestor.IngestMetrics(Sample(1000, 5.0)));
   ASSERT_TRUE(ingestor.window_floor_sec().has_value());
   const int64_t floor = *ingestor.window_floor_sec();
   EXPECT_EQ(floor, 1000 - 100 + 1);
 
   // A sample at exactly the floor is the oldest retained instant; one
-  // second older misses the rings and is counted as dropped.
+  // second older misses the ring and is counted as dropped.
   EXPECT_TRUE(ingestor.IngestMetrics(Sample(floor, 2.0)));
   ASSERT_TRUE(ingestor.SampleAt(floor).has_value());
   EXPECT_DOUBLE_EQ(ingestor.SampleAt(floor)->active_session, 2.0);
@@ -159,9 +207,10 @@ TEST(StreamIngestorTest, WindowFloorBoundaryRetainsFloorDropsBelow) {
   EXPECT_FALSE(ingestor.SampleAt(floor - 1).has_value());
   EXPECT_EQ(ingestor.stats().metric_samples_dropped, 1u);
 
-  // Same boundary for records: the floor second folds, floor - 1 is late.
+  // Same boundary for records: the floor second is accepted, floor - 1 is
+  // refused as late.
   ASSERT_TRUE(ingestor.IngestRecord(Rec(floor * 1000, 7)));
-  ASSERT_TRUE(ingestor.IngestRecord(Rec((floor - 1) * 1000, 7)));
+  EXPECT_FALSE(ingestor.IngestRecord(Rec((floor - 1) * 1000, 7)));
   ingestor.Pump();
   const IngestStats stats = ingestor.stats();
   EXPECT_EQ(stats.records_folded, 1u);
@@ -187,6 +236,8 @@ TEST(StreamIngestorTest, NegativeFloorSecondsAreWellDefined) {
   options.window_sec = 100;
   options.late_grace_sec = 99;
   StreamIngestor ingestor(options);
+  LogStore archive;
+  ingestor.AttachArchive(&archive);
   ASSERT_TRUE(ingestor.IngestMetrics(Sample(10, 5.0)));
   ASSERT_TRUE(ingestor.window_floor_sec().has_value());
   const int64_t floor = *ingestor.window_floor_sec();

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "pipeline/message_queue.h"
-#include "pipeline/stream_aggregator.h"
 #include "pipeline/template_metrics.h"
 
 namespace pinsql {
@@ -15,55 +13,6 @@ QueryLogRecord Rec(int64_t arrival_ms, uint64_t sql_id, double response,
   r.response_ms = response;
   r.examined_rows = rows;
   return r;
-}
-
-// ----------------------------------------------------------- MessageQueue
-
-TEST(MessageQueueTest, PublishPartitionsByKey) {
-  pipeline::Topic<int> topic("t", 4);
-  for (int i = 0; i < 100; ++i) {
-    topic.Publish(static_cast<uint64_t>(i), i);
-  }
-  EXPECT_EQ(topic.TotalSize(), 100u);
-  // Key k lands in partition k % 4.
-  EXPECT_EQ(topic.Partition(1)[0], 1);
-  EXPECT_EQ(topic.Partition(3)[0], 3);
-}
-
-TEST(MessageQueueTest, ConsumerDrainsEverythingOnce) {
-  pipeline::Topic<int> topic("t", 3);
-  for (int i = 0; i < 10; ++i) topic.Publish(static_cast<uint64_t>(i), i);
-  pipeline::Consumer<int> consumer(&topic);
-  EXPECT_EQ(consumer.Lag(), 10u);
-  auto batch1 = consumer.Poll(4);
-  EXPECT_EQ(batch1.size(), 4u);
-  EXPECT_EQ(consumer.Lag(), 6u);
-  auto batch2 = consumer.Poll(100);
-  EXPECT_EQ(batch2.size(), 6u);
-  EXPECT_EQ(consumer.Lag(), 0u);
-  EXPECT_TRUE(consumer.Poll(10).empty());
-}
-
-TEST(MessageQueueTest, PerPartitionOrderIsFifo) {
-  pipeline::Topic<int> topic("t", 2);
-  topic.Publish(0, 10);
-  topic.Publish(0, 20);
-  topic.Publish(0, 30);
-  pipeline::Consumer<int> consumer(&topic);
-  const auto all = consumer.Poll(100);
-  ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all[0], 10);
-  EXPECT_EQ(all[1], 20);
-  EXPECT_EQ(all[2], 30);
-}
-
-TEST(MessageQueueTest, SeekToBeginningReconsumes) {
-  pipeline::Topic<int> topic("t", 1);
-  topic.Publish(0, 1);
-  pipeline::Consumer<int> consumer(&topic);
-  EXPECT_EQ(consumer.Poll(10).size(), 1u);
-  consumer.SeekToBeginning();
-  EXPECT_EQ(consumer.Poll(10).size(), 1u);
 }
 
 // ---------------------------------------------------- TemplateMetricsStore
@@ -203,37 +152,9 @@ TEST(TemplateMetricsTest, SeriesAreContiguousInFirstTouchOrder) {
   EXPECT_EQ(store.Find(10), &series[1]);
 }
 
-// --------------------------------------------------------- StreamAggregator
+// --------------------------------------------------------- AggregateWindow
 
-TEST(StreamAggregatorTest, EndToEndKafkaFlinkPath) {
-  pipeline::Topic<QueryLogRecord> topic("query_logs", 4);
-  for (int64_t s = 0; s < 10; ++s) {
-    for (int k = 0; k < 3; ++k) {
-      topic.Publish(7, Rec(s * 1000 + k * 100, 7, 10.0, 5));
-    }
-  }
-  LogStore archive;
-  StreamAggregator aggregator(&topic, 0, 10);
-  aggregator.AttachLogStore(&archive);
-  const size_t consumed = aggregator.PumpAll();
-  EXPECT_EQ(consumed, 30u);
-  EXPECT_EQ(archive.size(), 30u);
-  const TemplateSeries* series = aggregator.metrics().Find(7);
-  ASSERT_NE(series, nullptr);
-  EXPECT_DOUBLE_EQ(series->execution_count.Sum(), 30.0);
-  EXPECT_DOUBLE_EQ(series->execution_count[0], 3.0);
-}
-
-TEST(StreamAggregatorTest, PumpOnceRespectsBatchSize) {
-  pipeline::Topic<QueryLogRecord> topic("query_logs", 2);
-  for (int i = 0; i < 100; ++i) topic.Publish(1, Rec(0, 1, 1.0, 1));
-  StreamAggregator aggregator(&topic, 0, 10);
-  EXPECT_EQ(aggregator.PumpOnce(10), 10u);
-  EXPECT_EQ(aggregator.PumpOnce(1000), 90u);
-  EXPECT_EQ(aggregator.PumpOnce(), 0u);
-}
-
-TEST(StreamAggregatorTest, AggregateWindowMatchesStreaming) {
+TEST(AggregateWindowTest, FoldsTheStoreWindow) {
   LogStore store;
   for (int64_t s = 0; s < 20; ++s) {
     store.Append(Rec(1000 * s + 100, 1, 4.0, 2));

@@ -849,19 +849,30 @@ TEST(ServeServerTest, ReadEndpointsMatchTreeRenderingByteForByte) {
   stack.server->Stop();
 
   // What the pump cached: every outcome AdvanceTo returned, in order —
-  // diagnosed ones only, since storm-deferred outcomes reach the fleet's
-  // own outcome list but are not returned by AdvanceTo.
+  // storm-deferred triggers included.
   std::vector<TreeEntry> cache;
   for (const fleet::FleetOutcome& fo : stack.fleet->outcomes()) {
-    if (fo.disposition == fleet::FleetOutcome::Disposition::kDiagnosed) {
-      cache.push_back(ToTreeEntry(fo));
-    }
+    cache.push_back(ToTreeEntry(fo));
   }
   const std::vector<fleet::StormBatch>& storms = stack.fleet->storms();
   // The scenario exercises truncation at limit 4, tenant scoping, storm
-  // rendering and full reports with repair arrays.
+  // rendering, a deferred storm member and full reports with repair
+  // arrays.
   ASSERT_GT(cache.size(), 4u);
   EXPECT_FALSE(storms.empty());
+  const size_t deferred_count =
+      std::count_if(cache.begin(), cache.end(),
+                    [](const TreeEntry& e) { return e.storm_deferred; });
+  EXPECT_EQ(deferred_count, 1u);
+  bool deferred_served = false;
+  for (const Read& read : reads) {
+    if (read.tenant == "acme" && read.endpoint == "/v1/triggers" &&
+        read.limit == 100) {
+      deferred_served =
+          read.body.find("\"storm_deferred\":true") != std::string::npos;
+    }
+  }
+  EXPECT_TRUE(deferred_served) << "/v1/triggers never shows the deferral";
   const size_t ok_count = std::count_if(
       cache.begin(), cache.end(), [](const TreeEntry& e) { return e.ok; });
   EXPECT_GT(ok_count, 0u);

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "detect/forecast.h"
@@ -693,6 +694,56 @@ TEST(CheckpointTest, NewestValidWinsAndCorruptNewestFallsBack) {
   EXPECT_EQ(survivor->counter, 3u);
 }
 
+/// Rewrites a checkpoint file's header version and re-seals its
+/// whole-file CRC, so the version is the only thing that differs. Returns
+/// the version the file had.
+uint32_t RewriteCheckpointVersion(const std::string& path, uint32_t version) {
+  std::string bytes;
+  EXPECT_TRUE(PosixEnv()->ReadFile(path, &bytes).ok());
+  EXPECT_GE(bytes.size(), 16u);
+  codec::Reader header(std::string_view(bytes).substr(8, 4));
+  uint32_t old_version = 0;
+  header.U32(&old_version);
+  std::string field;
+  codec::Writer(&field).U32(version);
+  bytes.replace(8, 4, field);
+  field.clear();
+  codec::Writer(&field).U32(Crc32c(bytes.data(), bytes.size() - 4));
+  bytes.replace(bytes.size() - 4, 4, field);
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return old_version;
+}
+
+TEST(CheckpointTest, OlderFormatVersionIsSkippedAndCounted) {
+  const std::string dir = MakeTempDir();
+  Env* env = PosixEnv();
+  CheckpointData old_data = SmallCheckpoint();
+  old_data.service.last_processed_sec = 1000;
+  ASSERT_TRUE(WriteCheckpoint(env, dir, 3, old_data).ok());
+  CheckpointData new_data = SmallCheckpoint();
+  new_data.service.last_processed_sec = 2000;
+  ASSERT_TRUE(WriteCheckpoint(env, dir, 4, new_data).ok());
+
+  // Version 2 predates the v3 ingestor layout: the otherwise intact newest
+  // file fails the version check and recovery falls back, counting it.
+  const std::string newest = dir + "/" + CheckpointFileName(4);
+  const uint32_t current = RewriteCheckpointVersion(newest, 2);
+  EXPECT_EQ(current, 3u);
+  auto loaded = LoadLatestCheckpoint(env, dir);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->counter, 3u);
+  EXPECT_EQ(loaded->data.service.last_processed_sec, 1000);
+  EXPECT_EQ(loaded->corrupt_skipped, 1u);
+
+  // Only the version differed: restoring it makes the file win again.
+  RewriteCheckpointVersion(newest, current);
+  auto restored = LoadLatestCheckpoint(env, dir);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored->counter, 4u);
+  EXPECT_EQ(restored->corrupt_skipped, 0u);
+}
+
 TEST(CheckpointTest, PruneKeepsNewestAndSweepsTempFiles) {
   const std::string dir = MakeTempDir();
   Env* env = PosixEnv();
@@ -813,6 +864,37 @@ TEST(DurableServiceTest, WalOnlyRecoveryReplaysEverything) {
   EXPECT_FALSE((*resumed)->recovery().checkpoint_loaded);
   EXPECT_GT((*resumed)->recovery().wal.samples, 0u);
   EXPECT_FALSE((*resumed)->recovery().wal.seq_gap);
+  ASSERT_TRUE((*resumed)->Stop().ok());
+  EXPECT_EQ((*resumed)->Fingerprint(), ReferenceFingerprint(log));
+}
+
+TEST(DurableServiceTest, OlderFormatCheckpointsFallBackToWalReplay) {
+  const online::ReplayLog log = SyntheticIncident();
+  const std::string dir = MakeTempDir();
+  {
+    auto service = DurableOnlineService::Open(DurableOpts(), dir);
+    ASSERT_TRUE(service.ok());
+    RegisterCatalog(service->get());
+    Feed(service->get(), log, 0, 1'000'000);
+    ASSERT_TRUE((*service)->Stop().ok());
+  }
+  // Every checkpoint claims version 2: none is usable, so recovery must
+  // replay the WAL alone into the current format.
+  auto names = PosixEnv()->ListDir(dir);
+  ASSERT_TRUE(names.ok());
+  size_t rewritten = 0;
+  for (const std::string& name : *names) {
+    if (name.size() > 5 && name.compare(name.size() - 5, 5, ".ckpt") == 0) {
+      RewriteCheckpointVersion(dir + "/" + name, 2);
+      ++rewritten;
+    }
+  }
+  ASSERT_GT(rewritten, 0u);
+  auto resumed = DurableOnlineService::Open(DurableOpts(), dir);
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_FALSE((*resumed)->recovery().checkpoint_loaded);
+  EXPECT_EQ((*resumed)->recovery().checkpoints_corrupt_skipped, rewritten);
+  EXPECT_GT((*resumed)->recovery().wal.samples, 0u);
   ASSERT_TRUE((*resumed)->Stop().ok());
   EXPECT_EQ((*resumed)->Fingerprint(), ReferenceFingerprint(log));
 }

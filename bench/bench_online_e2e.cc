@@ -1,13 +1,13 @@
 /// Online end-to-end: the continuous diagnosis service replayed over
-/// recorded streams. Each case feeds a generated anomaly day through
-/// StreamIngestor -> OnlineAnomalyDetector -> DiagnosisScheduler ->
-/// RepairSupervisor and scores the whole loop: trigger recall/precision
+/// recorded streams. Each case feeds a generated anomaly day through a
+/// fleet of one (StreamIngestor -> OnlineAnomalyDetector -> dedup and
+/// diagnoser pool -> RepairSupervisor) and scores the whole loop: trigger recall/precision
 /// against the injected ground truth, detection latency, diagnosis
 /// quality, and end-to-end time-to-repair.
 ///
 /// Headline properties: recall >= 0.9 with zero duplicate triggers per
 /// anomaly; median detection latency <= 5 simulated seconds; replay is
-/// bit-deterministic across runs, ingest-thread counts and diagnoser
+/// bit-deterministic across runs, ingest-worker counts and diagnoser
 /// thread counts; a severity-0 action-fault injector is a no-op through
 /// the online path; and ingest throughput scales from 1 to 4 producer
 /// threads (hard-checked only when the host has >= 4 cores).
@@ -45,16 +45,16 @@ int main(int argc, char** argv) {
   pinsql::eval::OnlineE2EOptions options;
   options.num_cases = EnvInt("PINSQL_BENCH_CASES", smoke ? 3 : 6);
   options.seed = static_cast<uint64_t>(EnvInt("PINSQL_BENCH_SEED", 7));
-  options.replay.service.scheduler.diagnoser.num_threads =
+  options.replay.fleet.scheduler.diagnoser.num_threads =
       EnvInt("PINSQL_BENCH_THREADS", 2);
-  options.replay.num_ingest_threads = 1;
+  options.replay.num_ingest_workers = 1;
 
   std::printf(
       "Online E2E: streaming ingest -> online trigger -> scheduled "
       "diagnosis -> supervised repair\n(%d replayed cases, %d diagnoser "
       "threads)\n\n",
       options.num_cases,
-      options.replay.service.scheduler.diagnoser.num_threads);
+      options.replay.fleet.scheduler.diagnoser.num_threads);
 
   const auto summary = pinsql::eval::RunOnlineE2E(options);
 
@@ -92,10 +92,10 @@ int main(int argc, char** argv) {
   const auto base = pinsql::eval::RunOnlineCase(det, 0);
   const auto repeat = pinsql::eval::RunOnlineCase(det, 0);
   pinsql::eval::OnlineE2EOptions det4 = det;
-  det4.replay.num_ingest_threads = 4;
+  det4.replay.num_ingest_workers = 4;
   const auto ingest4 = pinsql::eval::RunOnlineCase(det4, 0);
   pinsql::eval::OnlineE2EOptions detd4 = det;
-  detd4.replay.service.scheduler.diagnoser.num_threads = 4;
+  detd4.replay.fleet.scheduler.diagnoser.num_threads = 4;
   const auto diag4 = pinsql::eval::RunOnlineCase(detd4, 0);
 
   const bool repeat_identical = base.fingerprint == repeat.fingerprint;
@@ -111,10 +111,10 @@ int main(int argc, char** argv) {
   // --- Forecasting ensemble through the full online loop ----------------
   // The screen+forecaster ensemble must not regress the legacy pipeline's
   // recall on the standard cases, and its replays must stay bit-identical
-  // across ingest-thread counts (the forecaster state is part of the
+  // across ingest-worker counts (the forecaster state is part of the
   // deterministic core, not a side channel).
   pinsql::eval::OnlineE2EOptions ens = options;
-  ens.replay.service.detector.forecasters =
+  ens.replay.fleet.detector.forecasters =
       pinsql::detect::DefaultEnsembleForecasters();
   const auto ens_summary = pinsql::eval::RunOnlineE2E(ens);
   std::printf("ensemble (screen + EWMA/Holt forecasters): recall %.2f  "
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
   ens_det.num_cases = 1;
   const auto ens_base = pinsql::eval::RunOnlineCase(ens_det, 0);
   pinsql::eval::OnlineE2EOptions ens_det4 = ens_det;
-  ens_det4.replay.num_ingest_threads = 4;
+  ens_det4.replay.num_ingest_workers = 4;
   const auto ens_ingest4 = pinsql::eval::RunOnlineCase(ens_det4, 0);
   const bool ens_ingest_identical =
       ens_base.fingerprint == ens_ingest4.fingerprint;
@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
               summary.mean_ttr_sec, repaired_ok ? "OK" : "VIOLATED");
   std::printf("  replay bit-identical across repeated runs: %s\n",
               repeat_identical ? "OK" : "VIOLATED");
-  std::printf("  replay bit-identical at 1 vs 4 ingest threads: %s\n",
+  std::printf("  replay bit-identical at 1 vs 4 ingest workers: %s\n",
               ingest_identical ? "OK" : "VIOLATED");
   std::printf("  replay bit-identical at 1 vs 4 diagnoser threads: %s\n",
               diag_identical ? "OK" : "VIOLATED");
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
               ens_recall_ok ? "OK" : "VIOLATED");
   std::printf("  ensemble zero duplicate triggers (%zu): %s\n",
               ens_summary.duplicate_triggers, ens_dup_ok ? "OK" : "VIOLATED");
-  std::printf("  ensemble replay bit-identical at 1 vs 4 ingest threads: "
+  std::printf("  ensemble replay bit-identical at 1 vs 4 ingest workers: "
               "%s\n",
               ens_ingest_identical ? "OK" : "VIOLATED");
   if (scaling_hard) {

@@ -9,8 +9,8 @@
 ///   - well-behaved tenants see zero admission drops, the abuser sees >0;
 ///   - GET /v1/reports p99 stays under a (sanitizer-aware) bound;
 ///   - tenant-1's streamed incident is diagnosed and served back;
-///   - replay fingerprints over every accepted record stream are
-///     byte-identical at 1 vs 4 ingest threads.
+///   - fleet-of-one replay fingerprints over every accepted record stream
+///     are byte-identical at 1 vs 4 ingest workers.
 ///
 /// Environment knobs: PINSQL_BENCH_SERVE_TENANTS (well-behaved tenants,
 /// default 3), PINSQL_BENCH_SERVE_FLOODS (flood requests, default 60),
@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "faults/net_faults.h"
+#include "fleet/fleet_replay.h"
 #include "fleet/fleet_service.h"
 #include "online/replay.h"
 #include "serve/server.h"
@@ -398,13 +399,17 @@ int RunBench(int argc, char** argv) {
   const auto accepted_streams = server.accepted_streams();
   bool fingerprints_identical = !accepted_streams.empty();
   for (const auto& [instance, log] : accepted_streams) {
-    online::ReplayOptions roptions;
-    roptions.num_ingest_threads = 1;
-    const std::string fp1 = online::RunReplay(log, catalog, roptions)
-                                .Fingerprint();
-    roptions.num_ingest_threads = 4;
-    const std::string fp4 = online::RunReplay(log, catalog, roptions)
-                                .Fingerprint();
+    // A fleet of one per accepted stream, at 1 vs 4 ingest workers.
+    const std::vector<fleet::FleetInstanceSpec> solo = {{instance, 0}};
+    fleet::FleetReplayOptions roptions;
+    roptions.num_ingest_workers = 1;
+    const std::string fp1 = fleet::RunFleetReplay(solo, {log}, catalog,
+                                                  roptions)
+                                .InstanceFingerprint(instance);
+    roptions.num_ingest_workers = 4;
+    const std::string fp4 = fleet::RunFleetReplay(solo, {log}, catalog,
+                                                  roptions)
+                                .InstanceFingerprint(instance);
     fingerprints_identical &= !fp1.empty() && fp1 == fp4;
   }
   fleet->Stop();
@@ -423,7 +428,7 @@ int RunBench(int argc, char** argv) {
       {"GET /v1/reports p99 within bound",
        !report_ms.empty() && p99 <= p99_bound_ms},
       {"tenant-1 incident diagnosed and served", report_served},
-      {"accepted streams replay fingerprint-identical at 1 vs 4 threads",
+      {"accepted streams replay identically at 1 vs 4 ingest workers",
        fingerprints_identical},
       {"fleet-stats snapshots at most one per advance interval",
        static_cast<double>(pump.fleet_stats_snapshots) <= snapshot_bound},

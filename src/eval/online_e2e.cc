@@ -137,16 +137,19 @@ OnlineCaseOutcome RunOnlineCase(const OnlineE2EOptions& options,
         engine.get(), sup_options, hook ? hook.get() : nullptr);
   }
 
-  const online::ReplayResult replay =
-      online::RunReplay(log, data.logs, options.replay, supervisor.get(),
-                        &data.history);
+  fleet::FleetInstanceSpec spec;
+  spec.supervisor = supervisor.get();
+  spec.history = &data.history;
+  const fleet::FleetResult replay =
+      fleet::RunFleetReplay({spec}, {log}, data.logs, options.replay);
 
-  out.fingerprint = replay.Fingerprint();
+  out.fingerprint = replay.InstanceFingerprint(spec.instance_id);
   out.stats = replay.stats;
 
   const int64_t lo = data.injected_as - options.onset_tolerance_sec;
   const int64_t hi = data.injected_ae + options.onset_tolerance_sec;
-  for (const online::DiagnosisOutcome& outcome : replay.outcomes) {
+  for (const fleet::FleetOutcome& fleet_outcome : replay.outcomes) {
+    const online::DiagnosisOutcome& outcome = fleet_outcome.outcome;
     const int64_t onset = outcome.trigger.onset_sec;
     const bool in_anomaly = onset >= lo && onset <= hi;
     if (in_anomaly) {

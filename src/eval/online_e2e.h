@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "eval/case_generator.h"
+#include "fleet/fleet_replay.h"
 #include "online/replay.h"
 
 namespace pinsql::eval {
@@ -20,8 +21,9 @@ struct OnlineE2EOptions {
   /// Case shape (per-case seed and anomaly type are derived from `seed`
   /// and the case index).
   CaseGenOptions case_gen;
-  /// Service/detector/scheduler tuning and ingest-thread count.
-  online::ReplayOptions replay;
+  /// Fleet (ingestor/detector/scheduler) tuning and ingest-worker count of
+  /// the fleet-of-one replay each case runs.
+  fleet::FleetReplayOptions replay;
   /// Close the loop: run a shadow engine + RepairSupervisor per case so
   /// confirmed R-SQLs are actually repaired and time-to-repair is real.
   bool with_repair = true;
@@ -57,7 +59,7 @@ struct OnlineCaseOutcome {
   /// Times the case was regenerated before admission (see max_case_regens).
   size_t case_regens = 0;
   std::string fingerprint;     // replay determinism digest
-  online::ServiceStats stats;
+  fleet::FleetStats stats;
 };
 
 struct OnlineE2ESummary {
@@ -76,8 +78,8 @@ struct OnlineE2ESummary {
   std::vector<OnlineCaseOutcome> outcomes;
 };
 
-/// Replays one generated case through the online service (deterministic in
-/// (options, index)).
+/// Replays one generated case through a fleet of one carrying the case's
+/// supervisor and history (deterministic in (options, index)).
 OnlineCaseOutcome RunOnlineCase(const OnlineE2EOptions& options, size_t index);
 
 /// Runs every case and aggregates.

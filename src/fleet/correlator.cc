@@ -21,20 +21,20 @@ CrossInstanceCorrelator::CrossInstanceCorrelator(
 bool CrossInstanceCorrelator::OnAcceptedTrigger(
     const online::AnomalyTrigger& trigger, int64_t due_sec,
     double base_priority) {
-  recent_.emplace_back(trigger.trigger_sec, trigger.instance_id);
+  state_.recent.emplace_back(trigger.trigger_sec, trigger.instance_id);
 
   if (options_.neighbor_min_cotenants > 0) {
     auto it = host_by_instance_.find(trigger.instance_id);
     if (it != host_by_instance_.end()) {
-      hosts_[it->second].events.push_back({trigger.trigger_sec,
+      state_.hosts[it->second].events.push_back({trigger.trigger_sec,
                                            trigger.instance_id,
                                            trigger.onset_sec,
                                            trigger.severity});
     }
   }
 
-  if (open_batch_.has_value()) {
-    open_batch_->members.push_back({trigger, due_sec, base_priority});
+  if (state_.open_batch.has_value()) {
+    state_.open_batch->members.push_back({trigger, due_sec, base_priority});
     return true;
   }
   return false;
@@ -42,7 +42,7 @@ bool CrossInstanceCorrelator::OnAcceptedTrigger(
 
 size_t CrossInstanceCorrelator::DistinctRecentInstances() const {
   std::set<uint32_t> distinct;
-  for (const auto& [sec, instance] : recent_) distinct.insert(instance);
+  for (const auto& [sec, instance] : state_.recent) distinct.insert(instance);
   return distinct.size();
 }
 
@@ -51,48 +51,48 @@ CrossInstanceCorrelator::TickEvents CrossInstanceCorrelator::Tick(
   TickEvents events;
 
   // Storms: the window holds triggers in (sec - window, sec].
-  while (!recent_.empty() &&
-         recent_.front().first <= sec - options_.storm_window_sec) {
-    recent_.pop_front();
+  while (!state_.recent.empty() &&
+         state_.recent.front().first <= sec - options_.storm_window_sec) {
+    state_.recent.pop_front();
   }
   if (options_.storm_min_instances > 0) {
     const size_t distinct = DistinctRecentInstances();
-    if (!open_batch_.has_value()) {
+    if (!state_.open_batch.has_value()) {
       if (distinct >= options_.storm_min_instances) {
         StormBatch batch;
-        batch.id = next_batch_id_++;
+        batch.id = state_.next_batch_id++;
         batch.opened_sec = sec;
-        open_batch_ = std::move(batch);
-        ++storms_detected_;
+        state_.open_batch = std::move(batch);
+        ++state_.storms_detected;
         events.storm_opened = true;
         events.lookback_from_sec = sec - options_.storm_window_sec + 1;
         PINSQL_OBS_COUNT("fleet.storms_detected", 1);
       }
     } else if (distinct < options_.storm_min_instances) {
-      open_batch_->closed_sec = sec;
-      events.closed.push_back(std::move(*open_batch_));
-      open_batch_.reset();
+      state_.open_batch->closed_sec = sec;
+      events.closed.push_back(std::move(*state_.open_batch));
+      state_.open_batch.reset();
     }
   }
 
   // Noisy neighbors: per-host sliding window of co-tenant triggers.
-  for (auto& [host_id, state] : hosts_) {
-    auto& window = state.events;
+  for (auto& [host_id, episode] : state_.hosts) {
+    auto& window = episode.events;
     while (!window.empty() &&
            window.front().trigger_sec <= sec - options_.neighbor_window_sec) {
       window.pop_front();
     }
     if (window.empty()) {
-      state.flagged = false;  // episode over; the host can be flagged again
+      episode.flagged = false;  // episode over; the host can be flagged again
       continue;
     }
-    if (state.flagged) continue;
+    if (episode.flagged) continue;
     std::set<uint32_t> cotenants;
-    for (const HostEvent& event : window) cotenants.insert(event.instance_id);
+    for (const HostTrigger& event : window) cotenants.insert(event.instance_id);
     if (cotenants.size() < options_.neighbor_min_cotenants) continue;
 
-    const HostEvent* dominant = &window.front();
-    for (const HostEvent& event : window) {
+    const HostTrigger* dominant = &window.front();
+    for (const HostTrigger& event : window) {
       if (event.onset_sec != dominant->onset_sec) {
         if (event.onset_sec < dominant->onset_sec) dominant = &event;
       } else if (event.severity != dominant->severity) {
@@ -110,7 +110,7 @@ CrossInstanceCorrelator::TickEvents CrossInstanceCorrelator::Tick(
     verdict.dominant_onset_sec = dominant->onset_sec;
     verdict.dominant_severity = dominant->severity;
     events.verdicts.push_back(std::move(verdict));
-    state.flagged = true;
+    episode.flagged = true;
     PINSQL_OBS_COUNT("fleet.neighbor_verdicts", 1);
   }
 
@@ -119,19 +119,19 @@ CrossInstanceCorrelator::TickEvents CrossInstanceCorrelator::Tick(
 
 void CrossInstanceCorrelator::AdoptIntoOpenStorm(
     const std::vector<StormMember>& members) {
-  if (!open_batch_.has_value()) return;
+  if (!state_.open_batch.has_value()) return;
   // Lookback members precede the live captures that arrive from this
   // second on.
-  open_batch_->members.insert(open_batch_->members.begin(), members.begin(),
-                              members.end());
+  std::vector<StormMember>& batch = state_.open_batch->members;
+  batch.insert(batch.begin(), members.begin(), members.end());
 }
 
 std::optional<StormBatch> CrossInstanceCorrelator::CloseOpenStorm(
     int64_t sec) {
-  if (!open_batch_.has_value()) return std::nullopt;
-  open_batch_->closed_sec = sec;
-  StormBatch batch = std::move(*open_batch_);
-  open_batch_.reset();
+  if (!state_.open_batch.has_value()) return std::nullopt;
+  state_.open_batch->closed_sec = sec;
+  StormBatch batch = std::move(*state_.open_batch);
+  state_.open_batch.reset();
   return batch;
 }
 

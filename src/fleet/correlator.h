@@ -5,9 +5,12 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "core/rsql.h"
 #include "online/online_detector.h"
+#include "repair/supervisor.h"
 
 namespace pinsql::fleet {
 
@@ -16,6 +19,13 @@ namespace pinsql::fleet {
 struct FleetInstanceSpec {
   uint32_t instance_id = 0;
   uint32_t host_id = 0;
+  /// Closes this instance's loop: confirmed R-SQLs are handed to it
+  /// (SchedulerOptions::auto_repair, max_repairs). Null = diagnose-only.
+  /// Only this instance's diagnoses touch it, and a dispatch wave runs at
+  /// most one diagnosis per instance, so it needs no locking.
+  repair::RepairSupervisor* supervisor = nullptr;
+  /// Workload history for R-SQL verification. Null = none.
+  const core::HistoryProvider* history = nullptr;
 };
 
 struct CorrelatorOptions {
@@ -55,6 +65,32 @@ struct StormBatch {
   /// Instance ids of the members selected for diagnosis, in triage rank
   /// order (severity desc, then onset, then instance id).
   std::vector<uint32_t> triaged;
+};
+
+/// One accepted trigger inside a host's noisy-neighbor window.
+struct HostTrigger {
+  int64_t trigger_sec = 0;
+  uint32_t instance_id = 0;
+  int64_t onset_sec = 0;
+  double severity = 0.0;
+};
+
+/// One host's noisy-neighbor window.
+struct HostEpisode {
+  std::deque<HostTrigger> events;
+  /// The episode already produced a verdict; re-arms when the window
+  /// empties.
+  bool flagged = false;
+};
+
+/// The correlator's complete mutable state (checkpointed with the fleet).
+struct CorrelatorState {
+  /// Accepted triggers inside the storm window: (trigger_sec, instance).
+  std::deque<std::pair<int64_t, uint32_t>> recent;
+  std::optional<StormBatch> open_batch;
+  uint64_t next_batch_id = 1;
+  size_t storms_detected = 0;
+  std::map<uint32_t, HostEpisode> hosts;
 };
 
 /// Co-tenant correlation: this host's anomaly pattern looks like one noisy
@@ -111,34 +147,22 @@ class CrossInstanceCorrelator {
   /// Force-closes the open storm (drain path). Returns it for triage.
   std::optional<StormBatch> CloseOpenStorm(int64_t sec);
 
-  bool storm_active() const { return open_batch_.has_value(); }
-  size_t storms_detected() const { return storms_detected_; }
+  bool storm_active() const { return state_.open_batch.has_value(); }
+  /// The open storm batch (members pending triage), if any.
+  const std::optional<StormBatch>& open_storm() const {
+    return state_.open_batch;
+  }
+  size_t storms_detected() const { return state_.storms_detected; }
+
+  const CorrelatorState& state() const { return state_; }
+  void ImportState(CorrelatorState state) { state_ = std::move(state); }
 
  private:
   size_t DistinctRecentInstances() const;
 
   CorrelatorOptions options_;
   std::map<uint32_t, uint32_t> host_by_instance_;
-
-  /// Accepted triggers inside the storm window: (trigger_sec, instance).
-  std::deque<std::pair<int64_t, uint32_t>> recent_;
-  std::optional<StormBatch> open_batch_;
-  uint64_t next_batch_id_ = 1;
-  size_t storms_detected_ = 0;
-
-  struct HostEvent {
-    int64_t trigger_sec = 0;
-    uint32_t instance_id = 0;
-    int64_t onset_sec = 0;
-    double severity = 0.0;
-  };
-  struct HostState {
-    std::deque<HostEvent> events;
-    /// An episode already produced a verdict; re-arms when the window
-    /// empties.
-    bool flagged = false;
-  };
-  std::map<uint32_t, HostState> hosts_;
+  CorrelatorState state_;
 };
 
 }  // namespace pinsql::fleet

@@ -27,11 +27,12 @@ uint64_t FleetScheduler::Enqueue(const online::AnomalyTrigger& trigger,
   entry.enqueue_sec = enqueue_sec;
   entry.due_sec = due_sec;
   entry.base_priority = base_priority;
-  entry.seq = next_seq_++;
+  entry.seq = state_.next_seq++;
   entry.storm_batch = storm_batch;
-  queue_.push_back(entry);
-  ++stats_.enqueued;
-  stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_.size());
+  state_.queue.push_back(entry);
+  ++state_.stats.enqueued;
+  state_.stats.max_queue_depth =
+      std::max(state_.stats.max_queue_depth, state_.queue.size());
   return entry.seq;
 }
 
@@ -39,15 +40,15 @@ std::vector<QueuedTrigger> FleetScheduler::Extract(
     const std::function<bool(const QueuedTrigger&)>& pred) {
   std::vector<QueuedTrigger> extracted;
   std::deque<QueuedTrigger> kept;
-  for (QueuedTrigger& entry : queue_) {
+  for (QueuedTrigger& entry : state_.queue) {
     if (pred(entry)) {
       extracted.push_back(entry);
     } else {
       kept.push_back(entry);
     }
   }
-  queue_.swap(kept);
-  stats_.extracted += extracted.size();
+  state_.queue.swap(kept);
+  state_.stats.extracted += extracted.size();
   return extracted;
 }
 
@@ -58,7 +59,7 @@ std::vector<FleetScheduler::Completion> FleetScheduler::Tick(int64_t now_sec) {
 std::vector<FleetScheduler::Completion> FleetScheduler::Drain(
     int64_t now_sec) {
   std::vector<Completion> completed;
-  while (!queue_.empty()) {
+  while (!state_.queue.empty()) {
     auto wave = RunWave(now_sec, /*force_due=*/true);
     completed.insert(completed.end(), std::make_move_iterator(wave.begin()),
                      std::make_move_iterator(wave.end()));
@@ -78,9 +79,9 @@ std::vector<FleetScheduler::Completion> FleetScheduler::RunWave(
     uint64_t seq;
   };
   std::vector<Candidate> candidates;
-  candidates.reserve(queue_.size());
-  for (size_t pos = 0; pos < queue_.size(); ++pos) {
-    const QueuedTrigger& entry = queue_[pos];
+  candidates.reserve(state_.queue.size());
+  for (size_t pos = 0; pos < state_.queue.size(); ++pos) {
+    const QueuedTrigger& entry = state_.queue[pos];
     if (!force_due && entry.due_sec > now_sec) continue;
     const double age = static_cast<double>(now_sec - entry.enqueue_sec);
     candidates.push_back(
@@ -97,7 +98,7 @@ std::vector<FleetScheduler::Completion> FleetScheduler::RunWave(
   std::vector<uint32_t> wave_instances;
   for (const Candidate& candidate : candidates) {
     if (picked.size() >= options_.pool_size) break;
-    const uint32_t instance = queue_[candidate.pos].trigger.instance_id;
+    const uint32_t instance = state_.queue[candidate.pos].trigger.instance_id;
     if (std::find(wave_instances.begin(), wave_instances.end(), instance) !=
         wave_instances.end()) {
       continue;  // stays queued; ages into the next wave
@@ -109,21 +110,21 @@ std::vector<FleetScheduler::Completion> FleetScheduler::RunWave(
 
   std::vector<QueuedTrigger> wave;
   wave.reserve(picked.size());
-  for (size_t pos : picked) wave.push_back(queue_[pos]);
+  for (size_t pos : picked) wave.push_back(state_.queue[pos]);
   {
-    std::vector<bool> remove(queue_.size(), false);
+    std::vector<bool> remove(state_.queue.size(), false);
     for (size_t pos : picked) remove[pos] = true;
     std::deque<QueuedTrigger> kept;
-    for (size_t pos = 0; pos < queue_.size(); ++pos) {
-      if (!remove[pos]) kept.push_back(queue_[pos]);
+    for (size_t pos = 0; pos < state_.queue.size(); ++pos) {
+      if (!remove[pos]) kept.push_back(state_.queue[pos]);
     }
-    queue_.swap(kept);
+    state_.queue.swap(kept);
   }
 
   for (size_t i = 0; i < wave.size(); ++i) {
     dispatch_log_.push_back({wave[i], now_sec, i});
-    stats_.max_wait_sec =
-        std::max(stats_.max_wait_sec, now_sec - wave[i].enqueue_sec);
+    state_.stats.max_wait_sec =
+        std::max(state_.stats.max_wait_sec, now_sec - wave[i].enqueue_sec);
   }
 
   // Run the wave: pool_size - 1 workers plus this thread, each entry into
@@ -144,10 +145,10 @@ std::vector<FleetScheduler::Completion> FleetScheduler::RunWave(
     running.fetch_sub(1, std::memory_order_relaxed);
   });
 
-  stats_.max_observed_concurrency =
-      std::max(stats_.max_observed_concurrency,
+  state_.stats.max_observed_concurrency =
+      std::max(state_.stats.max_observed_concurrency,
                high_water.load(std::memory_order_relaxed));
-  stats_.completed += wave.size();
+  state_.stats.completed += wave.size();
   PINSQL_OBS_COUNT("fleet.diagnoses_dispatched", wave.size());
 
   std::vector<Completion> completed;

@@ -66,6 +66,14 @@ struct FleetSchedulerStats {
   int64_t max_wait_sec = 0;
 };
 
+/// The scheduler's complete mutable state except the dispatch log
+/// (checkpointed with the fleet).
+struct FleetSchedulerState {
+  std::deque<QueuedTrigger> queue;  // enqueue (seq) order
+  uint64_t next_seq = 1;
+  FleetSchedulerStats stats;
+};
+
 /// Fleet-level diagnosis scheduler: a single priority-aged queue of
 /// confirmed triggers from every instance, drained by a bounded diagnoser
 /// pool. One dispatch wave runs per Tick: due entries are ranked by
@@ -109,11 +117,19 @@ class FleetScheduler {
   /// the queue is empty. Each diagnosis keeps its planned window.
   std::vector<Completion> Drain(int64_t now_sec);
 
-  size_t pending() const { return queue_.size(); }
-  const FleetSchedulerStats& stats() const { return stats_; }
+  size_t pending() const { return state_.queue.size(); }
+  /// Queued entries in enqueue (seq) order.
+  const std::deque<QueuedTrigger>& queue() const { return state_.queue; }
+  const FleetSchedulerStats& stats() const { return state_.stats; }
+  /// Every dispatch decision so far, for the property tests' invariant
+  /// checks. Not part of the checkpointed state: a restored scheduler
+  /// starts an empty log. It grows for the scheduler's whole lifetime.
   const std::vector<DispatchRecord>& dispatch_log() const {
     return dispatch_log_;
   }
+
+  const FleetSchedulerState& state() const { return state_; }
+  void ImportState(FleetSchedulerState state) { state_ = std::move(state); }
 
  private:
   std::vector<Completion> RunWave(int64_t now_sec, bool force_due);
@@ -123,10 +139,8 @@ class FleetScheduler {
   /// pool_size - 1 workers; null when pool_size == 1 (serial inline).
   std::unique_ptr<util::ThreadPool> pool_;
 
-  std::deque<QueuedTrigger> queue_;  // enqueue (seq) order
-  uint64_t next_seq_ = 1;
+  FleetSchedulerState state_;
   std::vector<DispatchRecord> dispatch_log_;
-  FleetSchedulerStats stats_;
 };
 
 }  // namespace pinsql::fleet

@@ -23,6 +23,7 @@ LogStore& LogStore::operator=(const LogStore& other) {
   index_.clear();
   head_ = 0;
   materialized_valid_ = false;
+  min_live_ms_ = kNoRecordMs;
   for (const IndexEntry* e = other.IndexBegin(); e != other.IndexEnd(); ++e) {
     AppendLocked(other.Record(*e));
   }
@@ -37,6 +38,7 @@ LogStore::LogStore(LogStore&& other) noexcept {
   index_ = std::move(other.index_);
   head_ = other.head_;
   sorted_ = other.sorted_;
+  min_live_ms_ = other.min_live_ms_;
   materialized_ = std::move(other.materialized_);
   materialized_valid_ = other.materialized_valid_;
   catalog_ = std::move(other.catalog_);
@@ -45,6 +47,7 @@ LogStore::LogStore(LogStore&& other) noexcept {
   other.index_.clear();
   other.head_ = 0;
   other.sorted_ = true;
+  other.min_live_ms_ = kNoRecordMs;
   other.materialized_.clear();
   other.materialized_valid_ = false;
   other.catalog_.clear();
@@ -57,12 +60,14 @@ LogStore& LogStore::operator=(LogStore&& other) noexcept {
   index_ = std::move(other.index_);
   head_ = other.head_;
   sorted_ = other.sorted_;
+  min_live_ms_ = other.min_live_ms_;
   materialized_ = std::move(other.materialized_);
   materialized_valid_ = other.materialized_valid_;
   catalog_ = std::move(other.catalog_);
   other.index_.clear();
   other.head_ = 0;
   other.sorted_ = true;
+  other.min_live_ms_ = kNoRecordMs;
   other.materialized_.clear();
   other.materialized_valid_ = false;
   other.catalog_.clear();
@@ -73,6 +78,7 @@ void LogStore::AppendLocked(const QueryLogRecord& record) {
   if (index_.size() > head_ && record.arrival_ms < index_.back().arrival_ms) {
     sorted_ = false;
   }
+  min_live_ms_ = std::min(min_live_ms_, record.arrival_ms);
   index_.push_back(IndexEntry{record.arrival_ms,
                               arena_.Create<QueryLogRecord>(record)});
   materialized_valid_ = false;
@@ -181,6 +187,8 @@ std::vector<QueryLogRecord> LogStore::SnapshotRange(int64_t t0_ms,
 }
 
 size_t LogStore::TrimBeforeLocked(int64_t cutoff_ms) {
+  // A sweep that cannot drop anything must not pay for the lazy sort.
+  if (min_live_ms_ >= cutoff_ms) return 0;
   EnsureSortedLocked();
   const IndexEntry* lo =
       std::lower_bound(IndexBegin(), IndexEnd(), cutoff_ms,
@@ -195,6 +203,8 @@ size_t LogStore::TrimBeforeLocked(int64_t cutoff_ms) {
     arena_.Release(e->handle, sizeof(QueryLogRecord));
   }
   head_ += dropped;
+  min_live_ms_ =
+      IndexBegin() != IndexEnd() ? IndexBegin()->arrival_ms : kNoRecordMs;
   // Compact the index once the dead prefix outweighs the live tail, so trim
   // cost stays amortized O(1) per record instead of O(n) per sweep.
   if (head_ >= index_.size() - head_) {
@@ -229,6 +239,7 @@ void LogStore::ReplaceRecords(std::vector<QueryLogRecord> records) {
   head_ = 0;
   materialized_valid_ = false;
   sorted_ = true;
+  min_live_ms_ = kNoRecordMs;
   for (const QueryLogRecord& record : records) AppendLocked(record);
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -101,8 +102,8 @@ class LogStore {
   /// against concurrent Append/AppendBatch/Trim*. The copy is a consistent
   /// point-in-time snapshot: it observes every record appended before the
   /// call started or none of a concurrent append, never a torn state. This
-  /// is the read the online DiagnosisScheduler uses while ingest threads
-  /// keep appending.
+  /// is the read a windowed diagnosis uses while ingest threads keep
+  /// appending.
   std::vector<QueryLogRecord> SnapshotRange(int64_t t0_ms,
                                             int64_t t1_ms) const;
 
@@ -177,6 +178,11 @@ class LogStore {
   /// is compacted away once it exceeds the live half.
   size_t head_ = 0;
   mutable bool sorted_ = true;
+  static constexpr int64_t kNoRecordMs = std::numeric_limits<int64_t>::max();
+  /// Smallest live arrival_ms (kNoRecordMs when empty), kept without
+  /// sorting so a retention sweep that cannot drop anything returns before
+  /// the lazy sort.
+  int64_t min_live_ms_ = kNoRecordMs;
   mutable std::vector<QueryLogRecord> materialized_;
   mutable bool materialized_valid_ = false;
   std::unordered_map<uint64_t, TemplateCatalogEntry> catalog_;

@@ -11,7 +11,7 @@
 
 namespace pinsql::online {
 
-/// One confirmed anomaly onset, ready to hand to the DiagnosisScheduler.
+/// One confirmed anomaly onset, ready for dedup and scheduling.
 struct AnomalyTrigger {
   /// Instance the trigger belongs to. Single-instance deployments leave
   /// the default (0); the fleet service stamps its per-instance id so
@@ -81,7 +81,7 @@ struct OnlineDetectorStats {
 };
 
 /// Serializable mirror of an OnlineAnomalyDetector's mutable state, for
-/// the durable service's checkpoints (see online/service_state.h).
+/// the fleet's checkpoints (see fleet/fleet_state.h).
 struct OnlineDetectorState {
   detect::EnsembleSnapshot ensemble;
   double last_finite = 0.0;

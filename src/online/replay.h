@@ -1,12 +1,10 @@
 #ifndef PINSQL_ONLINE_REPLAY_H_
 #define PINSQL_ONLINE_REPLAY_H_
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "logstore/log_store.h"
-#include "online/service.h"
+#include "online/stream_ingestor.h"
 
 namespace pinsql::online {
 
@@ -14,54 +12,12 @@ namespace pinsql::online {
 /// that drive the virtual clock. Samples must be in ascending second
 /// order; missing seconds inside the span are replayed as telemetry gaps
 /// (NaN samples that still advance the clock). Records may be in any
-/// order; the replay stably orders them by arrival time.
+/// order; the replay stably orders them by arrival time. The replay
+/// harness is fleet::RunFleetReplay (a single instance is a fleet of one).
 struct ReplayLog {
   std::vector<QueryLogRecord> records;
   std::vector<PerfSample> samples;
 };
-
-struct ReplayOptions {
-  ServiceOptions service;
-  /// Concurrent ingest threads feeding the service. Thread j owns the
-  /// shards with index ≡ j (mod num_ingest_threads), so every shard's
-  /// queue order — and therefore every downstream result — is identical at
-  /// any thread count.
-  int num_ingest_threads = 1;
-  /// Force wall-clock timing fields to zero in the produced reports so
-  /// replays are byte-comparable. On by default; turn off to measure.
-  bool zero_timings = true;
-};
-
-struct ReplayResult {
-  std::vector<DiagnosisOutcome> outcomes;
-  std::vector<int64_t> detection_latencies_sec;
-  ServiceStats stats;
-
-  /// Deterministic digest of everything the replay produced that is
-  /// promised bit-reproducible: triggers, detection latencies, report
-  /// JSON, repair events and time-to-repair. Two replays of one log are
-  /// correct iff their fingerprints are byte-identical — at any
-  /// num_ingest_threads and any diagnoser num_threads.
-  std::string Fingerprint() const;
-};
-
-/// Appends the deterministic digest of one diagnosis outcome (trigger
-/// fields, report JSON, repair accounting). Shared by the single-instance
-/// ReplayResult fingerprint and the fleet-level fingerprints, so "the same
-/// diagnosis" digests identically in both deployments.
-void AppendOutcomeFingerprint(const DiagnosisOutcome& outcome,
-                              std::string* out);
-
-/// Replays a recorded stream through a fresh OnlineService, bit-
-/// deterministically: the clock is the sample stream, ingest threads are
-/// shard-partitioned, and each simulated second is fully ingested before
-/// it is processed. `catalog` seeds the archive's template texts.
-/// `supervisor` (optional) closes the loop — repairs mutate its engine and
-/// time-to-repair is measured against it.
-ReplayResult RunReplay(const ReplayLog& log, const LogStore& catalog,
-                       const ReplayOptions& options,
-                       repair::RepairSupervisor* supervisor = nullptr,
-                       const core::HistoryProvider* history = nullptr);
 
 }  // namespace pinsql::online
 

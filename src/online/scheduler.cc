@@ -46,68 +46,6 @@ void TriggerDeduper::NoteActivity(uint32_t instance_id, int64_t sec) {
   if (it != last_activity_.end() && sec > it->second) it->second = sec;
 }
 
-DiagnosisScheduler::DiagnosisScheduler(StreamIngestor* ingestor,
-                                       const LogStore* archive,
-                                       const SchedulerOptions& options,
-                                       repair::RepairSupervisor* supervisor,
-                                       const core::HistoryProvider* history)
-    : ingestor_(ingestor),
-      archive_(archive),
-      options_(options),
-      supervisor_(supervisor),
-      history_(history != nullptr ? history : &empty_history_),
-      deduper_(options.cooldown_sec) {}
-
-bool DiagnosisScheduler::OnTrigger(const AnomalyTrigger& trigger) {
-  if (!deduper_.Accept(trigger)) {
-    ++stats_.triggers_suppressed;
-    PINSQL_OBS_COUNT("online.triggers_suppressed", 1);
-    return false;
-  }
-  Pending pending;
-  pending.trigger = trigger;
-  pending.due_sec = trigger.trigger_sec + options_.diagnose_delay_sec;
-  pending_.push_back(pending);
-  ++stats_.triggers_accepted;
-  PINSQL_OBS_COUNT("online.triggers_accepted", 1);
-  return true;
-}
-
-void DiagnosisScheduler::NoteAnomalousActivity(int64_t sec,
-                                               uint32_t instance_id) {
-  deduper_.NoteActivity(instance_id, sec);
-}
-
-std::vector<DiagnosisOutcome> DiagnosisScheduler::Poll(int64_t now_sec) {
-  std::vector<DiagnosisOutcome> completed;
-  while (!pending_.empty() && pending_.front().due_sec <= now_sec) {
-    Pending pending = pending_.front();
-    pending_.pop_front();
-    completed.push_back(RunDiagnosis(pending));
-  }
-  return completed;
-}
-
-std::vector<DiagnosisOutcome> DiagnosisScheduler::Drain() {
-  std::vector<DiagnosisOutcome> completed;
-  while (!pending_.empty()) {
-    Pending pending = pending_.front();
-    pending_.pop_front();
-    completed.push_back(RunDiagnosis(pending));
-  }
-  return completed;
-}
-
-std::optional<int64_t> DiagnosisScheduler::open_window_floor_ms() const {
-  std::optional<int64_t> floor;
-  for (const Pending& pending : pending_) {
-    const int64_t t0_ms =
-        (pending.trigger.onset_sec - options_.diagnoser.delta_s_sec) * 1000;
-    if (!floor.has_value() || t0_ms < *floor) floor = t0_ms;
-  }
-  return floor;
-}
-
 namespace {
 
 void ZeroTimings(core::DiagnosisResult* result) {
@@ -220,56 +158,6 @@ DiagnosisOutcome RunWindowedDiagnosis(const WindowedDiagnosisContext& ctx,
 
   outcome.ok = true;
   PINSQL_OBS_COUNT("online.diagnoses", 1);
-  return outcome;
-}
-
-SchedulerState DiagnosisScheduler::ExportState() const {
-  SchedulerState state;
-  state.pending.reserve(pending_.size());
-  for (const Pending& pending : pending_) {
-    SchedulerPendingState p;
-    p.trigger = pending.trigger;
-    p.due_sec = pending.due_sec;
-    state.pending.push_back(p);
-  }
-  state.dedup_activity = deduper_.ExportActivity();
-  state.stats = stats_;
-  state.outcomes = outcomes_;
-  return state;
-}
-
-void DiagnosisScheduler::ImportState(const SchedulerState& state) {
-  pending_.clear();
-  for (const SchedulerPendingState& p : state.pending) {
-    Pending pending;
-    pending.trigger = p.trigger;
-    pending.due_sec = p.due_sec;
-    pending_.push_back(pending);
-  }
-  deduper_.ImportActivity(state.dedup_activity);
-  stats_ = state.stats;
-  outcomes_ = state.outcomes;
-}
-
-DiagnosisOutcome DiagnosisScheduler::RunDiagnosis(const Pending& pending) {
-  WindowedDiagnosisContext ctx;
-  ctx.ingestor = ingestor_;
-  ctx.archive = archive_;
-  ctx.options = &options_;
-  ctx.supervisor = supervisor_;
-  ctx.history = history_;
-  ctx.rules = &rules_;
-  DiagnosisSideStats side;
-  DiagnosisOutcome outcome =
-      RunWindowedDiagnosis(ctx, pending.trigger, pending.due_sec, &side);
-  stats_.repairs_applied += side.repairs_applied;
-  stats_.repairs_rejected += side.repairs_rejected;
-  if (outcome.ok) {
-    ++stats_.diagnoses_ok;
-  } else {
-    ++stats_.diagnoses_failed;
-  }
-  outcomes_.push_back(outcome);
   return outcome;
 }
 

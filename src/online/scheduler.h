@@ -2,9 +2,7 @@
 #define PINSQL_ONLINE_SCHEDULER_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,32 +56,6 @@ struct DiagnosisOutcome {
   double ttr_sec = -1.0;
 };
 
-struct SchedulerStats {
-  size_t triggers_accepted = 0;
-  size_t triggers_suppressed = 0;
-  size_t diagnoses_ok = 0;
-  size_t diagnoses_failed = 0;
-  size_t repairs_applied = 0;
-  size_t repairs_rejected = 0;
-};
-
-/// Serializable mirror of a DiagnosisScheduler's mutable state, for the
-/// durable service's checkpoints (see online/service_state.h). Pending
-/// diagnoses survive a restart with their planned windows intact — the
-/// open-diagnosis-window retention floor is therefore restored too.
-struct SchedulerPendingState {
-  AnomalyTrigger trigger;
-  int64_t due_sec = 0;
-};
-
-struct SchedulerState {
-  std::vector<SchedulerPendingState> pending;
-  /// TriggerDeduper: instance id -> last anomalous activity second.
-  std::vector<std::pair<uint32_t, int64_t>> dedup_activity;
-  SchedulerStats stats;
-  std::vector<DiagnosisOutcome> outcomes;
-};
-
 /// Cooldown/hysteresis trigger deduplication, keyed by instance id: one
 /// instance's cooldown can never suppress another instance's confirming
 /// trigger. A trigger whose onset falls within `cooldown_sec` of *its own
@@ -128,9 +100,9 @@ struct WindowedDiagnosisContext {
   repair::RepairRuleEngine* rules = nullptr;           // must be non-null
 };
 
-/// Repair accounting of one diagnosis (merged into SchedulerStats by the
-/// caller; kept separate so concurrent fleet diagnoses don't race on a
-/// shared stats struct).
+/// Repair accounting of one diagnosis (merged into the fleet's counters
+/// by the caller; kept separate so concurrent fleet diagnoses don't race on
+/// a shared stats struct).
 struct DiagnosisSideStats {
   size_t repairs_applied = 0;
   size_t repairs_rejected = 0;
@@ -147,83 +119,6 @@ DiagnosisOutcome RunWindowedDiagnosis(const WindowedDiagnosisContext& ctx,
                                       const AnomalyTrigger& trigger,
                                       int64_t window_end_sec,
                                       DiagnosisSideStats* side);
-
-/// Turns confirmed anomaly triggers into full diagnoses: snapshots the
-/// window from the archive and the ingestor's metric ring, assembles a
-/// DiagnosisInput, runs Diagnose() (which fans out on its internal thread
-/// pool), builds the report, and hands confirmed R-SQLs to the repair
-/// supervisor. Overlapping triggers of one incident are deduplicated with
-/// cooldown/hysteresis; an accepted trigger is diagnosed exactly once.
-///
-/// Not internally synchronized: OnTrigger / NoteAnomalousActivity / Poll /
-/// Drain belong to the service's per-second processing thread (producers
-/// touch only the ingestor).
-class DiagnosisScheduler {
- public:
-  /// `archive` provides the window's query-log records via SnapshotRange
-  /// and resolves template texts; its catalog must be registered before
-  /// streaming starts. `supervisor` may be null (diagnose-only).
-  /// `history` may be null (no history verification).
-  DiagnosisScheduler(StreamIngestor* ingestor, const LogStore* archive,
-                     const SchedulerOptions& options,
-                     repair::RepairSupervisor* supervisor = nullptr,
-                     const core::HistoryProvider* history = nullptr);
-
-  /// Accepts or suppresses a trigger. Accepted triggers are queued for
-  /// diagnosis at trigger_sec + diagnose_delay_sec. Cooldown state is
-  /// keyed by trigger.instance_id: suppression never crosses instances.
-  bool OnTrigger(const AnomalyTrigger& trigger);
-
-  /// Extends the hysteresis horizon of `instance_id`: call once per second
-  /// while that instance's detector has a flagged run open, so a run that
-  /// briefly closes mid-anomaly cannot re-trigger the same incident after
-  /// the cooldown anchor went stale.
-  void NoteAnomalousActivity(int64_t sec, uint32_t instance_id = 0);
-
-  /// Runs every queued diagnosis whose due time has arrived. Returns the
-  /// completed outcomes (also appended to outcomes()).
-  std::vector<DiagnosisOutcome> Poll(int64_t now_sec);
-
-  /// Graceful drain: runs every queued diagnosis now, due or not. Each
-  /// keeps its planned window (fixed at trigger time); metrics beyond the
-  /// watermark show up as gaps, accounted in DataQuality as usual.
-  std::vector<DiagnosisOutcome> Drain();
-
-  /// Oldest millisecond any queued diagnosis still needs from the archive
-  /// (onset - delta_s), or nullopt when nothing is queued. Retention must
-  /// not trim past this.
-  std::optional<int64_t> open_window_floor_ms() const;
-
-  size_t pending() const { return pending_.size(); }
-  const std::vector<DiagnosisOutcome>& outcomes() const { return outcomes_; }
-  const SchedulerStats& stats() const { return stats_; }
-
-  /// Checkpoint support: a scheduler restored from an exported state polls,
-  /// suppresses and diagnoses bit-identically to the one it came from.
-  SchedulerState ExportState() const;
-  void ImportState(const SchedulerState& state);
-
- private:
-  struct Pending {
-    AnomalyTrigger trigger;
-    int64_t due_sec = 0;
-  };
-
-  DiagnosisOutcome RunDiagnosis(const Pending& pending);
-
-  StreamIngestor* ingestor_;
-  const LogStore* archive_;
-  SchedulerOptions options_;
-  repair::RepairSupervisor* supervisor_;
-  const core::HistoryProvider* history_;
-  core::MapHistoryProvider empty_history_;
-  repair::RepairRuleEngine rules_ = repair::RepairRuleEngine::Default();
-
-  std::deque<Pending> pending_;
-  std::vector<DiagnosisOutcome> outcomes_;
-  TriggerDeduper deduper_;
-  SchedulerStats stats_;
-};
 
 }  // namespace pinsql::online
 

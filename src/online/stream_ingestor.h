@@ -87,7 +87,7 @@ struct WindowMetrics {
 };
 
 /// Serializable mirror of a StreamIngestor's full mutable state, for the
-/// durable service's checkpoints (see online/service_state.h). A restored
+/// fleet's checkpoints (see fleet/fleet_state.h). A restored
 /// ingestor stages, pumps, snapshots and drops bit-identically to the one
 /// the state was exported from.
 struct IngestorShardState {
@@ -123,7 +123,7 @@ struct IngestorState {
 /// archives every chunk span into the attached LogStore in one call, and
 /// recycles the chunks. Metric samples go straight into a per-second ring
 /// and advance the watermark (the service's virtual clock). Snapshot*()
-/// assembles the window views the DiagnosisScheduler consumes.
+/// assembles the window views a windowed diagnosis consumes.
 ///
 /// Determinism: a template's records all land in one shard queue, so the
 /// archive holds them in the producer's publish order, and SnapshotTemplates

@@ -3,9 +3,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "detect/forecast.h"
+#include "fleet/fleet_replay.h"
 #include "logstore/log_store.h"
 #include "online/online_detector.h"
 #include "online/replay.h"
@@ -94,21 +96,24 @@ LogStore DriftCatalog() {
 TEST(DetectDeterminismTest, EnsembleReplayFingerprintAcrossIngestThreads) {
   const ReplayLog log = DriftIncident();
   const LogStore catalog = DriftCatalog();
-  ReplayOptions options;
-  options.service.detector = StockOptions();
+  fleet::FleetReplayOptions options;
+  options.num_ingest_workers = 1;
+  options.fleet.detector = StockOptions();
+  const auto replay = [&](const fleet::FleetReplayOptions& o) {
+    return fleet::RunFleetReplay({{0, 0}}, {log}, catalog, o);
+  };
 
-  const ReplayResult base = RunReplay(log, catalog, options);
+  const fleet::FleetResult base = replay(options);
   // The whole point of the forecaster members: the creep is confirmed.
   ASSERT_FALSE(base.outcomes.empty()) << "drift must trigger a diagnosis";
-  EXPECT_EQ(base.outcomes[0].trigger.source, "ewma");
+  EXPECT_EQ(base.outcomes[0].outcome.trigger.source, "ewma");
 
-  const ReplayResult repeat = RunReplay(log, catalog, options);
-  EXPECT_EQ(base.Fingerprint(), repeat.Fingerprint());
+  const std::string fingerprint = base.InstanceFingerprint(0);
+  EXPECT_EQ(replay(options).InstanceFingerprint(0), fingerprint);
 
-  ReplayOptions threaded = options;
-  threaded.num_ingest_threads = 4;
-  const ReplayResult ingest4 = RunReplay(log, catalog, threaded);
-  EXPECT_EQ(base.Fingerprint(), ingest4.Fingerprint());
+  fleet::FleetReplayOptions threaded = options;
+  threaded.num_ingest_workers = 4;
+  EXPECT_EQ(replay(threaded).InstanceFingerprint(0), fingerprint);
 }
 
 TEST(DetectDeterminismTest, GapsNeitherTriggerNorDesyncForecasters) {

@@ -1,8 +1,8 @@
 /// Chaos suite: per-instance fault injection at mixed severities across a
 /// fleet. Faults must degrade only the instance they are injected into —
 /// a clean instance's fleet result stays byte-identical to (a) the same
-/// fleet with every other instance faulted and (b) a solo single-instance
-/// replay of the same stream. Severity-0 plans are guaranteed no-ops.
+/// fleet with every other instance faulted and (b) a fleet of one
+/// replaying the same stream. Severity-0 plans are guaranteed no-ops.
 
 #include <string>
 #include <vector>
@@ -127,21 +127,19 @@ TEST(FleetChaosTest, CleanInstanceMatchesSoloReplayBitForBit) {
   const FleetResult fleet_result =
       RunFleetReplay(fleet_case.specs, faulted, fleet_case.catalog, options);
 
-  online::ReplayOptions solo;
-  solo.service.ingestor = options.fleet.ingestor;
-  solo.service.detector = options.fleet.detector;
-  solo.service.scheduler = options.fleet.scheduler;
-  solo.service.scheduler.zero_timings = true;
+  // The same instance deployed alone: a fleet of one.
+  FleetReplayOptions solo = options;
+  solo.num_ingest_workers = 1;
 
   size_t compared = 0;
   size_t with_outcomes = 0;
   for (const auto& spec : fleet_case.specs) {
     if (SeverityFor(spec.instance_id) != 0.0) continue;
-    const online::ReplayResult solo_result =
-        online::RunReplay(fleet_case.logs[spec.instance_id],
-                          fleet_case.catalog, solo);
+    const FleetResult solo_result =
+        RunFleetReplay({spec}, {fleet_case.logs[spec.instance_id]},
+                       fleet_case.catalog, solo);
     EXPECT_EQ(fleet_result.InstanceFingerprint(spec.instance_id),
-              solo_result.Fingerprint())
+              solo_result.InstanceFingerprint(spec.instance_id))
         << "fleet deployment changed instance " << spec.instance_id;
     ++compared;
     if (!solo_result.outcomes.empty()) ++with_outcomes;

@@ -1,13 +1,17 @@
 /// Fleet-service suite: byte-identical fleet fingerprints across ingest
 /// shard counts, diagnoser pool sizes, advance workers and repeat runs;
 /// storm triage shape (bounded concurrency, zero confirmed-trigger loss);
-/// noisy-neighbor attribution; graceful drain with in-flight diagnoses.
+/// noisy-neighbor attribution; graceful drain with in-flight diagnoses;
+/// the stop gate; archive retention that never trims an open window.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -413,6 +417,358 @@ TEST(FleetServiceTest, UnknownInstanceIngestIsRejected) {
   EXPECT_EQ(service.archive(8), nullptr);
   ASSERT_NE(service.archive(7), nullptr);
   service.Stop();
+}
+
+// --- Stop gate ----------------------------------------------------------------
+
+QueryLogRecord Rec(int64_t arrival_ms, uint64_t sql_id, double response = 4.0,
+                   int64_t rows = 40) {
+  QueryLogRecord record;
+  record.arrival_ms = arrival_ms;
+  record.sql_id = sql_id;
+  record.response_ms = response;
+  record.examined_rows = rows;
+  return record;
+}
+
+online::PerfSample Sample(int64_t sec, double session) {
+  online::PerfSample sample;
+  sample.sec = sec;
+  sample.active_session = session;
+  sample.cpu_usage = 20.0;
+  return sample;
+}
+
+std::string MakeDataDir() {
+  std::string dir = ::testing::TempDir() + "pinsql_fleet_XXXXXX";
+  EXPECT_NE(mkdtemp(dir.data()), nullptr);
+  return dir;
+}
+
+/// 100 s of calm, then a hard step on template 1001 — one incident.
+void StreamStep(FleetService* service, uint32_t instance_id, int64_t from_sec,
+                int64_t to_sec) {
+  for (int64_t sec = from_sec; sec < to_sec; ++sec) {
+    const bool anomalous = sec >= 100;
+    for (int64_t k = 0; k < (anomalous ? 20 : 2); ++k) {
+      service->IngestRecord(
+          instance_id, Rec(sec * 1000 + k, 1001, anomalous ? 90.0 : 4.0,
+                           anomalous ? 30000 : 40));
+    }
+    service->IngestMetrics(instance_id, Sample(sec, anomalous ? 45.0 : 5.0));
+    service->AdvanceTo(sec);
+  }
+}
+
+TEST(FleetServiceTest, StoppedDurableFleetRefusesIngestAndRecovers) {
+  const std::string data_dir = MakeDataDir();
+  FleetOptions options;
+  options.data_dir = data_dir;
+  options.scheduler.zero_timings = true;
+  std::string live;
+  {
+    FleetService service({{7, 0}}, options);
+    // Before Start(): refused whole and counted — never staged, so never
+    // archived without a journal entry behind it.
+    EXPECT_FALSE(service.IngestRecord(7, Rec(50'000, 1001, 900.0, 900'000)));
+    EXPECT_FALSE(service.IngestMetrics(7, Sample(50, 5.0)));
+    service.Start();
+    StreamStep(&service, 7, 0, 140);
+    service.Stop();
+    // After Stop(): the same.
+    EXPECT_FALSE(service.IngestRecord(7, Rec(141'000, 1001)));
+    EXPECT_FALSE(service.IngestMetrics(7, Sample(141, 5.0)));
+    const FleetStats stats = service.stats();
+    EXPECT_EQ(stats.records_rejected_stopped, 2u);
+    EXPECT_EQ(stats.samples_rejected_stopped, 2u);
+    EXPECT_EQ(stats.ingest.records_enqueued, stats.ingest.records_folded);
+    ASSERT_EQ(stats.diagnoses_ok, 1u) << "the step must be diagnosed";
+    live = CollectFleetResult(service).Fingerprint();
+  }
+  // The journal holds exactly what the live run processed: a restart's
+  // recovered result is byte-identical to it.
+  FleetService restarted({{7, 0}}, options);
+  restarted.Start();
+  EXPECT_TRUE(restarted.recovery().attempted);
+  restarted.Stop();
+  EXPECT_EQ(CollectFleetResult(restarted).Fingerprint(), live);
+}
+
+TEST(FleetServiceTest, GracefulDrainUnderRacingProducers) {
+  FleetOptions options;
+  options.ingestor.window_sec = 3600;
+  FleetService service({{7, 0}}, options);
+  EXPECT_FALSE(service.IngestRecord(7, Rec(999'000, 1)));  // not started
+  service.Start();
+
+  constexpr int kProducers = 3;
+  constexpr int kPerProducer = 2000;
+  std::atomic<size_t> accepted{0};
+  std::vector<std::thread> producers;
+  for (int tid = 0; tid < kProducers; ++tid) {
+    producers.emplace_back([&, tid]() {
+      for (int i = 0; i < kPerProducer; ++i) {
+        if (service.IngestRecord(7, Rec(1'000'000 + (i % 600) * 1000 + tid,
+                                        1 + static_cast<uint64_t>(i % 5)))) {
+          accepted.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  std::thread metronome([&]() {
+    for (int64_t sec = 1000; sec < 1040; ++sec) {
+      service.IngestMetrics(7, Sample(sec, 5.0));
+      service.AdvanceTo(sec);
+    }
+  });
+  for (auto& t : producers) t.join();
+  metronome.join();
+  service.Stop();
+  EXPECT_FALSE(service.running());
+
+  // Drain accounting closes: every accepted record was archived or dropped
+  // with a counted reason; every watermark second was processed.
+  const FleetStats stats = service.stats();
+  EXPECT_EQ(stats.ingest.records_enqueued,
+            accepted.load() + stats.ingest.records_dropped_backpressure);
+  EXPECT_EQ(stats.ingest.records_folded + stats.ingest.records_dropped_late,
+            accepted.load());
+  EXPECT_EQ(stats.ingest.records_staged, 0u);
+  EXPECT_EQ(stats.seconds_processed, 40);
+  EXPECT_EQ(stats.samples_observed, 40u);
+
+  service.Stop();  // idempotent
+  EXPECT_EQ(service.stats().seconds_processed, 40);
+
+  // Refused whole and counted before Start() and after Stop().
+  EXPECT_FALSE(service.IngestRecord(7, Rec(1'100'000, 1)));
+  EXPECT_FALSE(service.IngestMetrics(7, Sample(1100, 5.0)));
+  const FleetStats after = service.stats();
+  EXPECT_EQ(after.records_rejected_stopped, 2u);
+  EXPECT_EQ(after.samples_rejected_stopped, 1u);
+  EXPECT_EQ(after.ingest.records_enqueued, stats.ingest.records_enqueued);
+}
+
+TEST(FleetServiceTest, StopRacingProducersJournalsEveryAcceptedRecord) {
+  // Producers hammer a durable fleet while the main thread Stop()s
+  // mid-stream. Every call either lands whole before the drain's cut —
+  // staged, archived and journaled — or is refused and counted; nothing is
+  // stranded staged or accepted without a journal entry.
+  const std::string data_dir = MakeDataDir();
+  FleetOptions options;
+  options.data_dir = data_dir;
+  options.ingestor.window_sec = 3600;
+  options.wal.fsync = store::FsyncPolicy::kNever;
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 3000;
+  std::atomic<size_t> accepted{0};
+  std::atomic<size_t> refused{0};
+  {
+    FleetService service({{7, 0}}, options);
+    service.Start();
+    service.IngestMetrics(7, Sample(2000, 5.0));
+    service.AdvanceTo(2000);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> producers;
+    for (int tid = 0; tid < kProducers; ++tid) {
+      producers.emplace_back([&, tid]() {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        for (int i = 0; i < kPerProducer; ++i) {
+          if (service.IngestRecord(
+                  7, Rec(2'000'000 + (i % 1000) + tid,
+                         1 + static_cast<uint64_t>(i % 5)))) {
+            accepted.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            refused.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    service.Stop();  // the gate decides each call
+    for (auto& t : producers) t.join();
+
+    const FleetStats stats = service.stats();
+    EXPECT_EQ(stats.ingest.records_enqueued, accepted.load());
+    EXPECT_EQ(stats.records_rejected_stopped, refused.load());
+    EXPECT_EQ(stats.ingest.records_staged, 0u);
+    EXPECT_EQ(stats.ingest.records_folded, accepted.load());
+  }
+  FleetService restarted({{7, 0}}, options);
+  restarted.Start();
+  EXPECT_EQ(restarted.recovery().records, accepted.load());
+  restarted.Stop();
+}
+
+// --- Archive retention ------------------------------------------------------
+
+/// A fleet second past the 3-day horizon and on the sweep cadence, and the
+/// retention edge it implies.
+constexpr int64_t kNowSec = 759'240;
+static_assert(kNowSec % FleetService::kRetentionEverySec == 0);
+constexpr int64_t kEdgeMs = kNowSec * 1000 - LogStore::kRetentionMs;
+
+FleetOptions RetentionOptions() {
+  FleetOptions options;
+  // Records older than the 3-day horizon are not late for this ingestor,
+  // and its metric ring is short, so its window floor pins nothing there.
+  options.ingestor.late_grace_sec = 4 * 24 * 3600;
+  options.ingestor.window_sec = 60;
+  return options;
+}
+
+online::AnomalyTrigger TriggerAt(int64_t onset_sec) {
+  online::AnomalyTrigger trigger;
+  trigger.instance_id = 7;
+  trigger.onset_sec = onset_sec;
+  trigger.trigger_sec = onset_sec + 3;
+  trigger.severity = 10.0;
+  trigger.pettitt_p = 0.01;
+  return trigger;
+}
+
+/// A diagnosis still waiting for its slot: due after kNowSec, so it is
+/// queued when the sweep runs.
+QueuedTrigger QueuedAt(int64_t onset_sec, uint64_t seq) {
+  QueuedTrigger entry;
+  entry.trigger = TriggerAt(onset_sec);
+  entry.enqueue_sec = entry.trigger.trigger_sec;
+  entry.due_sec = kNowSec + 60;
+  entry.base_priority = entry.trigger.severity;
+  entry.seq = seq;
+  return entry;
+}
+
+/// Streams `records` plus the sample at kNowSec, one fleet second: the
+/// retention sweep runs right after its dispatch wave.
+void SweepOnce(FleetService* service,
+               const std::vector<QueryLogRecord>& records) {
+  for (const QueryLogRecord& record : records) {
+    ASSERT_TRUE(service->IngestRecord(7, record));
+  }
+  ASSERT_TRUE(service->IngestMetrics(7, Sample(kNowSec, 5.0)));
+  service->AdvanceTo(kNowSec);
+}
+
+std::vector<uint64_t> ArchivedIds(FleetService* service) {
+  std::vector<uint64_t> ids;
+  for (const QueryLogRecord& record :
+       service->archive(7)->SnapshotRange(0, kNowSec * 1000 + 1)) {
+    ids.push_back(record.sql_id);
+  }
+  return ids;
+}
+
+TEST(FleetRetentionTest, RetentionNeverTrimsAnOpenDiagnosisWindow) {
+  // A queued diagnosis whose lookback window starts exactly at the 3-day
+  // retention edge: the sweep keeps every record it will scan — including
+  // the record at the exact edge — while still retiring everything older.
+  const FleetOptions options = RetentionOptions();
+  FleetService service({{7, 0}}, options);
+  FleetState state = service.ExportState();
+  const int64_t lookback = options.scheduler.diagnoser.delta_s_sec;
+  state.scheduler.queue.push_back(QueuedAt(kEdgeMs / 1000 + lookback, 1));
+  state.scheduler.next_seq = 2;
+  ASSERT_TRUE(service.ImportState(state).ok());
+  service.Start();
+
+  SweepOnce(&service, {Rec(kEdgeMs - 2000, 1),    // expired, no window
+                       Rec(kEdgeMs - 1, 2),       // expired by 1 ms
+                       Rec(kEdgeMs, 3),           // exact edge: retained
+                       Rec(kEdgeMs + 1000, 4)});  // inside the window
+  EXPECT_EQ(ArchivedIds(&service), (std::vector<uint64_t>{3, 4}));
+  const FleetStats stats = service.stats();
+  EXPECT_EQ(stats.retention_sweeps, 1u);
+  EXPECT_EQ(stats.records_retired, 2u);
+  service.Stop();
+}
+
+TEST(FleetRetentionTest, OpenWindowFloorCoversPendingDiagnoses) {
+  // Two queued diagnoses: the older lookback wins, and it lies *before*
+  // the retention horizon — records older than 3 days that a pending
+  // diagnosis still needs survive; one millisecond older does not.
+  const FleetOptions options = RetentionOptions();
+  FleetService service({{7, 0}}, options);
+  FleetState state = service.ExportState();
+  const int64_t lookback = options.scheduler.diagnoser.delta_s_sec;
+  const int64_t early_onset = kEdgeMs / 1000 - 500;
+  state.scheduler.queue.push_back(QueuedAt(kEdgeMs / 1000 + 900, 1));
+  state.scheduler.queue.push_back(QueuedAt(early_onset, 2));
+  state.scheduler.next_seq = 3;
+  ASSERT_TRUE(service.ImportState(state).ok());
+  service.Start();
+
+  const int64_t floor_ms = (early_onset - lookback) * 1000;
+  SweepOnce(&service, {Rec(floor_ms - 1, 1), Rec(floor_ms, 2),
+                       Rec(kEdgeMs - 1, 3), Rec(kEdgeMs + 5, 4)});
+  EXPECT_EQ(ArchivedIds(&service), (std::vector<uint64_t>{2, 3, 4}));
+  EXPECT_EQ(service.stats().records_retired, 1u);
+  service.Stop();
+}
+
+TEST(FleetRetentionTest, OpenStormMemberPinsItsWindow) {
+  // A trigger held by an open storm batch is not queued, yet its diagnosis
+  // may still run once triage picks it: its lookback is pinned too, even
+  // past the retention horizon.
+  FleetOptions options = RetentionOptions();
+  options.correlator.storm_min_instances = 1;  // keeps the batch open
+  FleetService service({{7, 0}}, options);
+  FleetState state = service.ExportState();
+  const int64_t lookback = options.scheduler.diagnoser.delta_s_sec;
+  const int64_t onset = kEdgeMs / 1000 - 500;
+  StormBatch batch;
+  batch.id = 1;
+  batch.opened_sec = kNowSec - 5;
+  batch.members.push_back({TriggerAt(onset), kNowSec + 60, 10.0});
+  state.correlator.open_batch = batch;
+  state.correlator.recent.emplace_back(kNowSec - 1, 7);
+  state.correlator.next_batch_id = 2;
+  state.correlator.storms_detected = 1;
+  ASSERT_TRUE(service.ImportState(state).ok());
+  service.Start();
+
+  const int64_t floor_ms = (onset - lookback) * 1000;
+  SweepOnce(&service,
+            {Rec(floor_ms - 1, 1), Rec(floor_ms, 2), Rec(kEdgeMs - 1, 3)});
+  ASSERT_EQ(service.stats().pool.enqueued, 0u) << "the storm must stay open";
+  EXPECT_EQ(ArchivedIds(&service), (std::vector<uint64_t>{2, 3}));
+  EXPECT_EQ(service.stats().records_retired, 1u);
+  service.Stop();
+}
+
+TEST(FleetRetentionTest, OpenWindowFloorSurvivesACheckpointRoundTrip) {
+  // Restart regression: a pending diagnosis is checkpointed and restored in
+  // a fresh fleet (from a copy of the data dir taken without Stop, as a
+  // crash leaves it). The restored fleet must keep every record the
+  // still-pending diagnosis will scan — exactly as before the restart.
+  FleetOptions options = RetentionOptions();
+  options.data_dir = MakeDataDir();
+  const std::string crash_copy = MakeDataDir();
+  const int64_t lookback = options.scheduler.diagnoser.delta_s_sec;
+  const int64_t onset = kEdgeMs / 1000 - 500;  // pinned past the horizon
+  {
+    FleetService service({{7, 0}}, options);
+    FleetState state = service.ExportState();
+    state.scheduler.queue.push_back(QueuedAt(onset, 1));
+    state.scheduler.next_seq = 2;
+    ASSERT_TRUE(service.ImportState(state).ok());
+    service.Start();
+    ASSERT_TRUE(service.Checkpoint().ok());
+    std::filesystem::copy(options.data_dir, crash_copy,
+                          std::filesystem::copy_options::recursive |
+                              std::filesystem::copy_options::overwrite_existing);
+  }
+  options.data_dir = crash_copy;
+  FleetService restored({{7, 0}}, options);
+  restored.Start();
+  ASSERT_TRUE(restored.recovery().checkpoint_loaded);
+  const int64_t floor_ms = (onset - lookback) * 1000;
+  SweepOnce(&restored, {Rec(floor_ms - 1, 1), Rec(floor_ms, 2),
+                        Rec(kEdgeMs - 1, 3), Rec(kEdgeMs, 4)});
+  EXPECT_EQ(ArchivedIds(&restored), (std::vector<uint64_t>{2, 3, 4}));
+  EXPECT_EQ(restored.stats().records_retired, 1u);
+  restored.Stop();
 }
 
 }  // namespace

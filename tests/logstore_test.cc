@@ -334,7 +334,7 @@ TEST(LogStoreTest, TrimRecyclesArenaSlabs) {
 }
 
 TEST(LogStoreConcurrencyTest, SnapshotRangeRacesAppendSafely) {
-  // The online ingestor appends while the DiagnosisScheduler snapshots.
+  // The online ingestor appends while a windowed diagnosis snapshots.
   // Every snapshot must be a consistent point-in-time copy: sorted, never
   // torn, and only ever growing between consecutive snapshots.
   LogStore store;

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "fleet/fleet_replay.h"
 #include "fleet/fleet_service.h"
 #include "online/replay.h"
 #include "serve/server.h"
@@ -559,13 +560,15 @@ TEST(ServeServerTest, EndToEndIncidentDiagnosisAndReplayFingerprint) {
   ASSERT_TRUE(lparsed.ok());
   EXPECT_LE(lparsed.value().Find("triggers")->AsArray().size(), 1u);
 
-  // Repairs endpoint answers (events may be empty: fleet is diagnose-only).
+  // Repairs endpoint answers (events may be empty: no instance here has a
+  // repair supervisor).
   const ClientResponse repairs =
       Request(port, "GET", "/v1/repairs?limit=5", "acme");
   EXPECT_EQ(repairs.status, 200);
 
   // Graceful stop, then verify the determinism contract: the accepted
-  // stream replays bit-identically at 1 and 4 ingest threads.
+  // stream replays bit-identically through a fleet of one at 1 and 4
+  // ingest workers.
   stack.server->Stop();
   const auto streams = stack.server->accepted_streams();
   ASSERT_EQ(streams.count(1u), 1u);
@@ -574,13 +577,15 @@ TEST(ServeServerTest, EndToEndIncidentDiagnosisAndReplayFingerprint) {
   EXPECT_EQ(accepted.samples.size(), incident.samples.size());
 
   const LogStore catalog = CatalogStore();
-  online::ReplayOptions roptions;
-  roptions.num_ingest_threads = 1;
+  fleet::FleetReplayOptions roptions;
+  roptions.num_ingest_workers = 1;
   const std::string fp1 =
-      online::RunReplay(accepted, catalog, roptions).Fingerprint();
-  roptions.num_ingest_threads = 4;
+      fleet::RunFleetReplay({{1, 0}}, {accepted}, catalog, roptions)
+          .InstanceFingerprint(1);
+  roptions.num_ingest_workers = 4;
   const std::string fp4 =
-      online::RunReplay(accepted, catalog, roptions).Fingerprint();
+      fleet::RunFleetReplay({{1, 0}}, {accepted}, catalog, roptions)
+          .InstanceFingerprint(1);
   EXPECT_EQ(fp1, fp4);
   EXPECT_FALSE(fp1.empty());
 }

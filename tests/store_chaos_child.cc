@@ -1,5 +1,5 @@
 // Chaos child for store_chaos_test: streams the synthetic incident into a
-// DurableOnlineService under the given data dir, reporting per-second
+// durable fleet of one under the given data dir, reporting per-second
 // progress so the parent can SIGKILL it mid-ingest. Deliberately never
 // stops gracefully — once the feed is done it sleeps until killed, so the
 // WAL always ends the way a crashed process leaves it.
@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "fleet/fleet_service.h"
 #include "online/replay.h"
-#include "store/durable_service.h"
 
 namespace {
 
@@ -69,28 +69,25 @@ int main(int argc, char** argv) {
   const int progress_fd = ::open(argv[2], O_CREAT | O_WRONLY | O_TRUNC, 0644);
   if (progress_fd < 0) return 2;
 
-  pinsql::store::DurableServiceOptions options;
-  options.service.scheduler.zero_timings = true;
+  pinsql::fleet::FleetOptions options;
+  options.data_dir = data_dir;
+  options.scheduler.zero_timings = true;
   options.checkpoint_every_sec = std::atoll(argv[3]);
-  auto service = pinsql::store::DurableOnlineService::Open(options, data_dir);
-  if (!service.ok()) {
-    std::fprintf(stderr, "open failed: %s\n",
-                 service.status().message().c_str());
-    return 2;
-  }
+  pinsql::fleet::FleetService service({{0, 0}}, options);
 
   for (uint64_t id : {1, 2, 3, 4}) {
     TemplateCatalogEntry entry;
     entry.template_text = "SELECT * FROM t WHERE k = ?";
     entry.kind = pinsql::sqltpl::StatementKind::kSelect;
     entry.tables = {"t"};
-    (*service)->RegisterTemplate(id, entry);
+    service.RegisterTemplateFleetWide(id, entry);
   }
   TemplateCatalogEntry heavy;
   heavy.template_text = "SELECT * FROM big ORDER BY v";
   heavy.kind = pinsql::sqltpl::StatementKind::kSelect;
   heavy.tables = {"big"};
-  (*service)->RegisterTemplate(9, heavy);
+  service.RegisterTemplateFleetWide(9, heavy);
+  service.Start();
 
   const pinsql::online::ReplayLog log = SyntheticIncident();
   size_t record_cursor = 0;
@@ -98,10 +95,11 @@ int main(int argc, char** argv) {
     const int64_t sec = log.samples[i].sec;
     while (record_cursor < log.records.size() &&
            log.records[record_cursor].arrival_ms / 1000 == sec) {
-      (*service)->IngestRecord(log.records[record_cursor]);
+      service.IngestRecord(0, log.records[record_cursor]);
       ++record_cursor;
     }
-    (*service)->IngestMetrics(log.samples[i]);
+    service.IngestMetrics(0, log.samples[i]);
+    service.AdvanceTo(sec);
     char buf[32];
     const int n = std::snprintf(buf, sizeof(buf), "%zu\n", i);
     if (n > 0) ::pwrite(progress_fd, buf, static_cast<size_t>(n), 0);

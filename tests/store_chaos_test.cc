@@ -1,8 +1,8 @@
 // Kill-9 chaos verification for the durable store: a child process streams
-// the synthetic incident into a DurableOnlineService and is SIGKILLed at
+// the synthetic incident into a durable fleet of one and is SIGKILLed at
 // seeded points mid-ingest. The parent then derives the confirmed input by
 // scanning the surviving WAL, replays it through the deterministic replay
-// harness, and asserts the recovered service's fingerprint is byte-identical
+// harness, and asserts the recovered fleet's fingerprint is byte-identical
 // to that uninterrupted reference. A corruption variant flips a byte in the
 // surviving segment and asserts detection plus clean-prefix equality.
 
@@ -17,11 +17,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "fleet/fleet_replay.h"
+#include "fleet/fleet_service.h"
 #include "online/replay.h"
-#include "store/durable_service.h"
 #include "store/env.h"
 #include "store/wal.h"
 
@@ -108,16 +110,21 @@ void RunKilledChild(const std::string& data_dir, long kill_after_samples,
   KillChild(pid);
 }
 
+/// The instance's journal directory under a fleet data dir.
+std::string WalDir(const std::string& data_dir) {
+  return data_dir + "/inst-0";
+}
+
 /// The confirmed input is whatever the surviving WAL delivers: a full
 /// scan from the stream base, torn tail truncated, corrupt frames
-/// discarded. Trailing records without a sample are kept — RunReplay
-/// folds them into its last second exactly as the recovered service
-/// stages and drains them.
+/// discarded. Trailing records without a sample are kept — the replay
+/// folds them into its last second exactly as the recovered fleet stages
+/// and drains them.
 online::ReplayLog ScanConfirmedInput(const std::string& data_dir,
                                      WalScanStats* stats) {
   online::ReplayLog log;
   const Status status = ScanWal(
-      PosixEnv(), data_dir, WalOptions(), WalPosition{},
+      PosixEnv(), WalDir(data_dir), WalOptions(), WalPosition{},
       [&log](const WalFrame& frame) {
         switch (frame.kind) {
           case FrameKind::kRecordBatch:
@@ -137,15 +144,33 @@ online::ReplayLog ScanConfirmedInput(const std::string& data_dir,
 }
 
 std::string ReferenceFingerprint(const online::ReplayLog& log) {
-  online::ReplayOptions options;  // zero_timings defaults on
-  return RunReplay(log, SyntheticCatalog(), options).Fingerprint();
+  fleet::FleetReplayOptions options;  // zero_timings defaults on
+  return fleet::RunFleetReplay({{0, 0}}, {log}, SyntheticCatalog(), options)
+      .InstanceFingerprint(0);
 }
 
-DurableServiceOptions RecoverOpts(int64_t checkpoint_every_sec) {
-  DurableServiceOptions options;
-  options.service.scheduler.zero_timings = true;
+/// Recovers `data_dir` into a fresh durable fleet of one, drains it, and
+/// returns it with its digest.
+struct Recovered {
+  std::unique_ptr<fleet::FleetService> service;
+  std::string fingerprint;
+};
+Recovered Recover(const std::string& data_dir, int64_t checkpoint_every_sec) {
+  fleet::FleetOptions options;
+  options.data_dir = data_dir;
+  options.scheduler.zero_timings = true;
   options.checkpoint_every_sec = checkpoint_every_sec;
-  return options;
+  Recovered out;
+  out.service = std::make_unique<fleet::FleetService>(
+      std::vector<fleet::FleetInstanceSpec>{{0, 0}}, options);
+  const LogStore catalog = SyntheticCatalog();
+  for (const auto& [id, entry] : catalog.catalog()) {
+    out.service->RegisterTemplateFleetWide(id, entry);
+  }
+  out.service->Start();
+  out.service->Stop();
+  out.fingerprint = fleet::CollectFleetResult(*out.service).InstanceFingerprint(0);
+  return out;
 }
 
 class StoreChaosTest : public ::testing::TestWithParam<long> {};
@@ -166,15 +191,13 @@ TEST_P(StoreChaosTest, RecoveryAfterSigkillIsByteIdentical) {
   ASSERT_GE(static_cast<long>(confirmed.samples.size()), kill_after);
   const std::string reference = ReferenceFingerprint(confirmed);
 
-  auto recovered = DurableOnlineService::Open(RecoverOpts(0), dir);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_FALSE((*recovered)->recovery().wal.seq_gap);
-  EXPECT_GT((*recovered)->recovery().wal.frames_valid, 0u);
-  ASSERT_TRUE((*recovered)->Stop().ok());
-  EXPECT_EQ((*recovered)->Fingerprint(), reference);
+  const Recovered recovered = Recover(dir, 0);
+  EXPECT_EQ(recovered.service->recovery().seq_gaps, 0u);
+  EXPECT_GT(recovered.service->recovery().frames_valid, 0u);
+  EXPECT_EQ(recovered.fingerprint, reference);
   if (kill_after >= 300) {
     // Past the onset (sample index 200) the trigger must have fired.
-    EXPECT_FALSE((*recovered)->outcomes().empty());
+    EXPECT_FALSE(recovered.service->outcomes().empty());
   }
 }
 
@@ -182,21 +205,25 @@ TEST_P(StoreChaosTest, RecoveryAfterSigkillIsByteIdentical) {
 INSTANTIATE_TEST_SUITE_P(KillPoints, StoreChaosTest,
                          ::testing::Values(80L, 230L, 300L));
 
-/// Sanity for the checkpointed path: with periodic checkpoints on, a
-/// SIGKILLed run still recovers cleanly (checkpoint + WAL suffix) and the
-/// incident is diagnosed after recovery.
+/// The checkpointed path: with periodic checkpoints on, a SIGKILLed run
+/// recovers from checkpoint + WAL suffix to the same digest as a replay of
+/// the whole confirmed input, and the incident is diagnosed.
 TEST(StoreChaosCheckpointTest, KilledRunWithCheckpointsRecovers) {
   const std::string dir = MakeTempDir();
   RunKilledChild(dir, /*kill_after_samples=*/300, /*checkpoint_every_sec=*/60);
 
-  auto recovered = DurableOnlineService::Open(RecoverOpts(60), dir);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  const RecoveryStats& recovery = (*recovered)->recovery();
+  // Checkpoints never delete a segment inside the retention horizon, so
+  // the WAL still holds the whole confirmed input.
+  WalScanStats scan;
+  const std::string reference =
+      ReferenceFingerprint(ScanConfirmedInput(dir, &scan));
+
+  const Recovered recovered = Recover(dir, 60);
+  const fleet::FleetRecoveryStats& recovery = recovered.service->recovery();
   EXPECT_TRUE(recovery.checkpoint_loaded);
-  EXPECT_FALSE(recovery.wal.seq_gap);
-  ASSERT_TRUE((*recovered)->Stop().ok());
-  EXPECT_FALSE((*recovered)->outcomes().empty());
-  EXPECT_FALSE((*recovered)->Fingerprint().empty());
+  EXPECT_EQ(recovery.seq_gaps, 0u);
+  EXPECT_FALSE(recovered.service->outcomes().empty());
+  EXPECT_EQ(recovered.fingerprint, reference);
 }
 
 /// Corrupting a frame mid-WAL must be detected — never silently ingested —
@@ -208,7 +235,7 @@ TEST(StoreChaosCorruptionTest, FlippedByteIsDetectedAndPrefixRecovers) {
 
   // The whole run fits in one open segment; flip a byte halfway through,
   // safely past the 24-byte segment header.
-  const std::string segment = dir + "/" + SegmentFileName(1);
+  const std::string segment = WalDir(dir) + "/" + SegmentFileName(1);
   std::string bytes;
   ASSERT_TRUE(PosixEnv()->ReadFile(segment, &bytes).ok());
   ASSERT_GT(bytes.size(), 1024u);
@@ -218,18 +245,18 @@ TEST(StoreChaosCorruptionTest, FlippedByteIsDetectedAndPrefixRecovers) {
     f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  // A fresh service opened on a copy of the corrupted segment must detect
+  // A fresh fleet opened on a copy of the corrupted segment must detect
   // the damage during its own recovery scan.
   const std::string copy_dir = MakeTempDir();
+  ASSERT_TRUE(PosixEnv()->CreateDirs(WalDir(copy_dir)).ok());
   {
-    std::ofstream f(copy_dir + "/" + SegmentFileName(1), std::ios::binary);
+    std::ofstream f(WalDir(copy_dir) + "/" + SegmentFileName(1),
+                    std::ios::binary);
     f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  auto direct = DurableOnlineService::Open(RecoverOpts(0), copy_dir);
-  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-  EXPECT_GE((*direct)->recovery().wal.frames_corrupt, 1u);
-  EXPECT_GT((*direct)->recovery().wal.torn_tail_bytes_truncated, 0u);
-  ASSERT_TRUE((*direct)->Stop().ok());
+  const Recovered direct = Recover(copy_dir, 0);
+  EXPECT_GE(direct.service->recovery().frames_corrupt, 1u);
+  EXPECT_GT(direct.service->recovery().torn_tail_bytes_truncated, 0u);
 
   // The original dir: scan (detects + truncates the corrupt tail), then
   // recover and compare against the clean prefix.
@@ -240,11 +267,9 @@ TEST(StoreChaosCorruptionTest, FlippedByteIsDetectedAndPrefixRecovers) {
   EXPECT_FALSE(confirmed.samples.empty());
   const std::string reference = ReferenceFingerprint(confirmed);
 
-  auto recovered = DurableOnlineService::Open(RecoverOpts(0), dir);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  ASSERT_TRUE((*recovered)->Stop().ok());
-  EXPECT_EQ((*recovered)->Fingerprint(), reference);
-  EXPECT_EQ((*recovered)->Fingerprint(), (*direct)->Fingerprint());
+  const Recovered recovered = Recover(dir, 0);
+  EXPECT_EQ(recovered.fingerprint, reference);
+  EXPECT_EQ(recovered.fingerprint, direct.fingerprint);
 }
 
 }  // namespace

@@ -5,9 +5,10 @@
 // hard-exits mid-ingest without any shutdown — exactly what `kill -9` (or
 // a power cut with fsync on) leaves behind. Second run: recovers from the
 // newest checkpoint plus the WAL suffix after it, streams the rest, and
-// prints the diagnosis — identical to a run that never crashed. The second
-// run exits non-zero unless it resumed from a checkpoint and diagnosed the
-// incident.
+// prints the outcomes its own Start(), AdvanceTo() and Stop() calls
+// returned (the fleet keeps none) — identical to a run that never crashed.
+// The second run exits non-zero unless it resumed from a checkpoint and
+// diagnosed the incident.
 //
 //   ./build/examples/durable_service_demo --data-dir data/durable_demo
 //   ./build/examples/durable_service_demo --data-dir data/durable_demo
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fleet/fleet_service.h"
@@ -84,7 +86,7 @@ int main(int argc, char** argv) {
   constexpr uint32_t kInstance = 0;
   pinsql::fleet::FleetService service({{kInstance, 0}}, options);
   RegisterCatalog(&service);
-  service.Start();
+  std::vector<pinsql::fleet::FleetOutcome> outcomes = service.Start();
 
   const auto& recovery = service.recovery();
   const int64_t already = service.stats().seconds_processed;
@@ -124,15 +126,17 @@ int main(int argc, char** argv) {
     }
     if (sample.sec < resume_from) continue;
     service.IngestMetrics(kInstance, sample);
-    service.AdvanceTo(sample.sec);
+    for (auto& outcome : service.AdvanceTo(sample.sec)) {
+      outcomes.push_back(std::move(outcome));
+    }
     ++fed;
   }
 
-  service.Stop();
+  for (auto& outcome : service.Stop()) outcomes.push_back(std::move(outcome));
   std::printf("streamed %lld more seconds, drained cleanly.\n",
               static_cast<long long>(fed));
   size_t diagnosed = 0;
-  for (const auto& fleet_outcome : service.outcomes()) {
+  for (const auto& fleet_outcome : outcomes) {
     const auto& outcome = fleet_outcome.outcome;
     if (outcome.ok) ++diagnosed;
     std::printf("  trigger at sec %lld (severity %.1f): %s\n",

@@ -123,130 +123,6 @@ Json DiagnosisReport::ToJson() const {
   return obj;
 }
 
-StatusOr<DiagnosisReport> DiagnosisReport::FromJson(const Json& json) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("report: not a JSON object");
-  }
-  DiagnosisReport report;
-  report.anomaly_start_sec =
-      static_cast<int64_t>(json.GetNumberOr("anomaly_start", 0.0));
-  report.anomaly_end_sec =
-      static_cast<int64_t>(json.GetNumberOr("anomaly_end", 0.0));
-  report.diagnosis_seconds = json.GetNumberOr("diagnosis_seconds", 0.0);
-  report.verification_fallback =
-      json.GetBoolOr("verification_fallback", false);
-
-  auto parse_strings = [&json](std::string_view key,
-                               std::vector<std::string>* out) -> Status {
-    const Json* arr = json.Find(key);
-    if (arr == nullptr) return Status::OK();
-    if (!arr->is_array()) {
-      return Status::InvalidArgument("report: '" + std::string(key) +
-                                     "' is not an array");
-    }
-    for (const Json& item : arr->AsArray()) {
-      if (!item.is_string()) {
-        return Status::InvalidArgument("report: '" + std::string(key) +
-                                       "' entry is not a string");
-      }
-      out->push_back(item.AsString());
-    }
-    return Status::OK();
-  };
-  auto parse_ranked = [&json](std::string_view key,
-                              std::vector<RankedTemplate>* out) -> Status {
-    const Json* arr = json.Find(key);
-    if (arr == nullptr) return Status::OK();
-    if (!arr->is_array()) {
-      return Status::InvalidArgument("report: '" + std::string(key) +
-                                     "' is not an array");
-    }
-    for (const Json& item : arr->AsArray()) {
-      if (!item.is_object()) {
-        return Status::InvalidArgument("report: '" + std::string(key) +
-                                       "' entry is not an object");
-      }
-      RankedTemplate t;
-      t.sql_id_hex = item.GetStringOr("sql_id", "");
-      if (!HexToHash(t.sql_id_hex, &t.sql_id)) {
-        return Status::InvalidArgument("report: '" + std::string(key) +
-                                       "' entry has a bad sql_id");
-      }
-      t.template_text = item.GetStringOr("template", "");
-      t.score = item.GetNumberOr("score", 0.0);
-      out->push_back(std::move(t));
-    }
-    return Status::OK();
-  };
-
-  Status status = parse_strings("phenomena", &report.phenomena);
-  if (!status.ok()) return status;
-  status = parse_ranked("hsqls", &report.hsqls);
-  if (!status.ok()) return status;
-  status = parse_ranked("rsqls", &report.rsqls);
-  if (!status.ok()) return status;
-  status = parse_strings("suggestions", &report.suggestions);
-  if (!status.ok()) return status;
-
-  if (const Json* quality = json.Find("data_quality");
-      quality != nullptr) {
-    if (!quality->is_object()) {
-      return Status::InvalidArgument("report: 'data_quality' is not an "
-                                     "object");
-    }
-    DataQuality& dq = report.data_quality;
-    dq.confidence = quality->GetNumberOr("confidence", 1.0);
-    auto count = [quality](std::string_view key) {
-      return static_cast<size_t>(quality->GetNumberOr(key, 0.0));
-    };
-    dq.session_points = count("session_points");
-    dq.session_gap_points = count("session_gap_points");
-    dq.helper_gap_points = count("helper_gap_points");
-    dq.helpers_dropped = count("helpers_dropped");
-    dq.metric_points_sanitized = count("metric_points_sanitized");
-    dq.log_records = count("log_records");
-    dq.lookback_truncated = quality->GetBoolOr("lookback_truncated", false);
-    dq.anomaly_tail_truncated =
-        quality->GetBoolOr("anomaly_tail_truncated", false);
-    dq.history_windows_checked = count("history_windows_checked");
-    dq.history_windows_missing = count("history_windows_missing");
-    dq.history_windows_truncated = count("history_windows_truncated");
-    if (const Json* notes = quality->Find("notes"); notes != nullptr) {
-      if (!notes->is_array()) {
-        return Status::InvalidArgument("report: 'data_quality.notes' is "
-                                       "not an array");
-      }
-      for (const Json& note : notes->AsArray()) {
-        if (!note.is_string()) {
-          return Status::InvalidArgument("report: data-quality note is "
-                                         "not a string");
-        }
-        dq.notes.push_back(note.AsString());
-      }
-    }
-  }
-
-  if (const Json* events = json.Find("repair_events"); events != nullptr) {
-    if (!events->is_array()) {
-      return Status::InvalidArgument("report: 'repair_events' is not an "
-                                     "array");
-    }
-    for (const Json& event : events->AsArray()) {
-      StatusOr<repair::RepairEvent> parsed =
-          repair::RepairEvent::FromJson(event);
-      if (!parsed.ok()) return parsed.status();
-      report.repair_events.push_back(std::move(parsed).value());
-    }
-  }
-
-  if (const Json* trace = json.Find("trace"); trace != nullptr) {
-    StatusOr<obs::PipelineTrace> parsed = obs::PipelineTrace::FromJson(*trace);
-    if (!parsed.ok()) return parsed.status();
-    report.trace = std::move(parsed).value();
-  }
-  return report;
-}
-
 std::string DiagnosisReport::ToText() const {
   std::string out = StrFormat(
       "PinSQL diagnosis for anomaly [%lld, %lld) (%.2fs)\n",

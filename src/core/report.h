@@ -44,13 +44,10 @@ struct DiagnosisReport {
   /// report (DESIGN.md §7). Always present, even under PINSQL_DISABLE_OBS.
   obs::PipelineTrace trace;
 
-  /// Machine-readable rendering (stable key order).
+  /// Machine-readable rendering (stable key order). Strings (template
+  /// texts, phenomena, notes, event details) survive Dump -> Json::Parse
+  /// byte-exactly, including quotes, backslashes and control characters.
   Json ToJson() const;
-  /// Parses the ToJson form back into a report. Strings (template texts,
-  /// phenomena, notes, event details) round-trip byte-exactly, including
-  /// quotes, backslashes and control characters. InvalidArgument on
-  /// malformed input.
-  static StatusOr<DiagnosisReport> FromJson(const Json& json);
   /// Terminal-friendly multi-line rendering.
   std::string ToText() const;
 };

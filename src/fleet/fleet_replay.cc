@@ -4,6 +4,7 @@
 #include <barrier>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -223,9 +224,10 @@ std::string FleetResult::InstanceFingerprint(uint32_t instance_id) const {
   return out;
 }
 
-FleetResult CollectFleetResult(const FleetService& service) {
+FleetResult CollectFleetResult(const FleetService& service,
+                               std::vector<FleetOutcome> outcomes) {
   FleetResult result;
-  result.outcomes = service.outcomes();
+  result.outcomes = std::move(outcomes);
   result.storms = service.storms();
   result.neighbors = service.neighbor_verdicts();
   for (uint32_t instance_id : service.instance_ids()) {
@@ -243,7 +245,7 @@ FleetResult RunFleetReplay(const std::vector<FleetInstanceSpec>& specs,
   if (n == 0) return FleetResult{};
 
   FleetOptions fleet_options = options.fleet;
-  if (options.zero_timings) fleet_options.scheduler.zero_timings = true;
+  fleet_options.scheduler.zero_timings = true;
   std::vector<FleetInstanceSpec> fleet_specs(specs.begin(),
                                              specs.begin() + n);
   FleetService service(fleet_specs, fleet_options);
@@ -278,7 +280,11 @@ FleetResult RunFleetReplay(const std::vector<FleetInstanceSpec>& specs,
 
   const size_t num_workers =
       static_cast<size_t>(std::max(options.num_ingest_workers, 1));
-  service.Start();
+  std::vector<FleetOutcome> outcomes = service.Start();
+  const auto take = [&outcomes](std::vector<FleetOutcome> produced) {
+    outcomes.insert(outcomes.end(), std::make_move_iterator(produced.begin()),
+                    std::make_move_iterator(produced.end()));
+  };
   // Three barriers per simulated second: the workers push the second's
   // records, then its samples, then the main loop advances the fleet
   // watermark while they wait. Worker w owns the w-th contiguous block of
@@ -330,12 +336,12 @@ FleetResult RunFleetReplay(const std::vector<FleetInstanceSpec>& specs,
   for (int64_t sec = first_sec; sec <= last_sec; ++sec) {
     sync.arrive_and_wait();
     sync.arrive_and_wait();
-    service.AdvanceTo(sec);
+    take(service.AdvanceTo(sec));
     sync.arrive_and_wait();
   }
   for (std::thread& worker : workers) worker.join();
-  service.Stop();
-  return CollectFleetResult(service);
+  take(service.Stop());
+  return CollectFleetResult(service, std::move(outcomes));
 }
 
 }  // namespace pinsql::fleet

@@ -21,9 +21,6 @@ struct FleetReplayOptions {
   /// therefore the fingerprint — is identical at any worker count. The
   /// workers push the samples after each second's ingest barrier.
   int num_ingest_workers = 2;
-  /// Force wall-clock timing fields to zero so replays are
-  /// byte-comparable. On by default; turn off to measure.
-  bool zero_timings = true;
 };
 
 struct FleetResult {
@@ -58,14 +55,17 @@ struct FleetResult {
 void AppendOutcomeFingerprint(const online::DiagnosisOutcome& outcome,
                               std::string* out);
 
-/// Collects a service's results — outcomes, storms, verdicts, every
-/// instance's detection latencies and stats — into a FleetResult: the step
-/// RunFleetReplay ends with, and how a running (e.g. recovered durable)
-/// fleet is fingerprinted.
-FleetResult CollectFleetResult(const FleetService& service);
+/// Collects a service's results — the outcomes its caller gathered from
+/// Start(), AdvanceTo() and Stop(), plus the service's storms, verdicts,
+/// every instance's detection latencies and stats — into a FleetResult:
+/// the step RunFleetReplay ends with, and how a running (e.g. recovered
+/// durable) fleet is fingerprinted.
+FleetResult CollectFleetResult(const FleetService& service,
+                               std::vector<FleetOutcome> outcomes);
 
 /// The replay harness: replays one recorded stream per instance through a
-/// fresh FleetService, bit-deterministically. The fleet clock sweeps the
+/// fresh FleetService, bit-deterministically (wall-clock timing fields are
+/// zeroed, so replays are byte-comparable). The fleet clock sweeps the
 /// union of the instances' sample spans, each simulated second is fully
 /// ingested for every instance before the fleet processes it, and
 /// `catalog` seeds every instance's archive. `logs` is parallel to

@@ -121,10 +121,9 @@ std::vector<FleetScheduler::Completion> FleetScheduler::RunWave(
     state_.queue.swap(kept);
   }
 
-  for (size_t i = 0; i < wave.size(); ++i) {
-    dispatch_log_.push_back({wave[i], now_sec, i});
+  for (const QueuedTrigger& entry : wave) {
     state_.stats.max_wait_sec =
-        std::max(state_.stats.max_wait_sec, now_sec - wave[i].enqueue_sec);
+        std::max(state_.stats.max_wait_sec, now_sec - entry.enqueue_sec);
   }
 
   // Run the wave: pool_size - 1 workers plus this thread, each entry into

@@ -44,15 +44,6 @@ struct QueuedTrigger {
   uint64_t storm_batch = 0;
 };
 
-/// One dispatch decision, recorded for invariant checks (property tests
-/// assert priority-aging order and the concurrency bound from this log).
-struct DispatchRecord {
-  QueuedTrigger entry;
-  int64_t dispatch_sec = 0;
-  /// Position within the dispatch wave (0 = highest effective priority).
-  size_t wave_index = 0;
-};
-
 struct FleetSchedulerStats {
   size_t enqueued = 0;
   size_t completed = 0;
@@ -66,8 +57,7 @@ struct FleetSchedulerStats {
   int64_t max_wait_sec = 0;
 };
 
-/// The scheduler's complete mutable state except the dispatch log
-/// (checkpointed with the fleet).
+/// The scheduler's complete mutable state (checkpointed with the fleet).
 struct FleetSchedulerState {
   std::deque<QueuedTrigger> queue;  // enqueue (seq) order
   uint64_t next_seq = 1;
@@ -108,9 +98,10 @@ class FleetScheduler {
   std::vector<QueuedTrigger> Extract(
       const std::function<bool(const QueuedTrigger&)>& pred);
 
-  /// Runs one dispatch wave over the entries due at `now_sec`. Entries
-  /// that don't fit the wave (pool full, or their instance already has a
-  /// slot) stay queued and age.
+  /// Runs one dispatch wave over the entries due at `now_sec` and returns
+  /// its completions in wave rank order (0 = highest effective priority).
+  /// Entries that don't fit the wave (pool full, or their instance already
+  /// has a slot) stay queued and age.
   std::vector<Completion> Tick(int64_t now_sec);
 
   /// Graceful drain: repeats waves with every entry treated as due until
@@ -121,12 +112,6 @@ class FleetScheduler {
   /// Queued entries in enqueue (seq) order.
   const std::deque<QueuedTrigger>& queue() const { return state_.queue; }
   const FleetSchedulerStats& stats() const { return state_.stats; }
-  /// Every dispatch decision so far, for the property tests' invariant
-  /// checks. Not part of the checkpointed state: a restored scheduler
-  /// starts an empty log. It grows for the scheduler's whole lifetime.
-  const std::vector<DispatchRecord>& dispatch_log() const {
-    return dispatch_log_;
-  }
 
   const FleetSchedulerState& state() const { return state_; }
   void ImportState(FleetSchedulerState state) { state_ = std::move(state); }
@@ -140,7 +125,6 @@ class FleetScheduler {
   std::unique_ptr<util::ThreadPool> pool_;
 
   FleetSchedulerState state_;
-  std::vector<DispatchRecord> dispatch_log_;
 };
 
 }  // namespace pinsql::fleet

@@ -120,20 +120,22 @@ void FleetService::RegisterTemplateFleetWide(uint64_t sql_id,
   }
 }
 
-void FleetService::Start() {
+std::vector<FleetOutcome> FleetService::Start() {
   std::lock_guard<std::mutex> lock(advance_mu_);
-  if (running_) return;
+  if (running_) return {};
+  std::vector<FleetOutcome> replayed;
   if (durable()) {
-    if (!journals_recovered_) RecoverLocked();
+    if (!journals_recovered_) replayed = RecoverLocked();
     OpenJournalsLocked();
   }
   running_ = true;
   SetAccepting(true);
+  return replayed;
 }
 
-void FleetService::Stop() {
+std::vector<FleetOutcome> FleetService::Stop() {
   std::lock_guard<std::mutex> lock(advance_mu_);
-  if (!running_) return;
+  if (!running_) return {};
   // Close the ingest gate first: every in-flight producer call completes
   // and every later one is refused, so the drain below is a complete,
   // final cut — nothing can arrive behind it and be stranded staged.
@@ -146,12 +148,13 @@ void FleetService::Stop() {
       drain_to = std::max(drain_to, *mark);
     }
   }
-  AdvanceToLocked(drain_to);
+  std::vector<FleetOutcome> drained;
+  AdvanceToLocked(drain_to, &drained);
   if (auto batch = correlator_.CloseOpenStorm(last_fleet_sec_);
       batch.has_value()) {
-    TriageClosedStorm(std::move(*batch), last_fleet_sec_, nullptr);
+    TriageClosedStorm(std::move(*batch), last_fleet_sec_, &drained);
   }
-  AppendCompletions(scheduler_->Drain(last_fleet_sec_), nullptr);
+  AppendCompletions(scheduler_->Drain(last_fleet_sec_), &drained);
   if (durable()) {
     if (options_.checkpoint_every_sec > 0) CheckpointLocked();
     for (Instance& instance : instances_) {
@@ -168,6 +171,7 @@ void FleetService::Stop() {
     }
   }
   running_ = false;
+  return drained;
 }
 
 void FleetService::SetAccepting(bool accepting) {
@@ -233,7 +237,7 @@ std::string FleetService::InstanceDir(uint32_t instance_id) const {
   return options_.data_dir + "/inst-" + std::to_string(instance_id);
 }
 
-void FleetService::RecoverLocked() {
+std::vector<FleetOutcome> FleetService::RecoverLocked() {
   journals_recovered_ = true;
   recovery_.attempted = true;
   recovering_ = true;
@@ -336,6 +340,7 @@ void FleetService::RecoverLocked() {
   // batches due by then, then advance the fleet clock — the same total
   // order a live producers-then-AdvanceTo loop establishes, so the
   // recovered outcomes fingerprint byte-identically.
+  std::vector<FleetOutcome> replayed;
   for (int64_t sec : sample_secs) {
     for (size_t i = 0; i < instances_.size(); ++i) {
       Instance& instance = instances_[i];
@@ -349,7 +354,7 @@ void FleetService::RecoverLocked() {
         instance.ingestor->IngestMetrics(*batch.sample);
       }
     }
-    AdvanceToLocked(sec);
+    AdvanceToLocked(sec, &replayed);
   }
   // Tail batches (records journaled after the last sample) stay staged,
   // exactly as they were before the crash.
@@ -382,6 +387,7 @@ void FleetService::RecoverLocked() {
                    static_cast<uint64_t>(recovery_.frames_corrupt +
                                          recovery_.frames_malformed +
                                          recovery_.frames_time_rejected));
+  return replayed;
 }
 
 void FleetService::OpenJournalsLocked() {
@@ -411,7 +417,8 @@ void FleetService::OpenJournalsLocked() {
 std::vector<FleetOutcome> FleetService::AdvanceTo(int64_t fleet_sec) {
   std::lock_guard<std::mutex> lock(advance_mu_);
   if (!running_) return {};
-  std::vector<FleetOutcome> completed = AdvanceToLocked(fleet_sec);
+  std::vector<FleetOutcome> completed;
+  AdvanceToLocked(fleet_sec, &completed);
   if (options_.checkpoint_every_sec > 0 && durable() &&
       processed_fleet_any_) {
     if (!cadence_anchored_) {
@@ -499,8 +506,7 @@ void FleetService::TriageClosedStorm(StormBatch batch, int64_t now_sec,
       deferred.outcome.ok = false;
       deferred.outcome.error =
           "storm_deferred:batch=" + std::to_string(batch.id);
-      if (out != nullptr) out->push_back(deferred);
-      outcomes_.push_back(std::move(deferred));
+      out->push_back(std::move(deferred));
       ++counters_.storm_deferred;
       PINSQL_OBS_COUNT("fleet.storm_deferred", 1);
     }
@@ -526,8 +532,7 @@ void FleetService::AppendCompletions(
     } else {
       ++counters_.diagnoses_failed;
     }
-    outcomes_.push_back(fleet_outcome);
-    if (out != nullptr) out->push_back(std::move(fleet_outcome));
+    out->push_back(std::move(fleet_outcome));
     PINSQL_OBS_COUNT("fleet.diagnoses", 1);
   }
   // Journal the supervisors' new audit events, in instance order. A
@@ -571,9 +576,8 @@ online::DiagnosisOutcome FleetService::RunOne(const QueuedTrigger& entry) {
                                       &instance.side);
 }
 
-std::vector<FleetOutcome> FleetService::AdvanceToLocked(int64_t fleet_sec) {
-  std::vector<FleetOutcome> completed;
-
+void FleetService::AdvanceToLocked(int64_t fleet_sec,
+                                   std::vector<FleetOutcome>* out) {
   // Parallel per-instance step: pump, sample, detect — into disjoint
   // per-instance slots, so the merge below sees identical events at any
   // advance_workers.
@@ -593,7 +597,7 @@ std::vector<FleetOutcome> FleetService::AdvanceToLocked(int64_t fleet_sec) {
       }
     }
   }
-  if (tick_from > fleet_sec) return completed;
+  if (tick_from > fleet_sec) return;
 
   // Sequential merge in (second, instance) order: dedup, correlate, route,
   // then the fleet-level ticks.
@@ -642,13 +646,13 @@ std::vector<FleetOutcome> FleetService::AdvanceToLocked(int64_t fleet_sec) {
       correlator_.AdoptIntoOpenStorm(members);
     }
     for (StormBatch& batch : tick_events.closed) {
-      TriageClosedStorm(std::move(batch), sec, &completed);
+      TriageClosedStorm(std::move(batch), sec, out);
     }
     for (NoisyNeighborVerdict& verdict : tick_events.verdicts) {
       verdicts_.push_back(std::move(verdict));
     }
 
-    AppendCompletions(scheduler_->Tick(sec), &completed);
+    AppendCompletions(scheduler_->Tick(sec), out);
     PINSQL_OBS_GAUGE_SET("fleet.pool_queue_depth",
                          static_cast<int64_t>(scheduler_->pending()));
     if (sec % kRetentionEverySec == 0) SweepRetentionLocked(sec);
@@ -659,7 +663,6 @@ std::vector<FleetOutcome> FleetService::AdvanceToLocked(int64_t fleet_sec) {
   }
   PINSQL_OBS_COUNT("fleet.seconds_processed",
                    static_cast<uint64_t>(fleet_sec - tick_from + 1));
-  return completed;
 }
 
 std::vector<int64_t> FleetService::OpenWindowFloorsMs() const {
@@ -794,7 +797,6 @@ FleetState FleetService::ExportStateLocked() {
   state.dedup_activity = deduper_.ExportActivity();
   state.scheduler = scheduler_->state();
   state.correlator = correlator_.state();
-  state.outcomes = outcomes_;
   state.storms = storms_;
   state.verdicts = verdicts_;
   state.processed_any = processed_fleet_any_;
@@ -853,7 +855,6 @@ Status FleetService::ImportStateLocked(const FleetState& state) {
   deduper_.ImportActivity(state.dedup_activity);
   scheduler_->ImportState(state.scheduler);
   correlator_.ImportState(state.correlator);
-  outcomes_ = state.outcomes;
   storms_ = state.storms;
   verdicts_ = state.verdicts;
   processed_fleet_any_ = state.processed_any;

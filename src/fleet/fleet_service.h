@@ -28,6 +28,22 @@
 
 namespace pinsql::fleet {
 
+/// What happened to one accepted trigger at fleet level.
+struct FleetOutcome {
+  enum class Disposition {
+    /// Ran a full windowed diagnosis (outcome.report is populated).
+    kDiagnosed,
+    /// Collapsed into a storm batch and not individually diagnosed;
+    /// outcome carries the trigger and an explanatory error. Never
+    /// silently dropped.
+    kStormDeferred,
+  };
+  Disposition disposition = Disposition::kDiagnosed;
+  /// Storm batch id the trigger belonged to (0 = direct trigger).
+  uint64_t storm_batch = 0;
+  online::DiagnosisOutcome outcome;
+};
+
 struct FleetOptions {
   /// Per-instance ingestion (shard count, window, backpressure).
   online::IngestorOptions ingestor;
@@ -152,6 +168,11 @@ struct FleetStats {
 /// fleet-level ticks (dedup, correlation, one dispatch wave per second,
 /// and a retention sweep every kRetentionEverySec fleet seconds).
 ///
+/// Outcomes: every diagnosis and storm-deferred trigger is handed to the
+/// caller once — by the Start() (recovery replay), AdvanceTo() or Stop()
+/// (drain) call that produced it — and the fleet keeps none; FleetStats
+/// counts them. Callers that need a history keep it themselves.
+///
 /// Threading: IngestRecord / IngestMetrics are safe from any number of
 /// producers between Start() and Stop(); outside that they refuse whole
 /// and count. AdvanceTo / Stop / stats serialize on an internal mutex.
@@ -199,15 +220,19 @@ class FleetService {
   /// Starts accepting work. A durable fleet first recovers its data dir
   /// (first Start() only): the newest valid checkpoint that fits its shape
   /// (others are skipped, see FleetRecoveryStats), then every instance's
-  /// WAL suffix replayed with the canonical per-second discipline.
-  void Start();
+  /// WAL suffix replayed with the canonical per-second discipline. Returns
+  /// the outcomes that replay produced; those the checkpoint already
+  /// counted are not reported again.
+  std::vector<FleetOutcome> Start();
 
   /// Graceful drain: refuses further ingest (in-flight calls complete
   /// first), folds everything staged, processes every instance up to its
   /// watermark, closes an open storm, and runs every queued diagnosis —
   /// in-flight and not-yet-due alike, each keeping its planned window. A
-  /// checkpointing fleet then writes a final checkpoint. Idempotent.
-  void Stop();
+  /// checkpointing fleet then writes a final checkpoint. Returns the
+  /// outcomes the drain produced, storm-deferred ones included.
+  /// Idempotent: a second call returns nothing.
+  std::vector<FleetOutcome> Stop();
 
   bool running() const { return running_; }
 
@@ -219,13 +244,10 @@ class FleetService {
 
   /// Advances the fleet watermark to `fleet_sec` and processes everything
   /// up to it. Returns the fleet outcomes this call produced — diagnoses
-  /// and storm-deferred triggers alike — in the order outcomes() records
-  /// them. A checkpointing fleet writes its periodic checkpoint here.
+  /// and storm-deferred triggers alike — in completion order. A
+  /// checkpointing fleet writes its periodic checkpoint here.
   std::vector<FleetOutcome> AdvanceTo(int64_t fleet_sec);
 
-  /// Every fleet outcome so far, in completion order. Grows for the
-  /// service's whole lifetime.
-  const std::vector<FleetOutcome>& outcomes() const { return outcomes_; }
   const std::vector<StormBatch>& storms() const { return storms_; }
   const std::vector<NoisyNeighborVerdict>& neighbor_verdicts() const {
     return verdicts_;
@@ -309,7 +331,8 @@ class FleetService {
   };
 
   Instance* Find(uint32_t instance_id);
-  std::vector<FleetOutcome> AdvanceToLocked(int64_t fleet_sec);
+  /// Appends the outcomes the processed seconds produced to `out`.
+  void AdvanceToLocked(int64_t fleet_sec, std::vector<FleetOutcome>* out);
   bool durable() const { return !options_.data_dir.empty(); }
   std::string InstanceDir(uint32_t instance_id) const;
   /// Opens or closes the ingest gate of every instance: in-flight producer
@@ -317,8 +340,8 @@ class FleetService {
   void SetAccepting(bool accepting);
   /// First Start() only: loads the newest valid checkpoint, then replays
   /// every instance's WAL suffix through the normal ingest path with the
-  /// canonical per-second discipline.
-  void RecoverLocked();
+  /// canonical per-second discipline. Returns the replay's outcomes.
+  std::vector<FleetOutcome> RecoverLocked();
   /// Opens (or reopens after Stop) each instance's writer, adopts the
   /// segments recovery scanned and re-journals the current catalog so
   /// template registrations made before Start() survive a crash.
@@ -326,12 +349,12 @@ class FleetService {
   void ProcessInstance(Instance* instance, int64_t fleet_sec,
                        std::vector<SecondEvent>* events);
   void RouteAcceptedTrigger(const online::AnomalyTrigger& trigger);
-  /// Enqueues the storm's top-k members and records the rest as deferred
-  /// outcomes (also appended to `out` when non-null).
+  /// Enqueues the storm's top-k members and appends the rest to `out` as
+  /// deferred outcomes.
   void TriageClosedStorm(StormBatch batch, int64_t now_sec,
                          std::vector<FleetOutcome>* out);
-  /// Records a wave's completions, merges their repair accounting and
-  /// journals the supervisors' new events in instance order.
+  /// Appends a wave's completions to `out`, merges their repair accounting
+  /// and journals the supervisors' new events in instance order.
   void AppendCompletions(std::vector<FleetScheduler::Completion> completions,
                          std::vector<FleetOutcome>* out);
   online::DiagnosisOutcome RunOne(const QueuedTrigger& entry);
@@ -372,7 +395,6 @@ class FleetService {
   int64_t last_fleet_sec_ = 0;
   FleetCounters counters_;
 
-  std::vector<FleetOutcome> outcomes_;
   std::vector<StormBatch> storms_;
   std::vector<NoisyNeighborVerdict> verdicts_;
 

@@ -80,22 +80,6 @@ bool DecodeVerdict(Reader* r, NoisyNeighborVerdict* verdict) {
          r->F64(&verdict->dominant_severity);
 }
 
-void EncodeFleetOutcome(Writer* w, const FleetOutcome& outcome) {
-  w->U8(outcome.disposition == FleetOutcome::Disposition::kDiagnosed ? 0 : 1);
-  w->U64(outcome.storm_batch);
-  store::EncodeOutcome(w, outcome.outcome);
-}
-
-bool DecodeFleetOutcome(Reader* r, FleetOutcome* outcome) {
-  uint8_t disposition = 0;
-  if (!r->U8(&disposition) || disposition > 1) return false;
-  outcome->disposition = disposition == 0
-                             ? FleetOutcome::Disposition::kDiagnosed
-                             : FleetOutcome::Disposition::kStormDeferred;
-  return r->U64(&outcome->storm_batch) &&
-         store::DecodeOutcome(r, &outcome->outcome);
-}
-
 void EncodeInstance(Writer* w, const FleetInstanceState& instance) {
   w->U32(instance.instance_id);
   store::EncodeIngestor(w, instance.ingestor);
@@ -231,7 +215,6 @@ std::string EncodeFleetState(const FleetState& state) {
   });
   EncodeScheduler(&w, state.scheduler);
   EncodeCorrelator(&w, state.correlator);
-  EncodeSeq(&w, state.outcomes, EncodeFleetOutcome);
   EncodeSeq(&w, state.storms, EncodeStorm);
   EncodeSeq(&w, state.verdicts, EncodeVerdict);
   w.Bool(state.processed_any);
@@ -254,8 +237,7 @@ StatusOr<FleetState> DecodeFleetState(std::string_view body) {
       !DecodeCorrelator(&r, &state.correlator)) {
     return Status::ParseError("fleet checkpoint: malformed trigger routing");
   }
-  if (!DecodeSeq(&r, &state.outcomes, 64, DecodeFleetOutcome) ||
-      !DecodeSeq(&r, &state.storms, 40, DecodeStorm) ||
+  if (!DecodeSeq(&r, &state.storms, 40, DecodeStorm) ||
       !DecodeSeq(&r, &state.verdicts, 40, DecodeVerdict)) {
     return Status::ParseError("fleet checkpoint: malformed results");
   }

@@ -11,29 +11,12 @@
 #include "fleet/fleet_scheduler.h"
 #include "logstore/log_store.h"
 #include "online/online_detector.h"
-#include "online/scheduler.h"
 #include "online/stream_ingestor.h"
 #include "repair/events.h"
 #include "store/wal.h"
 #include "util/status.h"
 
 namespace pinsql::fleet {
-
-/// What happened to one accepted trigger at fleet level.
-struct FleetOutcome {
-  enum class Disposition {
-    /// Ran a full windowed diagnosis (outcome.report is populated).
-    kDiagnosed,
-    /// Collapsed into a storm batch and not individually diagnosed;
-    /// outcome carries the trigger and an explanatory error. Never
-    /// silently dropped.
-    kStormDeferred,
-  };
-  Disposition disposition = Disposition::kDiagnosed;
-  /// Storm batch id the trigger belonged to (0 = direct trigger).
-  uint64_t storm_batch = 0;
-  online::DiagnosisOutcome outcome;
-};
 
 /// The fleet's running totals (FleetStats reports them; checkpoints carry
 /// them).
@@ -79,8 +62,9 @@ struct FleetInstanceState {
 /// Complete serializable state of a FleetService, captured by
 /// ExportState() and restored by ImportState(): a restored fleet continues
 /// its streams bit-identically to one that never stopped. The durable
-/// fleet checkpoints exactly this (EncodeFleetState). The scheduler's
-/// dispatch log is not part of it.
+/// fleet checkpoints exactly this (EncodeFleetState). Outcomes are not
+/// part of it: the fleet hands each one to its caller once and keeps none
+/// (the counters still count them).
 struct FleetState {
   /// In the fleet's instance order.
   std::vector<FleetInstanceState> instances;
@@ -88,7 +72,6 @@ struct FleetState {
   std::vector<std::pair<uint32_t, int64_t>> dedup_activity;
   FleetSchedulerState scheduler;
   CorrelatorState correlator;
-  std::vector<FleetOutcome> outcomes;
   std::vector<StormBatch> storms;
   std::vector<NoisyNeighborVerdict> verdicts;
   /// The fleet clock.

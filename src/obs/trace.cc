@@ -173,41 +173,6 @@ Json PipelineTrace::ToJson() const {
   return doc;
 }
 
-StatusOr<PipelineTrace> PipelineTrace::FromJson(const Json& json) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("trace: expected an object");
-  }
-  PipelineTrace trace;
-  trace.total_seconds = json.GetNumberOr("total_seconds", 0.0);
-  const Json* stages = json.Find("stages");
-  if (stages == nullptr || !stages->is_array()) {
-    return Status::InvalidArgument("trace: missing 'stages' array");
-  }
-  for (const Json& entry : stages->AsArray()) {
-    if (!entry.is_object()) {
-      return Status::InvalidArgument("trace: stage entry is not an object");
-    }
-    StageTrace stage;
-    stage.name = entry.GetStringOr("name", "");
-    if (stage.name.empty()) {
-      return Status::InvalidArgument("trace: stage entry without a name");
-    }
-    stage.seconds = entry.GetNumberOr("seconds", 0.0);
-    if (const Json* counters = entry.Find("counters");
-        counters != nullptr && counters->is_object()) {
-      for (const auto& [key, value] : counters->AsObject()) {
-        if (!value.is_number()) {
-          return Status::InvalidArgument(
-              StrFormat("trace: counter '%s' is not a number", key.c_str()));
-        }
-        stage.counters[key] = static_cast<int64_t>(value.AsNumber());
-      }
-    }
-    trace.stages.push_back(std::move(stage));
-  }
-  return trace;
-}
-
 std::string PipelineTrace::ToTable() const {
   std::string out =
       StrFormat("%-24s %10s %7s  %s\n", "stage", "time(s)", "share", "counters");

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "util/json.h"
-#include "util/status.h"
 
 namespace pinsql::obs {
 
@@ -113,7 +112,6 @@ struct PipelineTrace {
   const StageTrace* Find(std::string_view name) const;
 
   Json ToJson() const;
-  static StatusOr<PipelineTrace> FromJson(const Json& json);
 
   /// Human-readable per-stage table (the bench --trace output).
   std::string ToTable() const;

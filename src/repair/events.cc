@@ -84,32 +84,6 @@ Json RepairEvent::ToJson() const {
   return obj;
 }
 
-StatusOr<RepairEvent> RepairEvent::FromJson(const Json& json) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("repair event: not a JSON object");
-  }
-  RepairEvent event;
-  event.time_ms = json.GetNumberOr("time_ms", 0.0);
-  const std::string kind_name = json.GetStringOr("kind", "");
-  if (!RepairEventKindFromName(kind_name, &event.kind)) {
-    return Status::InvalidArgument("repair event: unknown kind '" +
-                                   kind_name + "'");
-  }
-  const std::string action_name = json.GetStringOr("action", "");
-  if (!ActionTypeFromName(action_name, &event.action)) {
-    return Status::InvalidArgument("repair event: unknown action '" +
-                                   action_name + "'");
-  }
-  if (!HexToHash(json.GetStringOr("sql_id", ""), &event.sql_id)) {
-    return Status::InvalidArgument("repair event: bad sql_id");
-  }
-  event.ticket =
-      static_cast<uint64_t>(json.GetNumberOr("ticket", 0.0));
-  event.attempt = static_cast<int>(json.GetNumberOr("attempt", 0.0));
-  event.detail = json.GetStringOr("detail", "");
-  return event;
-}
-
 std::string RepairEvent::ToString() const {
   std::string out = StrFormat("t=%.0fms #%llu %s %s sql=%s", time_ms,
                               static_cast<unsigned long long>(ticket),

@@ -55,9 +55,6 @@ struct RepairEvent {
   std::string detail;
 
   Json ToJson() const;
-  /// Parses the ToJson form back; InvalidArgument on missing fields or
-  /// unknown kind/action names.
-  static StatusOr<RepairEvent> FromJson(const Json& json);
   std::string ToString() const;
 };
 

@@ -74,6 +74,20 @@ bool Server::running() const {
 Status Server::Start() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (started_) return Status::FailedPrecondition("server already started");
+  // A scope naming an instance the fleet lacks would answer 202 for batches
+  // the fleet then drops uncounted: refuse the configuration instead.
+  const std::vector<uint32_t> fleet_ids = fleet_->instance_ids();
+  for (const auto& [tenant, quota] : options_.admission.tenants) {
+    for (uint32_t id : quota.instances) {
+      if (std::find(fleet_ids.begin(), fleet_ids.end(), id) ==
+          fleet_ids.end()) {
+        return Status::InvalidArgument("tenant " + tenant +
+                                       " is scoped to instance " +
+                                       std::to_string(id) +
+                                       ", which the fleet lacks");
+      }
+    }
+  }
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                         0);

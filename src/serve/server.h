@@ -115,7 +115,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds, listens and starts the event loop, handler pool and delivery
-  /// pump. InvalidArgument / Internal on socket errors.
+  /// pump. InvalidArgument, before binding, when a tenant is scoped to an
+  /// instance the fleet lacks; InvalidArgument / Internal on socket errors.
   Status Start();
 
   /// Graceful drain: stops accepting, flushes open connections (bounded by

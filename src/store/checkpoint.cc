@@ -6,11 +6,9 @@
 #include <optional>
 #include <utility>
 
-#include "core/report.h"
 #include "obs/metrics.h"
 #include "store/codec.h"
 #include "store/crc32c.h"
-#include "util/json.h"
 
 namespace pinsql::store {
 
@@ -21,10 +19,11 @@ constexpr char kCheckpointMagic[8] = {'P', 'S', 'Q', 'L', 'C', 'K', 'P', '1'};
 // counters) and trigger source attribution. v3: the ingestor's
 // per-template ring buckets are gone (template series come from the
 // archive). v4: one checkpoint per fleet (a FleetState body) instead of
-// one single-instance service state. Older checkpoints fail the version
-// check and recovery falls back to the WAL, which replays into the new
-// format.
-constexpr uint32_t kCheckpointVersion = 4;
+// one single-instance service state. v5: the fleet keeps no outcomes, so
+// the body carries none, and a template's table list is u32-counted like
+// the WAL's. Older checkpoints fail the version check and recovery falls
+// back to the WAL, which replays into the new format.
+constexpr uint32_t kCheckpointVersion = 5;
 // magic(8) + version(4) at the front, crc(4) at the back.
 constexpr size_t kCheckpointOverhead = 16;
 
@@ -32,21 +31,6 @@ void PutF64(codec::Writer* w, double v) { w->F64(v); }
 bool GetF64(codec::Reader* r, double* v) { return r->F64(v); }
 void PutI64(codec::Writer* w, int64_t v) { w->I64(v); }
 bool GetI64(codec::Reader* r, int64_t* v) { return r->I64(v); }
-
-void EncodeSample(codec::Writer* w, const online::PerfSample& sample) {
-  w->I64(sample.sec);
-  w->F64(sample.active_session);
-  w->F64(sample.cpu_usage);
-  w->F64(sample.iops_usage);
-  w->F64(sample.row_lock_waits);
-  w->F64(sample.mdl_waits);
-}
-
-bool DecodeSample(codec::Reader* r, online::PerfSample* sample) {
-  return r->I64(&sample->sec) && r->F64(&sample->active_session) &&
-         r->F64(&sample->cpu_usage) && r->F64(&sample->iops_usage) &&
-         r->F64(&sample->row_lock_waits) && r->F64(&sample->mdl_waits);
-}
 
 void EncodeScreenSnapshot(codec::Writer* w,
                           const anomaly::StreamingDetectorSnapshot& screen) {
@@ -135,30 +119,6 @@ bool DecodeMetricBucket(codec::Reader* r,
   return r->I64(&bucket->sec) && DecodeSample(r, &bucket->sample);
 }
 
-void EncodeTemplate(codec::Writer* w,
-                    const std::pair<uint64_t, TemplateCatalogEntry>& entry) {
-  w->U64(entry.first);
-  w->Str(entry.second.template_text);
-  w->U8(static_cast<uint8_t>(entry.second.kind));
-  EncodeSeq(w, entry.second.tables,
-            [](codec::Writer* w, const std::string& table) { w->Str(table); });
-}
-
-bool DecodeTemplate(codec::Reader* r,
-                    std::pair<uint64_t, TemplateCatalogEntry>* entry) {
-  uint8_t kind = 0;
-  if (!r->U64(&entry->first) || !r->Str(&entry->second.template_text) ||
-      !r->U8(&kind) ||
-      kind > static_cast<uint8_t>(sqltpl::StatementKind::kOther)) {
-    return false;
-  }
-  entry->second.kind = static_cast<sqltpl::StatementKind>(kind);
-  return DecodeSeq(r, &entry->second.tables, 8,
-                   [](codec::Reader* r, std::string* table) {
-                     return r->Str(table);
-                   });
-}
-
 /// Parses the counter out of a checkpoint file name, or nullopt when the
 /// name is not of the ckpt-<digits>.ckpt form.
 std::optional<uint64_t> ParseCheckpointCounter(const std::string& name) {
@@ -195,28 +155,20 @@ bool DecodeU64Counter(codec::Reader* r, size_t* out) {
   return true;
 }
 
-void EncodeRecord(codec::Writer* w, const QueryLogRecord& record) {
-  w->I64(record.arrival_ms);
-  w->F64(record.response_ms);
-  w->U64(record.sql_id);
-  w->I64(record.examined_rows);
-}
-
-bool DecodeRecord(codec::Reader* r, QueryLogRecord* record) {
-  return r->I64(&record->arrival_ms) && r->F64(&record->response_ms) &&
-         r->U64(&record->sql_id) && r->I64(&record->examined_rows);
-}
-
 void EncodeCatalog(
     codec::Writer* w,
     const std::vector<std::pair<uint64_t, TemplateCatalogEntry>>& catalog) {
-  EncodeSeq(w, catalog, EncodeTemplate);
+  EncodeSeq(w, catalog, [](codec::Writer* w, const auto& entry) {
+    EncodeTemplate(w, entry.first, entry.second);
+  });
 }
 
 bool DecodeCatalog(
     codec::Reader* r,
     std::vector<std::pair<uint64_t, TemplateCatalogEntry>>* catalog) {
-  return DecodeSeq(r, catalog, 25, DecodeTemplate);
+  return DecodeSeq(r, catalog, 21, [](codec::Reader* r, auto* entry) {
+    return DecodeTemplate(r, &entry->first, &entry->second);
+  });
 }
 
 void EncodeIngestor(codec::Writer* w, const online::IngestorState& state) {
@@ -288,61 +240,6 @@ bool DecodeTrigger(codec::Reader* r, online::AnomalyTrigger* trigger) {
   return r->U32(&trigger->instance_id) && r->I64(&trigger->onset_sec) &&
          r->I64(&trigger->trigger_sec) && r->F64(&trigger->severity) &&
          r->F64(&trigger->pettitt_p) && r->Str(&trigger->source);
-}
-
-void EncodeOutcome(codec::Writer* w, const online::DiagnosisOutcome& outcome) {
-  EncodeTrigger(w, outcome.trigger);
-  w->Bool(outcome.ok);
-  w->Str(outcome.error);
-  // The report round-trips byte-exactly through its JSON form (see
-  // report_test), so the checkpoint reuses it instead of a second binary
-  // schema for the deepest struct in the repo.
-  w->Str(outcome.report.ToJson().Dump());
-  EncodeSeq(w, outcome.confirmed_rsqls,
-            [](codec::Writer* w, uint64_t id) { w->U64(id); });
-  w->U64(outcome.repairs_applied);
-  w->F64(outcome.ttr_sec);
-}
-
-bool DecodeOutcome(codec::Reader* r, online::DiagnosisOutcome* outcome) {
-  std::string report_json;
-  if (!DecodeTrigger(r, &outcome->trigger) || !r->Bool(&outcome->ok) ||
-      !r->Str(&outcome->error) || !r->Str(&report_json)) {
-    return false;
-  }
-  auto json = Json::Parse(report_json);
-  if (!json.ok()) return false;
-  auto report = core::DiagnosisReport::FromJson(*json);
-  if (!report.ok()) return false;
-  outcome->report = std::move(report).value();
-  return DecodeSeq(r, &outcome->confirmed_rsqls, 8,
-                   [](codec::Reader* r, uint64_t* id) { return r->U64(id); }) &&
-         DecodeU64Counter(r, &outcome->repairs_applied) &&
-         r->F64(&outcome->ttr_sec);
-}
-
-void EncodeRepairEvent(codec::Writer* w, const repair::RepairEvent& event) {
-  w->F64(event.time_ms);
-  w->Str(repair::RepairEventKindName(event.kind));
-  w->Str(repair::ActionTypeName(event.action));
-  w->U64(event.sql_id);
-  w->U64(event.ticket);
-  w->I64(event.attempt);
-  w->Str(event.detail);
-}
-
-bool DecodeRepairEvent(codec::Reader* r, repair::RepairEvent* event) {
-  std::string kind_name, action_name;
-  int64_t attempt = 0;
-  if (!r->F64(&event->time_ms) || !r->Str(&kind_name) ||
-      !r->Str(&action_name) || !r->U64(&event->sql_id) ||
-      !r->U64(&event->ticket) || !r->I64(&attempt) || !r->Str(&event->detail)) {
-    return false;
-  }
-  if (!repair::RepairEventKindFromName(kind_name, &event->kind)) return false;
-  if (!repair::ActionTypeFromName(action_name, &event->action)) return false;
-  event->attempt = static_cast<int>(attempt);
-  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -10,11 +10,10 @@
 
 #include "logstore/log_store.h"
 #include "online/online_detector.h"
-#include "online/scheduler.h"
 #include "online/stream_ingestor.h"
-#include "repair/events.h"
 #include "store/codec.h"
 #include "store/env.h"
+#include "store/wal.h"
 #include "util/status.h"
 
 namespace pinsql::store {
@@ -71,9 +70,10 @@ size_t PruneCheckpoints(Env* env, const std::string& dir, size_t keep);
 
 // ---------------------------------------------------------------------------
 // Codecs for the online-level component states a checkpoint body is built
-// from. Each Decode* returns false on malformed or truncated input (the
-// reader then stays failed); element counts are checked against the bytes
-// left before anything is allocated.
+// from (records, samples, templates and repair events use the WAL's element
+// codecs, store/wal.h). Each Decode* returns false on malformed or
+// truncated input (the reader then stays failed); element counts are
+// checked against the bytes left before anything is allocated.
 
 /// A decoded element count is plausible when its minimum encoding fits the
 /// remaining payload.
@@ -104,8 +104,6 @@ bool DecodeSeq(codec::Reader* r, Seq* seq, size_t min_elem_bytes,
   return true;
 }
 
-void EncodeRecord(codec::Writer* w, const QueryLogRecord& record);
-bool DecodeRecord(codec::Reader* r, QueryLogRecord* record);
 /// A template catalog as (sql_id, entry) pairs.
 void EncodeCatalog(
     codec::Writer* w,
@@ -119,10 +117,6 @@ void EncodeDetector(codec::Writer* w, const online::OnlineDetectorState& state);
 bool DecodeDetector(codec::Reader* r, online::OnlineDetectorState* state);
 void EncodeTrigger(codec::Writer* w, const online::AnomalyTrigger& trigger);
 bool DecodeTrigger(codec::Reader* r, online::AnomalyTrigger* trigger);
-void EncodeOutcome(codec::Writer* w, const online::DiagnosisOutcome& outcome);
-bool DecodeOutcome(codec::Reader* r, online::DiagnosisOutcome* outcome);
-void EncodeRepairEvent(codec::Writer* w, const repair::RepairEvent& event);
-bool DecodeRepairEvent(codec::Reader* r, repair::RepairEvent* event);
 /// Reads a size_t counter that travels as u64.
 bool DecodeU64Counter(codec::Reader* r, size_t* out);
 

@@ -123,6 +123,85 @@ std::string SegmentFileName(uint64_t seq) {
   return buf;
 }
 
+void EncodeRecord(codec::Writer* w, const QueryLogRecord& record) {
+  w->I64(record.arrival_ms);
+  w->F64(record.response_ms);
+  w->U64(record.sql_id);
+  w->I64(record.examined_rows);
+}
+
+bool DecodeRecord(codec::Reader* r, QueryLogRecord* record) {
+  return r->I64(&record->arrival_ms) && r->F64(&record->response_ms) &&
+         r->U64(&record->sql_id) && r->I64(&record->examined_rows);
+}
+
+void EncodeSample(codec::Writer* w, const online::PerfSample& sample) {
+  w->I64(sample.sec);
+  w->F64(sample.active_session);
+  w->F64(sample.cpu_usage);
+  w->F64(sample.iops_usage);
+  w->F64(sample.row_lock_waits);
+  w->F64(sample.mdl_waits);
+}
+
+bool DecodeSample(codec::Reader* r, online::PerfSample* sample) {
+  return r->I64(&sample->sec) && r->F64(&sample->active_session) &&
+         r->F64(&sample->cpu_usage) && r->F64(&sample->iops_usage) &&
+         r->F64(&sample->row_lock_waits) && r->F64(&sample->mdl_waits);
+}
+
+void EncodeTemplate(codec::Writer* w, uint64_t sql_id,
+                    const TemplateCatalogEntry& entry) {
+  w->U64(sql_id);
+  w->Str(entry.template_text);
+  w->U8(static_cast<uint8_t>(entry.kind));
+  w->U32(static_cast<uint32_t>(entry.tables.size()));
+  for (const std::string& table : entry.tables) w->Str(table);
+}
+
+bool DecodeTemplate(codec::Reader* r, uint64_t* sql_id,
+                    TemplateCatalogEntry* entry) {
+  uint8_t kind = 0;
+  uint32_t num_tables = 0;
+  if (!r->U64(sql_id) || !r->Str(&entry->template_text) || !r->U8(&kind) ||
+      kind > static_cast<uint8_t>(sqltpl::StatementKind::kOther) ||
+      !r->U32(&num_tables) ||
+      // 8 bytes per table at least: reject counts the payload cannot hold
+      // before reserving anything.
+      static_cast<uint64_t>(num_tables) * 8 > r->remaining()) {
+    return false;
+  }
+  entry->kind = static_cast<sqltpl::StatementKind>(kind);
+  entry->tables.resize(num_tables);
+  for (std::string& table : entry->tables) {
+    if (!r->Str(&table)) return false;
+  }
+  return true;
+}
+
+void EncodeRepairEvent(codec::Writer* w, const repair::RepairEvent& event) {
+  w->F64(event.time_ms);
+  w->Str(repair::RepairEventKindName(event.kind));
+  w->Str(repair::ActionTypeName(event.action));
+  w->U64(event.sql_id);
+  w->U64(event.ticket);
+  w->I64(event.attempt);
+  w->Str(event.detail);
+}
+
+bool DecodeRepairEvent(codec::Reader* r, repair::RepairEvent* event) {
+  std::string kind_name, action_name;
+  int64_t attempt = 0;
+  if (!r->F64(&event->time_ms) || !r->Str(&kind_name) ||
+      !r->Str(&action_name) || !r->U64(&event->sql_id) ||
+      !r->U64(&event->ticket) || !r->I64(&attempt) || !r->Str(&event->detail)) {
+    return false;
+  }
+  event->attempt = static_cast<int>(attempt);
+  return repair::RepairEventKindFromName(kind_name, &event->kind) &&
+         repair::ActionTypeFromName(action_name, &event->action);
+}
+
 std::string EncodeFramePayload(const WalFrame& frame) {
   std::string out;
   codec::Writer w(&out);
@@ -131,39 +210,17 @@ std::string EncodeFramePayload(const WalFrame& frame) {
     case FrameKind::kRecordBatch:
       w.U32(static_cast<uint32_t>(frame.records.size()));
       for (const QueryLogRecord& record : frame.records) {
-        w.I64(record.arrival_ms);
-        w.F64(record.response_ms);
-        w.U64(record.sql_id);
-        w.I64(record.examined_rows);
+        EncodeRecord(&w, record);
       }
       break;
     case FrameKind::kSample:
-      w.I64(frame.sample.sec);
-      w.F64(frame.sample.active_session);
-      w.F64(frame.sample.cpu_usage);
-      w.F64(frame.sample.iops_usage);
-      w.F64(frame.sample.row_lock_waits);
-      w.F64(frame.sample.mdl_waits);
+      EncodeSample(&w, frame.sample);
       break;
     case FrameKind::kTemplate:
-      w.U64(frame.template_id);
-      w.Str(frame.template_entry.template_text);
-      w.U8(static_cast<uint8_t>(frame.template_entry.kind));
-      w.U32(static_cast<uint32_t>(frame.template_entry.tables.size()));
-      for (const std::string& table : frame.template_entry.tables) {
-        w.Str(table);
-      }
+      EncodeTemplate(&w, frame.template_id, frame.template_entry);
       break;
     case FrameKind::kRepairEvent:
-      w.F64(frame.event.time_ms);
-      // Kind/action travel as their stable names, so a decode validates
-      // against the enum instead of trusting a raw byte.
-      w.Str(repair::RepairEventKindName(frame.event.kind));
-      w.Str(repair::ActionTypeName(frame.event.action));
-      w.U64(frame.event.sql_id);
-      w.U64(frame.event.ticket);
-      w.I64(frame.event.attempt);
-      w.Str(frame.event.detail);
+      EncodeRepairEvent(&w, frame.event);
       break;
   }
   return out;
@@ -195,8 +252,7 @@ StatusOr<WalFrame> DecodeFramePayload(std::string_view payload) {
       }
       frame.records.resize(n);
       for (QueryLogRecord& record : frame.records) {
-        if (!r.I64(&record.arrival_ms) || !r.F64(&record.response_ms) ||
-            !r.U64(&record.sql_id) || !r.I64(&record.examined_rows)) {
+        if (!DecodeRecord(&r, &record)) {
           return Status::ParseError("record batch: truncated record");
         }
       }
@@ -204,56 +260,25 @@ StatusOr<WalFrame> DecodeFramePayload(std::string_view payload) {
     }
     case FrameKind::kSample:
       frame.kind = FrameKind::kSample;
-      if (!r.I64(&frame.sample.sec) || !r.F64(&frame.sample.active_session) ||
-          !r.F64(&frame.sample.cpu_usage) ||
-          !r.F64(&frame.sample.iops_usage) ||
-          !r.F64(&frame.sample.row_lock_waits) ||
-          !r.F64(&frame.sample.mdl_waits)) {
+      if (!DecodeSample(&r, &frame.sample)) {
         return Status::ParseError("sample: truncated");
       }
       break;
-    case FrameKind::kTemplate: {
+    case FrameKind::kTemplate:
       frame.kind = FrameKind::kTemplate;
-      uint8_t stmt_kind = 0;
-      uint32_t num_tables = 0;
-      if (!r.U64(&frame.template_id) ||
-          !r.Str(&frame.template_entry.template_text) || !r.U8(&stmt_kind) ||
-          !r.U32(&num_tables)) {
-        return Status::ParseError("template: truncated");
-      }
-      if (stmt_kind > static_cast<uint8_t>(sqltpl::StatementKind::kOther)) {
-        return Status::ParseError("template: unknown statement kind");
-      }
-      frame.template_entry.kind = static_cast<sqltpl::StatementKind>(stmt_kind);
-      if (static_cast<uint64_t>(num_tables) * 8 > r.remaining()) {
-        return Status::ParseError("template: table count exceeds payload");
-      }
-      frame.template_entry.tables.resize(num_tables);
-      for (std::string& table : frame.template_entry.tables) {
-        if (!r.Str(&table)) return Status::ParseError("template: bad table");
+      if (!DecodeTemplate(&r, &frame.template_id, &frame.template_entry)) {
+        return Status::ParseError(
+            "template: truncated, unknown statement kind or table count "
+            "exceeds payload");
       }
       break;
-    }
-    case FrameKind::kRepairEvent: {
+    case FrameKind::kRepairEvent:
       frame.kind = FrameKind::kRepairEvent;
-      std::string kind_name, action_name;
-      int64_t attempt = 0;
-      if (!r.F64(&frame.event.time_ms) || !r.Str(&kind_name) ||
-          !r.Str(&action_name) || !r.U64(&frame.event.sql_id) ||
-          !r.U64(&frame.event.ticket) || !r.I64(&attempt) ||
-          !r.Str(&frame.event.detail)) {
-        return Status::ParseError("repair event: truncated");
+      if (!DecodeRepairEvent(&r, &frame.event)) {
+        return Status::ParseError(
+            "repair event: truncated, or unknown kind or action");
       }
-      if (!repair::RepairEventKindFromName(kind_name, &frame.event.kind)) {
-        return Status::ParseError("repair event: unknown kind " + kind_name);
-      }
-      if (!repair::ActionTypeFromName(action_name, &frame.event.action)) {
-        return Status::ParseError("repair event: unknown action " +
-                                  action_name);
-      }
-      frame.event.attempt = static_cast<int>(attempt);
       break;
-    }
     default:
       return Status::ParseError("unknown frame kind " + std::to_string(kind));
   }

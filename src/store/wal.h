@@ -10,6 +10,7 @@
 #include "logstore/log_store.h"
 #include "online/stream_ingestor.h"
 #include "repair/events.h"
+#include "store/codec.h"
 #include "store/env.h"
 #include "util/status.h"
 
@@ -83,6 +84,24 @@ struct WalPosition {
     return offset < other.offset;
   }
 };
+
+/// Element codecs shared by WAL frame payloads and checkpoint bodies; each
+/// format adds its own sequence counts around them. Each Decode* returns
+/// false on malformed or truncated input (the reader then stays failed).
+void EncodeRecord(codec::Writer* w, const QueryLogRecord& record);
+bool DecodeRecord(codec::Reader* r, QueryLogRecord* record);
+void EncodeSample(codec::Writer* w, const online::PerfSample& sample);
+bool DecodeSample(codec::Reader* r, online::PerfSample* sample);
+/// One catalog registration: id, text, statement kind (validated) and a
+/// u32-counted table list, bounded by the bytes left before allocation.
+void EncodeTemplate(codec::Writer* w, uint64_t sql_id,
+                    const TemplateCatalogEntry& entry);
+bool DecodeTemplate(codec::Reader* r, uint64_t* sql_id,
+                    TemplateCatalogEntry* entry);
+/// Kind and action travel as their stable names, so a decode validates
+/// them against the enums instead of trusting a raw byte.
+void EncodeRepairEvent(codec::Writer* w, const repair::RepairEvent& event);
+bool DecodeRepairEvent(codec::Reader* r, repair::RepairEvent* event);
 
 /// Encodes the payload of one frame (kind byte + body). Exposed so tests
 /// can hand-craft frames (e.g. a CRC-valid frame with an out-of-range

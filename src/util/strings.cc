@@ -104,24 +104,4 @@ std::string HashToHex(uint64_t hash) {
   return out;
 }
 
-bool HexToHash(std::string_view hex, uint64_t* out) {
-  if (hex.empty() || hex.size() > 16 || out == nullptr) return false;
-  uint64_t value = 0;
-  for (char c : hex) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      digit = c - 'A' + 10;
-    } else {
-      return false;
-    }
-    value = (value << 4) | static_cast<uint64_t>(digit);
-  }
-  *out = value;
-  return true;
-}
-
 }  // namespace pinsql

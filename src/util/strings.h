@@ -37,10 +37,6 @@ uint64_t Fnv1a64(std::string_view s);
 /// SQL ids appear in query logs (e.g. "A84F...").
 std::string HashToHex(uint64_t hash);
 
-/// Inverse of HashToHex: parses a 1-16 digit hex string (either case) into
-/// `*out`. Returns false on empty input, non-hex characters or overflow.
-bool HexToHash(std::string_view hex, uint64_t* out);
-
 }  // namespace pinsql
 
 #endif  // PINSQL_UTIL_STRINGS_H_

@@ -52,6 +52,15 @@ struct StubRunner {
   std::atomic<int> high_water{0};
 };
 
+/// One dispatch decision as observed from Tick()'s return value: a Tick
+/// runs one wave and returns its completions in wave rank order.
+struct Dispatch {
+  QueuedTrigger entry;
+  int64_t dispatch_sec = 0;
+  /// Position within the dispatch wave (0 = highest effective priority).
+  size_t wave_index = 0;
+};
+
 class FleetSchedulerPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
@@ -76,12 +85,15 @@ TEST_P(FleetSchedulerPropertyTest, RandomStreamsPreserveInvariants) {
   };
   std::vector<Expected> expected;
   std::map<uint64_t, online::DiagnosisOutcome> completions;
+  std::vector<Dispatch> dispatches;
 
   int64_t sec = 0;
   const auto tick = [&](int64_t now) {
+    size_t wave_index = 0;
     for (auto& [entry, outcome] : scheduler.Tick(now)) {
       ASSERT_TRUE(completions.emplace(entry.seq, outcome).second)
           << "seq " << entry.seq << " completed twice";
+      dispatches.push_back({entry, now, wave_index++});
     }
   };
   for (; sec < arrival_span; ++sec) {
@@ -103,16 +115,16 @@ TEST_P(FleetSchedulerPropertyTest, RandomStreamsPreserveInvariants) {
   for (; scheduler.pending() > 0 && sec < deadline; ++sec) tick(sec);
   ASSERT_EQ(scheduler.pending(), 0u) << "queue failed to drain";
 
-  // Conservation: every enqueued entry completed exactly once, dispatch
-  // log covers exactly the enqueued seqs.
+  // Conservation: every enqueued entry completed exactly once, the
+  // dispatches cover exactly the enqueued seqs.
   const FleetSchedulerStats& stats = scheduler.stats();
   EXPECT_EQ(stats.enqueued, expected.size());
   EXPECT_EQ(stats.completed, expected.size());
   EXPECT_EQ(stats.extracted, 0u);
   ASSERT_EQ(completions.size(), expected.size());
-  ASSERT_EQ(scheduler.dispatch_log().size(), expected.size());
+  ASSERT_EQ(dispatches.size(), expected.size());
   std::set<uint64_t> dispatched_seqs;
-  for (const DispatchRecord& record : scheduler.dispatch_log()) {
+  for (const Dispatch& record : dispatches) {
     EXPECT_TRUE(dispatched_seqs.insert(record.entry.seq).second);
   }
   for (const Expected& entry : expected) {
@@ -126,11 +138,11 @@ TEST_P(FleetSchedulerPropertyTest, RandomStreamsPreserveInvariants) {
   EXPECT_LE(stats.max_observed_concurrency, options.pool_size);
   EXPECT_EQ(runner->running.load(), 0);
 
-  // Wave shape: group the dispatch log by (dispatch_sec): within one
+  // Wave shape: group the dispatches by (dispatch_sec): within one
   // wave, at most pool_size entries, no duplicate instance, wave_index
   // contiguous from 0, and no entry ran before it was due or enqueued.
-  std::map<int64_t, std::vector<const DispatchRecord*>> waves;
-  for (const DispatchRecord& record : scheduler.dispatch_log()) {
+  std::map<int64_t, std::vector<const Dispatch*>> waves;
+  for (const Dispatch& record : dispatches) {
     EXPECT_GE(record.dispatch_sec, record.entry.due_sec);
     EXPECT_GE(record.dispatch_sec, record.entry.enqueue_sec);
     waves[record.dispatch_sec].push_back(&record);
@@ -139,7 +151,7 @@ TEST_P(FleetSchedulerPropertyTest, RandomStreamsPreserveInvariants) {
     ASSERT_LE(records.size(), options.pool_size);
     std::set<uint32_t> wave_instances;
     std::set<size_t> wave_indices;
-    for (const DispatchRecord* record : records) {
+    for (const Dispatch* record : records) {
       EXPECT_TRUE(wave_instances.insert(record->entry.trigger.instance_id)
                       .second)
           << "two entries of instance " << record->entry.trigger.instance_id
@@ -154,8 +166,8 @@ TEST_P(FleetSchedulerPropertyTest, RandomStreamsPreserveInvariants) {
   // FIFO within equal priority on one instance: for two same-instance
   // entries with equal base priority both due when the later one was
   // enqueued, the earlier seq never dispatches after the later one.
-  std::map<uint64_t, const DispatchRecord*> by_seq;
-  for (const DispatchRecord& record : scheduler.dispatch_log()) {
+  std::map<uint64_t, const Dispatch*> by_seq;
+  for (const Dispatch& record : dispatches) {
     by_seq[record.entry.seq] = &record;
   }
   for (const auto& [seq_a, a] : by_seq) {
@@ -176,7 +188,7 @@ TEST_P(FleetSchedulerPropertyTest, RandomStreamsPreserveInvariants) {
   // whole backlog could take at one wave per second plus the arrival span.
   const int64_t wait_bound =
       arrival_span + static_cast<int64_t>(expected.size()) + 10;
-  for (const DispatchRecord& record : scheduler.dispatch_log()) {
+  for (const Dispatch& record : dispatches) {
     EXPECT_LE(record.dispatch_sec -
                   std::max(record.entry.due_sec, record.entry.enqueue_sec),
               wait_bound);
@@ -216,9 +228,7 @@ TEST_P(FleetSchedulerPropertyTest, ExtractPreservesConservation) {
   // Extracted seqs are strictly increasing (queue order preserved) and
   // never reached the pool.
   std::set<uint64_t> ran;
-  for (const DispatchRecord& record : scheduler.dispatch_log()) {
-    ran.insert(record.entry.seq);
-  }
+  for (const auto& [entry, outcome] : drained) ran.insert(entry.seq);
   for (size_t i = 0; i < extracted.size(); ++i) {
     if (i > 0) {
       EXPECT_GT(extracted[i].seq, extracted[i - 1].seq);
@@ -248,19 +258,23 @@ TEST(FleetSchedulerAgingTest, AgingBoundsLowPriorityWait) {
     });
     const uint64_t low_seq =
         scheduler.Enqueue(MakeTrigger(0, 0, 1.0), 0, 0, 0.0);
+    int64_t low_dispatch_sec = -1;
+    const auto note = [&](const std::vector<FleetScheduler::Completion>& run,
+                          int64_t sec) {
+      for (const auto& [entry, outcome] : run) {
+        if (entry.seq == low_seq) low_dispatch_sec = sec;
+      }
+    };
     // One fresh high-priority trigger per second, from distinct instances,
     // for 50 seconds; the single-slot pool runs one entry per wave.
     for (int64_t sec = 0; sec < 50; ++sec) {
       const auto trigger =
           MakeTrigger(static_cast<uint32_t>(1 + sec), sec, 10.0);
       scheduler.Enqueue(trigger, sec, sec, 5.0);
-      scheduler.Tick(sec);
+      note(scheduler.Tick(sec), sec);
     }
-    scheduler.Drain(50);
-    for (const DispatchRecord& record : scheduler.dispatch_log()) {
-      if (record.entry.seq == low_seq) return record.dispatch_sec;
-    }
-    return int64_t{-1};
+    note(scheduler.Drain(50), 50);
+    return low_dispatch_sec;
   };
 
   const int64_t with_aging = run(/*age_weight=*/1.0);

@@ -8,10 +8,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -126,12 +128,12 @@ TEST(FleetReplayTest, DiagnosedRootCauseMatchesInjectedCulprit) {
   EXPECT_GE(correct * 2, checked);
 }
 
-TEST(FleetServiceTest, StormCollapsesIntoBoundedTriageWithZeroLoss) {
+void StormCollapsesWithZeroLoss(int64_t duration_sec) {
   eval::FleetCaseOptions case_options;
   case_options.num_instances = 16;
   case_options.instances_per_host = 4;
   case_options.seed = 33;
-  case_options.duration_sec = 360;
+  case_options.duration_sec = duration_sec;
   case_options.anomaly_fraction = 0.0;
   case_options.inject_noisy_host = false;
   case_options.inject_storm = true;
@@ -151,6 +153,14 @@ TEST(FleetServiceTest, StormCollapsesIntoBoundedTriageWithZeroLoss) {
 
   ASSERT_GE(result.stats.storms_detected, 1u);
   ASSERT_FALSE(result.storms.empty());
+  int64_t last_sec = std::numeric_limits<int64_t>::min();
+  for (const online::ReplayLog& log : fleet_case.logs) {
+    if (!log.samples.empty()) {
+      last_sec = std::max(last_sec, log.samples.back().sec);
+    }
+  }
+  EXPECT_EQ(result.storms.back().closed_sec == last_sec, duration_sec == 225)
+      << "the short stream must end with the storm still open";
 
   // Concurrency never exceeded the pool bound.
   EXPECT_LE(result.stats.pool.max_observed_concurrency,
@@ -192,6 +202,15 @@ TEST(FleetServiceTest, StormCollapsesIntoBoundedTriageWithZeroLoss) {
       EXPECT_TRUE(found) << "triaged instance " << instance_id
                          << " of batch " << storm.id << " never diagnosed";
     }
+  }
+}
+
+TEST(FleetServiceTest, StormCollapsesIntoBoundedTriageWithZeroLoss) {
+  // 360 s: the storm closes mid-stream. 225 s: the stream ends while it is
+  // still open, so Stop() closes it and must report its deferred members.
+  for (const int64_t duration_sec : {int64_t{360}, int64_t{225}}) {
+    SCOPED_TRACE(duration_sec);
+    StormCollapsesWithZeroLoss(duration_sec);
   }
 }
 
@@ -240,6 +259,7 @@ TEST(FleetServiceTest, GracefulDrainRunsInFlightDiagnoses) {
 
   // 100 s of calm, then a hard step: the trigger confirms a few seconds
   // in, but its diagnosis is due ~60 s later — past the stream's end.
+  std::vector<FleetOutcome> advanced;
   for (int64_t sec = 0; sec < 140; ++sec) {
     for (uint32_t instance_id = 1; instance_id <= 2; ++instance_id) {
       const int64_t records = sec >= 100 ? 20 : 2;
@@ -257,20 +277,22 @@ TEST(FleetServiceTest, GracefulDrainRunsInFlightDiagnoses) {
       sample.cpu_usage = 20.0;
       service.IngestMetrics(instance_id, sample);
     }
-    service.AdvanceTo(sec);
+    for (FleetOutcome& outcome : service.AdvanceTo(sec)) {
+      advanced.push_back(std::move(outcome));
+    }
   }
 
   const FleetStats before = service.stats();
   ASSERT_EQ(before.triggers_accepted, 2u) << "one trigger per instance";
-  EXPECT_TRUE(service.outcomes().empty()) << "diagnoses were not yet due";
+  EXPECT_TRUE(advanced.empty()) << "diagnoses were not yet due";
   EXPECT_EQ(before.pool.completed, 0u);
 
-  service.Stop();
+  const std::vector<FleetOutcome> drained = service.Stop();
   EXPECT_FALSE(service.running());
   const FleetStats after = service.stats();
-  ASSERT_EQ(service.outcomes().size(), 2u);
+  ASSERT_EQ(drained.size(), 2u);
   std::set<uint32_t> seen;
-  for (const FleetOutcome& outcome : service.outcomes()) {
+  for (const FleetOutcome& outcome : drained) {
     EXPECT_EQ(outcome.disposition, FleetOutcome::Disposition::kDiagnosed);
     EXPECT_TRUE(outcome.outcome.ok) << outcome.outcome.error;
     seen.insert(outcome.outcome.trigger.instance_id);
@@ -279,8 +301,9 @@ TEST(FleetServiceTest, GracefulDrainRunsInFlightDiagnoses) {
   EXPECT_EQ(after.diagnoses_ok, 2u);
   EXPECT_LE(after.pool.max_observed_concurrency, options.pool.pool_size);
 
-  service.Stop();  // idempotent
-  EXPECT_EQ(service.outcomes().size(), 2u);
+  // Idempotent: a second drain reports nothing and runs nothing.
+  EXPECT_TRUE(service.Stop().empty());
+  EXPECT_EQ(service.stats().diagnoses_ok, 2u);
 }
 
 /// Env whose file opens always fail: every instance's journal writer fails
@@ -446,8 +469,9 @@ std::string MakeDataDir() {
 }
 
 /// 100 s of calm, then a hard step on template 1001 — one incident.
+/// Appends the outcomes the advances returned to `outcomes`.
 void StreamStep(FleetService* service, uint32_t instance_id, int64_t from_sec,
-                int64_t to_sec) {
+                int64_t to_sec, std::vector<FleetOutcome>* outcomes) {
   for (int64_t sec = from_sec; sec < to_sec; ++sec) {
     const bool anomalous = sec >= 100;
     for (int64_t k = 0; k < (anomalous ? 20 : 2); ++k) {
@@ -456,7 +480,9 @@ void StreamStep(FleetService* service, uint32_t instance_id, int64_t from_sec,
                            anomalous ? 30000 : 40));
     }
     service->IngestMetrics(instance_id, Sample(sec, anomalous ? 45.0 : 5.0));
-    service->AdvanceTo(sec);
+    for (FleetOutcome& outcome : service->AdvanceTo(sec)) {
+      outcomes->push_back(std::move(outcome));
+    }
   }
 }
 
@@ -472,9 +498,11 @@ TEST(FleetServiceTest, StoppedDurableFleetRefusesIngestAndRecovers) {
     // archived without a journal entry behind it.
     EXPECT_FALSE(service.IngestRecord(7, Rec(50'000, 1001, 900.0, 900'000)));
     EXPECT_FALSE(service.IngestMetrics(7, Sample(50, 5.0)));
-    service.Start();
-    StreamStep(&service, 7, 0, 140);
-    service.Stop();
+    std::vector<FleetOutcome> outcomes = service.Start();
+    StreamStep(&service, 7, 0, 140, &outcomes);
+    for (FleetOutcome& outcome : service.Stop()) {
+      outcomes.push_back(std::move(outcome));
+    }
     // After Stop(): the same.
     EXPECT_FALSE(service.IngestRecord(7, Rec(141'000, 1001)));
     EXPECT_FALSE(service.IngestMetrics(7, Sample(141, 5.0)));
@@ -483,15 +511,21 @@ TEST(FleetServiceTest, StoppedDurableFleetRefusesIngestAndRecovers) {
     EXPECT_EQ(stats.samples_rejected_stopped, 2u);
     EXPECT_EQ(stats.ingest.records_enqueued, stats.ingest.records_folded);
     ASSERT_EQ(stats.diagnoses_ok, 1u) << "the step must be diagnosed";
-    live = CollectFleetResult(service).Fingerprint();
+    ASSERT_EQ(outcomes.size(), 1u) << "reported once";
+    live = CollectFleetResult(service, std::move(outcomes)).Fingerprint();
   }
-  // The journal holds exactly what the live run processed: a restart's
-  // recovered result is byte-identical to it.
+  // The journal holds exactly what the live run processed, and no
+  // checkpoint covers any of it: a restart's replay reports every outcome
+  // again, byte-identically.
   FleetService restarted({{7, 0}}, options);
-  restarted.Start();
+  std::vector<FleetOutcome> recovered = restarted.Start();
   EXPECT_TRUE(restarted.recovery().attempted);
-  restarted.Stop();
-  EXPECT_EQ(CollectFleetResult(restarted).Fingerprint(), live);
+  EXPECT_FALSE(restarted.recovery().checkpoint_loaded);
+  for (FleetOutcome& outcome : restarted.Stop()) {
+    recovered.push_back(std::move(outcome));
+  }
+  EXPECT_EQ(CollectFleetResult(restarted, std::move(recovered)).Fingerprint(),
+            live);
 }
 
 TEST(FleetServiceTest, GracefulDrainUnderRacingProducers) {

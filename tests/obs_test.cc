@@ -191,7 +191,7 @@ TEST(TraceRecorderTest, ChromeJsonParsesBack) {
   EXPECT_GE(event.GetNumberOr("dur", -1.0), 0.0);
 }
 
-TEST(PipelineTraceTest, JsonRoundTrip) {
+TEST(PipelineTraceTest, JsonCarriesEveryStageAndFindLooksUpByName) {
   PipelineTrace trace;
   trace.total_seconds = 1.25;
   StageTrace stage;
@@ -202,21 +202,24 @@ TEST(PipelineTraceTest, JsonRoundTrip) {
   trace.stages.push_back(stage);
   trace.stages.push_back(StageTrace{"hsql_scoring", 0.5, {}});
 
-  const StatusOr<PipelineTrace> back = PipelineTrace::FromJson(trace.ToJson());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(*back, trace);
+  const Json json = trace.ToJson();
+  EXPECT_DOUBLE_EQ(json.GetNumberOr("total_seconds", 0.0), 1.25);
+  const Json* stages = json.Find("stages");
+  ASSERT_NE(stages, nullptr);
+  ASSERT_EQ(stages->AsArray().size(), 2u);
+  const Json& first = stages->AsArray()[0];
+  EXPECT_EQ(first.GetStringOr("name", ""), "session_estimation");
+  EXPECT_DOUBLE_EQ(first.GetNumberOr("seconds", 0.0), 0.75);
+  const Json* counters = first.Find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->GetNumberOr("session_points", 0.0), 1080.0);
+  EXPECT_EQ(counters->GetNumberOr("templates", 0.0), 42.0);
+  EXPECT_EQ(stages->AsArray()[1].GetStringOr("name", ""), "hsql_scoring");
 
-  const StageTrace* found = back->Find("session_estimation");
+  const StageTrace* found = trace.Find("session_estimation");
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->counters.at("session_points"), 1080);
-  EXPECT_EQ(back->Find("no_such_stage"), nullptr);
-}
-
-TEST(PipelineTraceTest, FromJsonRejectsMalformedInput) {
-  EXPECT_FALSE(PipelineTrace::FromJson(Json("not an object")).ok());
-  Json obj = Json::MakeObject();
-  obj.Set("stages", Json("not an array"));
-  EXPECT_FALSE(PipelineTrace::FromJson(obj).ok());
+  EXPECT_EQ(trace.Find("no_such_stage"), nullptr);
 }
 
 TEST(PipelineTraceTest, TableRendersEveryStage) {

@@ -172,11 +172,21 @@ TEST(ReportTest, RepairEventsSerializeIntoJsonAndText) {
   EXPECT_EQ(quiet.ToText().find("repair audit trail"), std::string::npos);
 }
 
-TEST(ReportTest, FromJsonRoundTripsAdversarialStrings) {
+/// The strings of a JSON array of strings (empty when `json` is not one).
+std::vector<std::string> Strings(const Json* json) {
+  std::vector<std::string> out;
+  if (json == nullptr || !json->is_array()) return out;
+  for (const Json& item : json->AsArray()) {
+    out.push_back(item.is_string() ? item.AsString() : "<not a string>");
+  }
+  return out;
+}
+
+TEST(ReportTest, ToJsonRoundTripsAdversarialStrings) {
   // Template texts, notes and event details can carry every character the
   // JSON escaper must handle: quotes, backslashes, newlines, tabs and raw
-  // control bytes. The report must survive ToJson -> Dump -> Parse ->
-  // FromJson byte-exactly.
+  // control bytes. Every one must survive ToJson -> Dump -> Json::Parse
+  // byte-exactly.
   const std::string adversarial =
       "SELECT \"x\\\"y\" FROM `t` WHERE c = 'it''s \\' ok'\n\t-- \x01\x1f /";
 
@@ -215,58 +225,43 @@ TEST(ReportTest, FromJsonRoundTripsAdversarialStrings) {
 
   const StatusOr<Json> parsed = Json::Parse(report.ToJson().Dump());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const StatusOr<core::DiagnosisReport> back =
-      core::DiagnosisReport::FromJson(*parsed);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  const Json& back = *parsed;
+  EXPECT_EQ(back, report.ToJson());
 
-  EXPECT_EQ(back->anomaly_start_sec, 100);
-  EXPECT_EQ(back->anomaly_end_sec, 200);
-  EXPECT_DOUBLE_EQ(back->diagnosis_seconds, 1.5);
-  EXPECT_TRUE(back->verification_fallback);
-  EXPECT_EQ(back->phenomena, report.phenomena);
-  ASSERT_EQ(back->hsqls.size(), 1u);
-  EXPECT_EQ(back->hsqls[0].sql_id, 0xABu);
-  EXPECT_EQ(back->hsqls[0].template_text, adversarial);
-  EXPECT_DOUBLE_EQ(back->hsqls[0].score, 0.9);
-  ASSERT_EQ(back->rsqls.size(), 1u);
-  EXPECT_EQ(back->rsqls[0].template_text, adversarial);
-  EXPECT_EQ(back->suggestions, report.suggestions);
-  EXPECT_DOUBLE_EQ(back->data_quality.confidence, 0.75);
-  EXPECT_EQ(back->data_quality.session_points, 600u);
-  EXPECT_EQ(back->data_quality.session_gap_points, 3u);
-  EXPECT_TRUE(back->data_quality.lookback_truncated);
-  EXPECT_EQ(back->data_quality.notes, report.data_quality.notes);
-  ASSERT_EQ(back->repair_events.size(), 1u);
-  EXPECT_EQ(back->repair_events[0].kind,
-            repair::RepairEventKind::kRolledBack);
-  EXPECT_EQ(back->repair_events[0].sql_id, 0xABu);
-  EXPECT_EQ(back->repair_events[0].ticket, 7u);
-  EXPECT_EQ(back->repair_events[0].detail, adversarial);
-  EXPECT_EQ(back->trace, report.trace);
-}
-
-TEST(ReportTest, FromJsonRejectsMalformedInput) {
-  EXPECT_FALSE(core::DiagnosisReport::FromJson(Json("not an object")).ok());
-
-  Json bad_rsqls = Json::MakeObject();
-  bad_rsqls.Set("rsqls", Json("not an array"));
-  EXPECT_FALSE(core::DiagnosisReport::FromJson(bad_rsqls).ok());
-
-  Json bad_id = Json::MakeObject();
-  Json entry = Json::MakeObject();
-  entry.Set("sql_id", "XYZ_not_hex");
-  Json arr = Json::MakeArray();
-  arr.Append(std::move(entry));
-  bad_id.Set("hsqls", std::move(arr));
-  EXPECT_FALSE(core::DiagnosisReport::FromJson(bad_id).ok());
-
-  Json bad_event = Json::MakeObject();
-  Json event = Json::MakeObject();
-  event.Set("kind", "not_a_kind");
-  Json events = Json::MakeArray();
-  events.Append(std::move(event));
-  bad_event.Set("repair_events", std::move(events));
-  EXPECT_FALSE(core::DiagnosisReport::FromJson(bad_event).ok());
+  EXPECT_EQ(back.GetNumberOr("anomaly_start", 0), 100);
+  EXPECT_EQ(back.GetNumberOr("anomaly_end", 0), 200);
+  EXPECT_DOUBLE_EQ(back.GetNumberOr("diagnosis_seconds", 0), 1.5);
+  EXPECT_TRUE(back.GetBoolOr("verification_fallback", false));
+  EXPECT_EQ(Strings(back.Find("phenomena")), report.phenomena);
+  for (const char* key : {"hsqls", "rsqls"}) {
+    const Json* ranked = back.Find(key);
+    ASSERT_NE(ranked, nullptr) << key;
+    ASSERT_EQ(ranked->AsArray().size(), 1u) << key;
+    const Json& entry = ranked->AsArray()[0];
+    EXPECT_EQ(entry.GetStringOr("sql_id", ""), "00000000000000AB") << key;
+    EXPECT_EQ(entry.GetStringOr("template", ""), adversarial) << key;
+    EXPECT_DOUBLE_EQ(entry.GetNumberOr("score", 0), 0.9) << key;
+  }
+  EXPECT_EQ(Strings(back.Find("suggestions")), report.suggestions);
+  const Json* quality = back.Find("data_quality");
+  ASSERT_NE(quality, nullptr);
+  EXPECT_DOUBLE_EQ(quality->GetNumberOr("confidence", 0), 0.75);
+  EXPECT_EQ(quality->GetNumberOr("session_points", 0), 600);
+  EXPECT_EQ(quality->GetNumberOr("session_gap_points", 0), 3);
+  EXPECT_TRUE(quality->GetBoolOr("lookback_truncated", false));
+  EXPECT_EQ(Strings(quality->Find("notes")), report.data_quality.notes);
+  const Json* events = back.Find("repair_events");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->AsArray().size(), 1u);
+  const Json& back_event = events->AsArray()[0];
+  EXPECT_EQ(back_event.GetStringOr("kind", ""),
+            repair::RepairEventKindName(repair::RepairEventKind::kRolledBack));
+  EXPECT_EQ(back_event.GetStringOr("sql_id", ""), "00000000000000AB");
+  EXPECT_EQ(back_event.GetNumberOr("ticket", 0), 7);
+  EXPECT_EQ(back_event.GetStringOr("detail", ""), adversarial);
+  const Json* trace = back.Find("trace");
+  ASSERT_NE(trace, nullptr);
+  EXPECT_EQ(*trace, report.trace.ToJson());
 }
 
 TEST(ReportTest, TraceBlockAppearsInRealDiagnosisJson) {
@@ -288,19 +283,24 @@ TEST(ReportTest, TraceBlockAppearsInRealDiagnosisJson) {
   ASSERT_TRUE(parsed.ok());
   const Json* trace = parsed->Find("trace");
   ASSERT_NE(trace, nullptr);
-  const StatusOr<obs::PipelineTrace> pipeline =
-      obs::PipelineTrace::FromJson(*trace);
-  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-  ASSERT_EQ(pipeline->stages.size(), 5u);
-  EXPECT_EQ(pipeline->stages[0].name, "session_estimation");
-  EXPECT_EQ(pipeline->stages[1].name, "window_aggregation");
-  EXPECT_EQ(pipeline->stages[2].name, "hsql_scoring");
-  EXPECT_EQ(pipeline->stages[3].name, "rsql_clustering");
-  EXPECT_EQ(pipeline->stages[4].name, "rsql_verification");
-  const obs::StageTrace* session = pipeline->Find("session_estimation");
+  EXPECT_EQ(*trace, report.trace.ToJson());
+  const Json* stages = trace->Find("stages");
+  ASSERT_NE(stages, nullptr);
+  std::vector<std::string> names;
+  for (const Json& stage : stages->AsArray()) {
+    names.push_back(stage.GetStringOr("name", ""));
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "session_estimation", "window_aggregation",
+                       "hsql_scoring", "rsql_clustering",
+                       "rsql_verification"}));
+  const Json* counters = stages->AsArray()[0].Find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_GT(counters->GetNumberOr("session_points", 0), 0);
+  EXPECT_GT(trace->GetNumberOr("total_seconds", 0), 0.0);
+  const obs::StageTrace* session = report.trace.Find("session_estimation");
   ASSERT_NE(session, nullptr);
   EXPECT_GT(session->counters.at("session_points"), 0);
-  EXPECT_GT(pipeline->total_seconds, 0.0);
 
   // ToText renders the same stage table.
   EXPECT_NE(report.ToText().find("stage timings:"), std::string::npos);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -327,6 +328,21 @@ TEST(ServeServerTest, TenantAuthIsEnforcedOverTheWire) {
   response = Request(port, "POST", "/v1/ingest", "acme",
                      "{\"instance\":42,\"records\":[]}");
   EXPECT_EQ(response.status, 403);
+}
+
+TEST(ServeServerTest, StartRefusesATenantScopedToAnInstanceTheFleetLacks) {
+  // Such a scope would answer 202 for batches the fleet then drops without
+  // counting them anywhere: Start() refuses the configuration, before
+  // binding a port.
+  ServerOptions soptions;
+  soptions.admission.tenants["acme"] = OpenQuota({1});
+  soptions.admission.tenants["stale"] = OpenQuota({1, 42});
+  Stack stack = MakeStack(soptions);
+  const Status status = stack.server->Start();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("42"), std::string::npos);
+  EXPECT_FALSE(stack.server->running());
+  EXPECT_EQ(stack.server->port(), 0);
 }
 
 TEST(ServeServerTest, RateLimitAnswers429WithRetryAfter) {
@@ -784,6 +800,8 @@ TEST(ServeServerTest, ReadEndpointsMatchTreeRenderingByteForByte) {
   fleet::FleetOptions foptions;
   foptions.correlator.storm_min_instances = 3;
   foptions.correlator.storm_triage_k = 2;
+  // Byte-comparable reports: the expected cache is replayed below.
+  foptions.scheduler.zero_timings = true;
   const std::map<std::string, std::vector<uint32_t>> scopes = {
       {"acme", {1, 2, 3, 4, 5, 6}}, {"beta", {2, 5}}};
   ServerOptions soptions;
@@ -795,7 +813,15 @@ TEST(ServeServerTest, ReadEndpointsMatchTreeRenderingByteForByte) {
   const int fd = ConnectTo(stack.server->port());
   ASSERT_GE(fd, 0);
 
-  // Ten seconds per batch, every instance in turn.
+  // Ten seconds per batch, every instance in turn. Each batch is delivered
+  // before the next is posted, so every pump round delivers exactly one
+  // batch and the shadow fleet below can replay the rounds.
+  struct Posted {
+    uint32_t instance_id = 0;
+    std::vector<QueryLogRecord> records;
+    std::vector<online::PerfSample> samples;
+  };
+  std::vector<Posted> posted;
   std::vector<size_t> cursors(streams.size(), 0);
   uint64_t posts = 0;
   for (int64_t from = kFirstSec; from < kEndSec; from += 10) {
@@ -817,6 +843,13 @@ TEST(ServeServerTest, ReadEndpointsMatchTreeRenderingByteForByte) {
                     BatchBody(specs[i].instance_id, records, samples));
       ASSERT_EQ(response.status, 202) << "instance " << i + 1 << " @" << from;
       ++posts;
+      posted.push_back({specs[i].instance_id, records, samples});
+      for (int attempt = 0;
+           attempt < 20'000 && stack.server->stats().batches_delivered < posts;
+           ++attempt) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      ASSERT_EQ(stack.server->stats().batches_delivered, posts);
     }
   }
   // advanced_to_sec is set once the last advance's outcomes are cached.
@@ -854,11 +887,38 @@ TEST(ServeServerTest, ReadEndpointsMatchTreeRenderingByteForByte) {
   stack.server->Stop();
 
   // What the pump cached: every outcome AdvanceTo returned, in order —
-  // storm-deferred triggers included.
+  // storm-deferred triggers included. The fleet keeps none, so a shadow
+  // fleet replays the pump's rounds — deliver the batch, then advance to
+  // its newest sample second when that moves the clock — and returns the
+  // same outcomes in the same order. Never Stop(): the served fleet was
+  // not drained either.
+  size_t posted_records = 0;
+  size_t posted_samples = 0;
+  fleet::FleetService shadow(specs, foptions);
+  RegisterCatalog(&shadow);
+  shadow.Start();
   std::vector<TreeEntry> cache;
-  for (const fleet::FleetOutcome& fo : stack.fleet->outcomes()) {
-    cache.push_back(ToTreeEntry(fo));
+  int64_t advanced_to = std::numeric_limits<int64_t>::min();
+  for (const Posted& batch : posted) {
+    for (const QueryLogRecord& record : batch.records) {
+      shadow.IngestRecord(batch.instance_id, record);
+    }
+    int64_t max_sec = std::numeric_limits<int64_t>::min();
+    for (const online::PerfSample& sample : batch.samples) {
+      shadow.IngestMetrics(batch.instance_id, sample);
+      max_sec = std::max(max_sec, sample.sec);
+    }
+    posted_records += batch.records.size();
+    posted_samples += batch.samples.size();
+    if (max_sec <= advanced_to) continue;
+    advanced_to = max_sec;
+    for (const fleet::FleetOutcome& fo : shadow.AdvanceTo(max_sec)) {
+      cache.push_back(ToTreeEntry(fo));
+    }
   }
+  // The served fleet accepted every posted record and sample.
+  EXPECT_EQ(stack.server->stats().records_delivered, posted_records);
+  EXPECT_EQ(stack.server->stats().samples_delivered, posted_samples);
   const std::vector<fleet::StormBatch>& storms = stack.fleet->storms();
   // The scenario exercises truncation at limit 4, tenant scoping, storm
   // rendering, a deferred storm member and full reports with repair

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fleet/fleet_replay.h"
@@ -143,16 +144,27 @@ online::ReplayLog ScanConfirmedInput(const std::string& data_dir,
   return log;
 }
 
-std::string ReferenceFingerprint(const online::ReplayLog& log) {
-  fleet::FleetReplayOptions options;  // zero_timings defaults on
-  return fleet::RunFleetReplay({{0, 0}}, {log}, SyntheticCatalog(), options)
-      .InstanceFingerprint(0);
+/// The uninterrupted replay's digest without its first `checkpointed`
+/// outcomes (completion order): those a loaded checkpoint had counted and
+/// a recovered fleet does not report again.
+std::string ReferenceFingerprint(const online::ReplayLog& log,
+                                 size_t checkpointed = 0) {
+  fleet::FleetResult result = fleet::RunFleetReplay(
+      {{0, 0}}, {log}, SyntheticCatalog(), fleet::FleetReplayOptions{});
+  EXPECT_LE(checkpointed, result.outcomes.size());
+  checkpointed = std::min(checkpointed, result.outcomes.size());
+  result.outcomes.erase(result.outcomes.begin(),
+                        result.outcomes.begin() + checkpointed);
+  return result.InstanceFingerprint(0);
 }
 
 /// Recovers `data_dir` into a fresh durable fleet of one, drains it, and
-/// returns it with its digest.
+/// returns it with what its Start() and Stop() reported and their digest.
 struct Recovered {
   std::unique_ptr<fleet::FleetService> service;
+  std::vector<fleet::FleetOutcome> outcomes;
+  /// Outcomes the loaded checkpoint had counted (0 without one).
+  size_t checkpointed = 0;
   std::string fingerprint;
 };
 Recovered Recover(const std::string& data_dir, int64_t checkpoint_every_sec) {
@@ -167,9 +179,17 @@ Recovered Recover(const std::string& data_dir, int64_t checkpoint_every_sec) {
   for (const auto& [id, entry] : catalog.catalog()) {
     out.service->RegisterTemplateFleetWide(id, entry);
   }
-  out.service->Start();
-  out.service->Stop();
-  out.fingerprint = fleet::CollectFleetResult(*out.service).InstanceFingerprint(0);
+  out.outcomes = out.service->Start();
+  if (out.service->recovery().checkpoint_loaded) {
+    const fleet::FleetStats stats = out.service->stats();
+    out.checkpointed = stats.diagnoses_ok + stats.diagnoses_failed +
+                       stats.storm_deferred - out.outcomes.size();
+  }
+  for (fleet::FleetOutcome& outcome : out.service->Stop()) {
+    out.outcomes.push_back(std::move(outcome));
+  }
+  out.fingerprint = fleet::CollectFleetResult(*out.service, out.outcomes)
+                        .InstanceFingerprint(0);
   return out;
 }
 
@@ -197,7 +217,7 @@ TEST_P(StoreChaosTest, RecoveryAfterSigkillIsByteIdentical) {
   EXPECT_EQ(recovered.fingerprint, reference);
   if (kill_after >= 300) {
     // Past the onset (sample index 200) the trigger must have fired.
-    EXPECT_FALSE(recovered.service->outcomes().empty());
+    EXPECT_FALSE(recovered.outcomes.empty());
   }
 }
 
@@ -207,7 +227,8 @@ INSTANTIATE_TEST_SUITE_P(KillPoints, StoreChaosTest,
 
 /// The checkpointed path: with periodic checkpoints on, a SIGKILLed run
 /// recovers from checkpoint + WAL suffix to the same digest as a replay of
-/// the whole confirmed input, and the incident is diagnosed.
+/// the whole confirmed input (less the outcomes the checkpoint counted),
+/// and the incident is diagnosed.
 TEST(StoreChaosCheckpointTest, KilledRunWithCheckpointsRecovers) {
   const std::string dir = MakeTempDir();
   RunKilledChild(dir, /*kill_after_samples=*/300, /*checkpoint_every_sec=*/60);
@@ -215,15 +236,15 @@ TEST(StoreChaosCheckpointTest, KilledRunWithCheckpointsRecovers) {
   // Checkpoints never delete a segment inside the retention horizon, so
   // the WAL still holds the whole confirmed input.
   WalScanStats scan;
-  const std::string reference =
-      ReferenceFingerprint(ScanConfirmedInput(dir, &scan));
+  const online::ReplayLog confirmed = ScanConfirmedInput(dir, &scan);
 
   const Recovered recovered = Recover(dir, 60);
   const fleet::FleetRecoveryStats& recovery = recovered.service->recovery();
   EXPECT_TRUE(recovery.checkpoint_loaded);
   EXPECT_EQ(recovery.seq_gaps, 0u);
-  EXPECT_FALSE(recovered.service->outcomes().empty());
-  EXPECT_EQ(recovered.fingerprint, reference);
+  EXPECT_GT(recovered.service->stats().diagnoses_ok, 0u);
+  EXPECT_EQ(recovered.fingerprint,
+            ReferenceFingerprint(confirmed, recovered.checkpointed));
 }
 
 /// Corrupting a frame mid-WAL must be detected — never silently ingested —

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -110,54 +111,101 @@ void RegisterCatalog(fleet::FleetService* service) {
 /// The durable single instance: a fleet of one.
 constexpr uint32_t kInstance = 0;
 
+/// One incarnation of a durable fleet and every outcome its Start(),
+/// AdvanceTo() and Stop() calls returned: the fleet itself keeps none.
+struct Incarnation {
+  std::unique_ptr<fleet::FleetService> service;
+  std::vector<fleet::FleetOutcome> outcomes;
+  /// Outcomes the loaded checkpoint had already counted, which this
+  /// incarnation therefore never reports: the outcome counters right after
+  /// Start() minus what Start() returned (0 when no checkpoint loaded).
+  size_t checkpointed = 0;
+
+  void Take(std::vector<fleet::FleetOutcome> more) {
+    outcomes.insert(outcomes.end(), std::make_move_iterator(more.begin()),
+                    std::make_move_iterator(more.end()));
+  }
+  void Stop() { Take(service->Stop()); }
+  fleet::FleetResult Result() const {
+    return fleet::CollectFleetResult(*service, outcomes);
+  }
+};
+
+/// Starts `service` (recovering its data dir) as a new incarnation.
+Incarnation Begin(std::unique_ptr<fleet::FleetService> service) {
+  Incarnation run;
+  run.outcomes = service->Start();
+  if (service->recovery().checkpoint_loaded) {
+    const fleet::FleetStats stats = service->stats();
+    run.checkpointed = stats.diagnoses_ok + stats.diagnoses_failed +
+                       stats.storm_deferred - run.outcomes.size();
+  }
+  run.service = std::move(service);
+  return run;
+}
+
 /// Feeds every second in [from_sec, to_sec) with the replay discipline:
 /// the second's records, then its sample, then the clock.
-void Feed(fleet::FleetService* service, const online::ReplayLog& log,
-          int64_t from_sec, int64_t to_sec) {
+void Feed(Incarnation* run, const online::ReplayLog& log, int64_t from_sec,
+          int64_t to_sec) {
   for (const auto& sample : log.samples) {
     if (sample.sec < from_sec || sample.sec >= to_sec) continue;
     for (const auto& record : log.records) {
       if (record.arrival_ms / 1000 == sample.sec) {
-        service->IngestRecord(kInstance, record);
+        run->service->IngestRecord(kInstance, record);
       }
     }
-    service->IngestMetrics(kInstance, sample);
-    service->AdvanceTo(sample.sec);
+    run->service->IngestMetrics(kInstance, sample);
+    run->Take(run->service->AdvanceTo(sample.sec));
   }
 }
 
 fleet::FleetOptions DurableOpts(const std::string& dir) {
   fleet::FleetOptions options;
   options.data_dir = dir;
-  // Byte-comparable reports, matching FleetReplayOptions::zero_timings.
+  // Byte-comparable reports, as RunFleetReplay's.
   options.scheduler.zero_timings = true;
   options.checkpoint_every_sec = 300;
   return options;
 }
 
 /// Constructs and starts (recovering `options.data_dir`) a fleet of one.
-std::unique_ptr<fleet::FleetService> Open(const fleet::FleetOptions& options,
-                                          Env* env = nullptr) {
+Incarnation Open(const fleet::FleetOptions& options, Env* env = nullptr) {
   fleet::FleetOptions with_env = options;
   with_env.env = env;
   auto service = std::make_unique<fleet::FleetService>(
       std::vector<fleet::FleetInstanceSpec>{{kInstance, 0}}, with_env);
   RegisterCatalog(service.get());
-  service->Start();
-  return service;
+  return Begin(std::move(service));
 }
 
-std::string Fingerprint(const fleet::FleetService& service) {
-  return fleet::CollectFleetResult(service).InstanceFingerprint(kInstance);
+std::string Fingerprint(const Incarnation& run) {
+  return run.Result().InstanceFingerprint(kInstance);
 }
 
+/// The recovery oracle: `reference` without its first `checkpointed`
+/// outcomes in completion order — those a loaded checkpoint had counted
+/// and the recovered incarnation does not report again. Detection
+/// latencies, storms and verdicts stay whole.
+fleet::FleetResult WithoutCheckpointed(fleet::FleetResult reference,
+                                       size_t checkpointed) {
+  EXPECT_LE(checkpointed, reference.outcomes.size());
+  checkpointed = std::min(checkpointed, reference.outcomes.size());
+  reference.outcomes.erase(reference.outcomes.begin(),
+                           reference.outcomes.begin() + checkpointed);
+  return reference;
+}
+
+/// The uninterrupted replay's digest, as the recovery oracle sees it.
 std::string ReferenceFingerprint(const online::ReplayLog& log,
+                                 size_t checkpointed = 0,
                                  const fleet::FleetOptions& options = {}) {
-  fleet::FleetReplayOptions replay;  // zero_timings defaults on
+  fleet::FleetReplayOptions replay;
   replay.fleet = options;
   replay.fleet.data_dir.clear();
-  return fleet::RunFleetReplay({{kInstance, 0}}, {log}, SyntheticCatalog(),
-                               replay)
+  return WithoutCheckpointed(fleet::RunFleetReplay({{kInstance, 0}}, {log},
+                                                   SyntheticCatalog(), replay),
+                             checkpointed)
       .InstanceFingerprint(kInstance);
 }
 
@@ -247,6 +295,63 @@ TEST(WalCodecTest, FramePayloadRoundTripAllKinds) {
   ASSERT_TRUE(e.ok());
   EXPECT_EQ(e->event.kind, repair::RepairEventKind::kApplied);
   EXPECT_EQ(e->event.detail, "factor=0.5");
+}
+
+std::string Hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xF];
+  }
+  return out;
+}
+
+TEST(WalCodecTest, FramePayloadBytesArePinned) {
+  // The WAL's on-disk bytes are a format: one frame of each kind must
+  // encode exactly as the format always has (a changed element codec shows
+  // up here, not as unreadable journals).
+  WalFrame records;
+  records.kind = FrameKind::kRecordBatch;
+  records.records = {Rec(123'456, 7, 9.5, 42), Rec(123'900, 8, 1.25, 0)};
+  EXPECT_EQ(Hex(EncodeFramePayload(records)),
+            "010200000040e2010000000000000000000000234007000000000000002a00"
+            "000000000000fce3010000000000000000000000f43f080000000000000000"
+            "00000000000000");
+
+  WalFrame sample;
+  sample.kind = FrameKind::kSample;
+  sample.sample = Sample(555, 12.5);
+  sample.sample.row_lock_waits = 3.0;
+  sample.sample.mdl_waits = 0.5;
+  EXPECT_EQ(Hex(EncodeFramePayload(sample)),
+            "022b020000000000000000000000002940000000000000e43f000000000000"
+            "f43f0000000000000840000000000000e03f");
+
+  WalFrame tmpl;
+  tmpl.kind = FrameKind::kTemplate;
+  tmpl.template_id = 99;
+  tmpl.template_entry.template_text = "SELECT * FROM t WHERE k = ?";
+  tmpl.template_entry.kind = sqltpl::StatementKind::kSelect;
+  tmpl.template_entry.tables = {"t", "u"};
+  EXPECT_EQ(Hex(EncodeFramePayload(tmpl)),
+            "0363000000000000001b0000000000000053454c454354202a2046524f4d20"
+            "74205748455245206b203d203f000200000001000000000000007401000000"
+            "0000000075");
+
+  WalFrame event;
+  event.kind = FrameKind::kRepairEvent;
+  event.event.time_ms = 1234.5;
+  event.event.kind = repair::RepairEventKind::kApplied;
+  event.event.action = repair::ActionType::kThrottle;
+  event.event.sql_id = 9;
+  event.event.ticket = 3;
+  event.event.attempt = 2;
+  event.event.detail = "factor=0.5";
+  EXPECT_EQ(Hex(EncodeFramePayload(event)),
+            "0400000000004a934007000000000000006170706c69656408000000000000"
+            "007468726f74746c65090000000000000003000000000000000200000000"
+            "0000000a00000000000000666163746f723d302e35");
 }
 
 TEST(WalCodecTest, DecodeRejectsUnknownKindAndTrailingBytes) {
@@ -785,12 +890,12 @@ TEST(CheckpointTest, OlderFormatVersionIsSkippedAndCounted) {
   ASSERT_TRUE(WriteCheckpoint(env, dir, 3, "state-at-1000").ok());
   ASSERT_TRUE(WriteCheckpoint(env, dir, 4, "state-at-2000").ok());
 
-  // Version 3 predates the v4 whole-fleet body: the otherwise intact
+  // Version 4 predates the v5 body without outcomes: the otherwise intact
   // newest file fails the version check and recovery falls back, counting
   // it.
   const std::string newest = dir + "/" + CheckpointFileName(4);
-  const uint32_t current = RewriteCheckpointVersion(newest, 3);
-  EXPECT_EQ(current, 4u);
+  const uint32_t current = RewriteCheckpointVersion(newest, 4);
+  EXPECT_EQ(current, 5u);
   std::string older_format;
   ASSERT_TRUE(env->ReadFile(newest, &older_format).ok());
   std::string body;
@@ -837,11 +942,11 @@ TEST(CheckpointTest, PruneKeepsNewestAndSweepsTempFiles) {
 TEST(DurableFleetTest, UninterruptedRunMatchesReplayFingerprint) {
   const online::ReplayLog log = SyntheticIncident();
   const std::string dir = MakeTempDir();
-  auto service = Open(DurableOpts(dir));
-  Feed(service.get(), log, 0, 1'000'000);
-  service->Stop();
-  ASSERT_FALSE(service->outcomes().empty()) << "the incident must trigger";
-  EXPECT_EQ(Fingerprint(*service), ReferenceFingerprint(log));
+  Incarnation run = Open(DurableOpts(dir));
+  Feed(&run, log, 0, 1'000'000);
+  run.Stop();
+  ASSERT_FALSE(run.outcomes.empty()) << "the incident must trigger";
+  EXPECT_EQ(Fingerprint(run), ReferenceFingerprint(log));
 }
 
 TEST(DurableFleetTest, GracefulRestartMidStreamIsByteIdentical) {
@@ -849,49 +954,54 @@ TEST(DurableFleetTest, GracefulRestartMidStreamIsByteIdentical) {
   const int64_t split = log.samples[log.samples.size() / 2].sec + 1;
   const std::string dir = MakeTempDir();
   {
-    auto service = Open(DurableOpts(dir));
-    Feed(service.get(), log, 0, split);
-    service->Stop();
+    Incarnation run = Open(DurableOpts(dir));
+    Feed(&run, log, 0, split);
+    run.Stop();
   }
-  auto resumed = Open(DurableOpts(dir));
-  EXPECT_TRUE(resumed->recovery().checkpoint_loaded);
-  Feed(resumed.get(), log, split, 1'000'000);
-  resumed->Stop();
-  ASSERT_FALSE(resumed->outcomes().empty());
-  EXPECT_EQ(Fingerprint(*resumed), ReferenceFingerprint(log));
+  Incarnation resumed = Open(DurableOpts(dir));
+  EXPECT_TRUE(resumed.service->recovery().checkpoint_loaded);
+  Feed(&resumed, log, split, 1'000'000);
+  resumed.Stop();
+  ASSERT_FALSE(resumed.outcomes.empty());
+  EXPECT_EQ(Fingerprint(resumed),
+            ReferenceFingerprint(log, resumed.checkpointed));
 
   // Catalog survived: templates were journaled, not just kept in memory.
-  EXPECT_NE(resumed->archive(kInstance)->FindTemplate(9), nullptr);
+  EXPECT_NE(resumed.service->archive(kInstance)->FindTemplate(9), nullptr);
 }
 
 // --- Durable fleet of one: recovery edge cases ----------------------------
 
 TEST(DurableFleetTest, EmptyDataDirStartsClean) {
   const std::string dir = MakeTempDir();
-  auto service = Open(DurableOpts(dir));
-  EXPECT_FALSE(service->recovery().checkpoint_loaded);
-  EXPECT_EQ(service->recovery().frames_valid, 0u);
-  EXPECT_EQ(service->recovery().seq_gaps, 0u);
-  Feed(service.get(), SyntheticIncident(), 0, 100'010);
-  service->Stop();
+  Incarnation run = Open(DurableOpts(dir));
+  EXPECT_FALSE(run.service->recovery().checkpoint_loaded);
+  EXPECT_EQ(run.service->recovery().frames_valid, 0u);
+  EXPECT_EQ(run.service->recovery().seq_gaps, 0u);
+  EXPECT_TRUE(run.outcomes.empty());
+  Feed(&run, SyntheticIncident(), 0, 100'010);
+  run.Stop();
 }
 
 TEST(DurableFleetTest, CheckpointOnlyRecoveryRestoresState) {
   const online::ReplayLog log = SyntheticIncident();
   const std::string dir = MakeTempDir();
   {
-    auto service = Open(DurableOpts(dir));
-    Feed(service.get(), log, 0, 1'000'000);
-    service->Stop();
+    Incarnation run = Open(DurableOpts(dir));
+    Feed(&run, log, 0, 1'000'000);
+    run.Stop();
   }
   // Remove every WAL segment: Stop()'s final checkpoint alone must carry
-  // the full state.
+  // the full state. It counted every outcome, so none is reported again.
   ASSERT_GT(DeleteFilesEndingIn(InstanceWalDir(dir), ".log"), 0u);
-  auto resumed = Open(DurableOpts(dir));
-  EXPECT_TRUE(resumed->recovery().checkpoint_loaded);
-  EXPECT_EQ(resumed->recovery().frames_valid, 0u);
-  resumed->Stop();
-  EXPECT_EQ(Fingerprint(*resumed), ReferenceFingerprint(log));
+  Incarnation resumed = Open(DurableOpts(dir));
+  EXPECT_TRUE(resumed.service->recovery().checkpoint_loaded);
+  EXPECT_EQ(resumed.service->recovery().frames_valid, 0u);
+  resumed.Stop();
+  EXPECT_GT(resumed.checkpointed, 0u);
+  EXPECT_TRUE(resumed.outcomes.empty());
+  EXPECT_EQ(Fingerprint(resumed),
+            ReferenceFingerprint(log, resumed.checkpointed));
 }
 
 TEST(DurableFleetTest, WalOnlyRecoveryReplaysEverything) {
@@ -900,45 +1010,46 @@ TEST(DurableFleetTest, WalOnlyRecoveryReplaysEverything) {
   fleet::FleetOptions options = DurableOpts(dir);
   options.checkpoint_every_sec = 0;  // the default: no checkpoint at all
   {
-    auto service = Open(options);
-    Feed(service.get(), log, 0, 1'000'000);
-    service->Stop();
+    Incarnation run = Open(options);
+    Feed(&run, log, 0, 1'000'000);
+    run.Stop();
   }
   EXPECT_EQ(DeleteFilesEndingIn(dir, ".ckpt"), 0u) << "no checkpoint files";
-  auto resumed = Open(DurableOpts(dir));
-  EXPECT_FALSE(resumed->recovery().checkpoint_loaded);
-  EXPECT_GT(resumed->recovery().samples, 0u);
-  EXPECT_EQ(resumed->recovery().seq_gaps, 0u);
-  resumed->Stop();
-  EXPECT_EQ(Fingerprint(*resumed), ReferenceFingerprint(log));
+  Incarnation resumed = Open(DurableOpts(dir));
+  EXPECT_FALSE(resumed.service->recovery().checkpoint_loaded);
+  EXPECT_GT(resumed.service->recovery().samples, 0u);
+  EXPECT_EQ(resumed.service->recovery().seq_gaps, 0u);
+  resumed.Stop();
+  EXPECT_EQ(Fingerprint(resumed), ReferenceFingerprint(log));
 }
 
 TEST(DurableFleetTest, OlderFormatCheckpointsFallBackToWalReplay) {
   const online::ReplayLog log = SyntheticIncident();
   const std::string dir = MakeTempDir();
   {
-    auto service = Open(DurableOpts(dir));
-    Feed(service.get(), log, 0, 1'000'000);
-    service->Stop();
+    Incarnation run = Open(DurableOpts(dir));
+    Feed(&run, log, 0, 1'000'000);
+    run.Stop();
   }
-  // Every checkpoint claims version 3: none is usable, so recovery must
+  // Every checkpoint claims version 4: none is usable, so recovery must
   // replay the WAL alone into the current format.
   auto names = PosixEnv()->ListDir(dir);
   ASSERT_TRUE(names.ok());
   size_t rewritten = 0;
   for (const std::string& name : *names) {
     if (name.size() > 5 && name.compare(name.size() - 5, 5, ".ckpt") == 0) {
-      RewriteCheckpointVersion(dir + "/" + name, 3);
+      RewriteCheckpointVersion(dir + "/" + name, 4);
       ++rewritten;
     }
   }
   ASSERT_GT(rewritten, 0u);
-  auto resumed = Open(DurableOpts(dir));
-  EXPECT_FALSE(resumed->recovery().checkpoint_loaded);
-  EXPECT_EQ(resumed->recovery().checkpoints_corrupt_skipped, rewritten);
-  EXPECT_GT(resumed->recovery().samples, 0u);
-  resumed->Stop();
-  EXPECT_EQ(Fingerprint(*resumed), ReferenceFingerprint(log));
+  Incarnation resumed = Open(DurableOpts(dir));
+  EXPECT_FALSE(resumed.service->recovery().checkpoint_loaded);
+  EXPECT_EQ(resumed.service->recovery().checkpoints_corrupt_skipped,
+            rewritten);
+  EXPECT_GT(resumed.service->recovery().samples, 0u);
+  resumed.Stop();
+  EXPECT_EQ(Fingerprint(resumed), ReferenceFingerprint(log));
 }
 
 /// The checkpoint files in `dir`, in counter order.
@@ -959,9 +1070,9 @@ TEST(DurableFleetTest, CheckpointOfAnotherFleetShapeIsKeptAndOutnumbered) {
   const online::ReplayLog log = SyntheticIncident();
   const std::string dir = MakeTempDir();
   {
-    auto service = Open(DurableOpts(dir));
-    Feed(service.get(), log, 0, 1'000'000);
-    service->Stop();
+    Incarnation run = Open(DurableOpts(dir));
+    Feed(&run, log, 0, 1'000'000);
+    run.Stop();
   }
   const std::vector<std::string> written = CheckpointFiles(dir);
   ASSERT_FALSE(written.empty());
@@ -969,11 +1080,12 @@ TEST(DurableFleetTest, CheckpointOfAnotherFleetShapeIsKeptAndOutnumbered) {
 
   // One more instance: every checkpoint is intact but shaped for the old
   // fleet. Recovery skips and keeps them all, and replays the WAL instead.
-  fleet::FleetService grown({{kInstance, 0}, {kInstance + 1, 0}},
-                            DurableOpts(dir));
-  RegisterCatalog(&grown);
-  grown.Start();
-  const fleet::FleetRecoveryStats& recovery = grown.recovery();
+  auto service = std::make_unique<fleet::FleetService>(
+      std::vector<fleet::FleetInstanceSpec>{{kInstance, 0}, {kInstance + 1, 0}},
+      DurableOpts(dir));
+  RegisterCatalog(service.get());
+  Incarnation grown = Begin(std::move(service));
+  const fleet::FleetRecoveryStats& recovery = grown.service->recovery();
   EXPECT_FALSE(recovery.checkpoint_loaded);
   EXPECT_EQ(recovery.checkpoints_mismatched_skipped, written.size());
   EXPECT_EQ(recovery.checkpoints_corrupt_skipped, 0u);
@@ -983,7 +1095,7 @@ TEST(DurableFleetTest, CheckpointOfAnotherFleetShapeIsKeptAndOutnumbered) {
 
   // Its own checkpoint is numbered above every kept file, so it is the one
   // the next recovery tries first.
-  ASSERT_TRUE(grown.Checkpoint().ok());
+  ASSERT_TRUE(grown.service->Checkpoint().ok());
   EXPECT_TRUE(
       PosixEnv()->FileExists(dir + "/" + CheckpointFileName(highest + 1)));
   grown.Stop();
@@ -1009,9 +1121,9 @@ TEST(DurableFleetTest, UnlistableDataDirReplaysTheWalAndWritesNoCheckpoint) {
   const online::ReplayLog log = SyntheticIncident();
   const std::string dir = MakeTempDir();
   {
-    auto service = Open(DurableOpts(dir));
-    Feed(service.get(), log, 0, 1'000'000);
-    service->Stop();
+    Incarnation run = Open(DurableOpts(dir));
+    Feed(&run, log, 0, 1'000'000);
+    run.Stop();
   }
   const std::vector<std::string> written = CheckpointFiles(dir);
   ASSERT_FALSE(written.empty());
@@ -1019,24 +1131,25 @@ TEST(DurableFleetTest, UnlistableDataDirReplaysTheWalAndWritesNoCheckpoint) {
   // The checkpoints' counters are unknown, so a new one could sort below
   // them and be pruned in their favour: none is written this incarnation.
   UnlistableDirEnv env(dir);
-  auto resumed = Open(DurableOpts(dir), &env);
-  const fleet::FleetRecoveryStats& recovery = resumed->recovery();
+  Incarnation resumed = Open(DurableOpts(dir), &env);
+  const fleet::FleetRecoveryStats& recovery = resumed.service->recovery();
   EXPECT_FALSE(recovery.checkpoint_error.empty());
   EXPECT_FALSE(recovery.checkpoint_loaded);
   EXPECT_GT(recovery.samples, 0u) << "the whole WAL replays";
-  EXPECT_EQ(resumed->Checkpoint().code(), StatusCode::kFailedPrecondition);
-  resumed->Stop();
+  EXPECT_EQ(resumed.service->Checkpoint().code(),
+            StatusCode::kFailedPrecondition);
+  resumed.Stop();
   EXPECT_EQ(CheckpointFiles(dir), written);
-  EXPECT_EQ(Fingerprint(*resumed), ReferenceFingerprint(log));
+  EXPECT_EQ(Fingerprint(resumed), ReferenceFingerprint(log));
 }
 
 TEST(DurableFleetTest, DuplicateSegmentSequenceIsCountedOnRecovery) {
   const online::ReplayLog log = SyntheticIncident();
   const std::string dir = MakeTempDir();
   {
-    auto service = Open(DurableOpts(dir));
-    Feed(service.get(), log, 0, 1'000'000);
-    service->Stop();
+    Incarnation run = Open(DurableOpts(dir));
+    Feed(&run, log, 0, 1'000'000);
+    run.Stop();
   }
   const std::string wal_dir = InstanceWalDir(dir);
   std::string seg1;
@@ -1046,10 +1159,96 @@ TEST(DurableFleetTest, DuplicateSegmentSequenceIsCountedOnRecovery) {
     std::ofstream dup(wal_dir + "/" + SegmentFileName(77), std::ios::binary);
     dup.write(seg1.data(), static_cast<std::streamsize>(seg1.size()));
   }
-  auto resumed = Open(DurableOpts(dir));
-  EXPECT_EQ(resumed->recovery().segments_duplicate_seq, 1u);
-  resumed->Stop();
-  EXPECT_EQ(Fingerprint(*resumed), ReferenceFingerprint(log));
+  Incarnation resumed = Open(DurableOpts(dir));
+  EXPECT_EQ(resumed.service->recovery().segments_duplicate_seq, 1u);
+  resumed.Stop();
+  EXPECT_EQ(Fingerprint(resumed),
+            ReferenceFingerprint(log, resumed.checkpointed));
+}
+
+TEST(DurableFleetTest, EachOutcomeIsReportedOnceAcrossACheckpointedCrash) {
+  // One incident, a checkpoint every 60 s and a diagnose delay long enough
+  // for one to land while the diagnosis waits. Two crash copies of the
+  // data dir, each taken right after a periodic checkpoint: (a) one that
+  // followed the completed diagnosis, (b) one that found it queued.
+  const online::ReplayLog log = SyntheticIncident();
+  const std::string dir = MakeTempDir();
+  fleet::FleetOptions options = DurableOpts(dir);
+  options.checkpoint_every_sec = 60;
+  options.scheduler.diagnose_delay_sec = 60;
+  const std::string reference = ReferenceFingerprint(log, 0, options);
+
+  struct CrashCopy {
+    std::string dir;
+    int64_t sec = 0;       // the last second the copy holds
+    size_t reported = 0;   // outcomes the live run had reported by then
+  };
+  std::optional<CrashCopy> after_diagnosis, while_queued;
+  Incarnation live = Open(options);
+  std::vector<std::string> checkpoints = CheckpointFiles(dir);
+  for (const online::PerfSample& sample : log.samples) {
+    Feed(&live, log, sample.sec, sample.sec + 1);
+    if (CheckpointFiles(dir) == checkpoints) continue;
+    checkpoints = CheckpointFiles(dir);
+    const fleet::FleetStats stats = live.service->stats();
+    const size_t queued =
+        stats.pool.enqueued - stats.pool.completed - stats.pool.extracted;
+    std::optional<CrashCopy>* slot = nullptr;
+    if (queued > 0 && !while_queued.has_value()) {
+      slot = &while_queued;
+    } else if (queued == 0 && stats.diagnoses_ok > 0 &&
+               !after_diagnosis.has_value()) {
+      slot = &after_diagnosis;
+    }
+    if (slot == nullptr) continue;
+    *slot = CrashCopy{MakeTempDir(), sample.sec, live.outcomes.size()};
+    std::filesystem::copy(dir, (*slot)->dir,
+                          std::filesystem::copy_options::recursive |
+                              std::filesystem::copy_options::overwrite_existing);
+  }
+  live.Stop();
+  ASSERT_TRUE(while_queued.has_value()) << "no checkpoint found it queued";
+  ASSERT_TRUE(after_diagnosis.has_value()) << "no checkpoint followed it";
+  ASSERT_EQ(live.outcomes.size(), 1u) << "one incident, reported once";
+  EXPECT_EQ(Fingerprint(live), reference);
+  EXPECT_EQ(while_queued->reported, 0u);
+  EXPECT_EQ(after_diagnosis->reported, 1u);
+  const online::AnomalyTrigger& incident = live.outcomes[0].outcome.trigger;
+
+  for (const CrashCopy* copy : {&*after_diagnosis, &*while_queued}) {
+    SCOPED_TRACE(copy == &*after_diagnosis ? "(a) after the diagnosis"
+                                           : "(b) while it was queued");
+    fleet::FleetOptions reopen = options;
+    reopen.data_dir = copy->dir;
+    Incarnation recovered = Open(reopen);
+    ASSERT_TRUE(recovered.service->recovery().checkpoint_loaded);
+    // The checkpoint counted exactly what the live run had reported.
+    EXPECT_EQ(recovered.checkpointed, copy->reported);
+    Feed(&recovered, log, copy->sec + 1, 1'000'000);
+    recovered.Stop();
+    const auto reports = std::count_if(
+        recovered.outcomes.begin(), recovered.outcomes.end(),
+        [&](const fleet::FleetOutcome& outcome) {
+          return outcome.outcome.trigger.onset_sec == incident.onset_sec &&
+                 outcome.outcome.trigger.trigger_sec == incident.trigger_sec;
+        });
+    // (a) is not reported again, (b) exactly once; FleetStats counts the
+    // diagnosis either way.
+    EXPECT_EQ(static_cast<size_t>(reports), 1u - copy->reported);
+    EXPECT_EQ(recovered.service->stats().diagnoses_ok, 1u);
+    EXPECT_EQ(Fingerprint(recovered),
+              ReferenceFingerprint(log, recovered.checkpointed, options));
+    // What the first incarnation reported up to the checkpoint plus what
+    // the recovered one reported is the uninterrupted run.
+    std::vector<fleet::FleetOutcome> joined(
+        live.outcomes.begin(),
+        live.outcomes.begin() + static_cast<std::ptrdiff_t>(copy->reported));
+    joined.insert(joined.end(), recovered.outcomes.begin(),
+                  recovered.outcomes.end());
+    EXPECT_EQ(fleet::CollectFleetResult(*recovered.service, joined)
+                  .InstanceFingerprint(kInstance),
+              reference);
+  }
 }
 
 // --- Storage fault injection (always detected, never silently ingested) ---
@@ -1061,10 +1260,10 @@ TEST(StorageFaultTest, SeverityZeroIsAPassThrough) {
   plan.seed = 7;
   faults::StorageFaultInjector env(PosixEnv(), plan);
   {
-    auto service = Open(DurableOpts(dir), &env);
-    Feed(service.get(), log, 0, 1'000'000);
-    service->Stop();
-    EXPECT_EQ(Fingerprint(*service), ReferenceFingerprint(log));
+    Incarnation run = Open(DurableOpts(dir), &env);
+    Feed(&run, log, 0, 1'000'000);
+    run.Stop();
+    EXPECT_EQ(Fingerprint(run), ReferenceFingerprint(log));
   }
   EXPECT_EQ(env.stats().writes_torn, 0u);
   EXPECT_EQ(env.stats().fsyncs_failed, 0u);
@@ -1080,30 +1279,30 @@ TEST(StorageFaultTest, TornWritesAndFsyncFailuresDegradeButKeepStreaming) {
   plan.bit_flip_rate = 0;  // write-path faults only in this test
   plan.short_read_rate = 0;
   faults::StorageFaultInjector env(PosixEnv(), plan);
-  auto service = Open(DurableOpts(dir), &env);
-  Feed(service.get(), log, 0, 1'000'000);
-  service->Stop();
+  Incarnation run = Open(DurableOpts(dir), &env);
+  Feed(&run, log, 0, 1'000'000);
+  run.Stop();
   EXPECT_GT(env.stats().writes_torn + env.stats().fsyncs_failed, 0u)
       << "fault plan did not fire";
   // Write-path faults degrade durability, counted — they never kill the
   // stream. (Injector totals include checkpoint temp files, so the WAL's
   // own counters are a subset.)
-  const fleet::FleetStats stats = service->stats();
+  const fleet::FleetStats stats = run.service->stats();
   EXPECT_GT(stats.wal.fsync_failures, 0u);
   EXPECT_LE(stats.wal.fsync_failures, env.stats().fsyncs_failed);
   EXPECT_GT(stats.seconds_processed, 0);
-  EXPECT_FALSE(service->outcomes().empty());
+  EXPECT_FALSE(run.outcomes.empty());
   // A recovery over what the torn disk retained must succeed, and any
   // data the faults destroyed must be *flagged* — a seq gap is only ever
   // reported alongside the corruption that caused it, never silently.
-  auto resumed = Open(DurableOpts(dir));
-  const fleet::FleetRecoveryStats& recovery = resumed->recovery();
+  Incarnation resumed = Open(DurableOpts(dir));
+  const fleet::FleetRecoveryStats& recovery = resumed.service->recovery();
   if (recovery.seq_gaps > 0) {
     EXPECT_GT(recovery.segments_invalid_header + recovery.frames_corrupt +
                   recovery.frames_malformed,
               0u);
   }
-  resumed->Stop();
+  resumed.Stop();
 }
 
 TEST(StorageFaultTest, ReadPathBitFlipsAreAlwaysDetected) {
@@ -1111,9 +1310,9 @@ TEST(StorageFaultTest, ReadPathBitFlipsAreAlwaysDetected) {
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     const std::string dir = MakeTempDir();
     {
-      auto service = Open(DurableOpts(dir));
-      Feed(service.get(), log, 0, 1'000'000);
-      service->Stop();
+      Incarnation run = Open(DurableOpts(dir));
+      Feed(&run, log, 0, 1'000'000);
+      run.Stop();
     }
     faults::StorageFaultPlan plan;
     plan.seed = seed;
@@ -1123,9 +1322,9 @@ TEST(StorageFaultTest, ReadPathBitFlipsAreAlwaysDetected) {
     plan.short_read_rate = 0;
     plan.fsync_failure_rate = 0;
     faults::StorageFaultInjector env(PosixEnv(), plan);
-    auto resumed = Open(DurableOpts(dir), &env);
+    Incarnation resumed = Open(DurableOpts(dir), &env);
     ASSERT_GT(env.stats().reads_bit_flipped, 0u);
-    const fleet::FleetRecoveryStats& recovery = resumed->recovery();
+    const fleet::FleetRecoveryStats& recovery = resumed.service->recovery();
     // Every flipped file must have been caught by a CRC or header check —
     // a corrupt checkpoint skipped, a corrupt frame counted, or an invalid
     // segment header. Nothing corrupt is ever silently ingested.
@@ -1134,7 +1333,7 @@ TEST(StorageFaultTest, ReadPathBitFlipsAreAlwaysDetected) {
                   recovery.segments_invalid_header,
               0u)
         << "seed " << seed;
-    resumed->Stop();
+    resumed.Stop();
   }
 }
 
@@ -1246,18 +1445,19 @@ TEST(DurableFleetTest, RestartMidDriftResumesForecastersByteIdentically) {
   fleet::FleetOptions options = DurableOpts(dir);
   options.detector.forecasters = detect::DefaultEnsembleForecasters();
   {
-    auto service = Open(options);
-    Feed(service.get(), log, 0, split);
-    EXPECT_TRUE(service->outcomes().empty()) << "must stop pre-trigger";
-    service->Stop();
+    Incarnation run = Open(options);
+    Feed(&run, log, 0, split);
+    run.Stop();
+    EXPECT_TRUE(run.outcomes.empty()) << "must stop pre-trigger";
   }
-  auto resumed = Open(options);
-  EXPECT_TRUE(resumed->recovery().checkpoint_loaded);
-  Feed(resumed.get(), log, split, 1'000'000);
-  resumed->Stop();
-  ASSERT_FALSE(resumed->outcomes().empty()) << "drift must trigger";
-  EXPECT_EQ(resumed->outcomes()[0].outcome.trigger.source, "ewma");
-  EXPECT_EQ(Fingerprint(*resumed), ReferenceFingerprint(log, options));
+  Incarnation resumed = Open(options);
+  EXPECT_TRUE(resumed.service->recovery().checkpoint_loaded);
+  Feed(&resumed, log, split, 1'000'000);
+  resumed.Stop();
+  ASSERT_FALSE(resumed.outcomes.empty()) << "drift must trigger";
+  EXPECT_EQ(resumed.outcomes[0].outcome.trigger.source, "ewma");
+  EXPECT_EQ(Fingerprint(resumed),
+            ReferenceFingerprint(log, resumed.checkpointed, options));
 }
 
 // --- Fleet checkpoints ------------------------------------------------------
@@ -1358,21 +1558,6 @@ TEST(FleetCheckpointTest, StateCodecRoundTripsEveryField) {
   verdict.dominant_severity = 17.5;
   state.verdicts = {verdict};
 
-  fleet::FleetOutcome deferred;
-  deferred.disposition = fleet::FleetOutcome::Disposition::kStormDeferred;
-  deferred.storm_batch = 1;
-  deferred.outcome.trigger = Trigger(5, 100'100);
-  deferred.outcome.error = "storm_deferred:batch=1";
-  fleet::FleetOutcome diagnosed;
-  diagnosed.outcome.trigger = Trigger(3, 100'090);
-  diagnosed.outcome.ok = true;
-  diagnosed.outcome.report.anomaly_start_sec = 100'090;
-  diagnosed.outcome.report.anomaly_end_sec = 100'124;
-  diagnosed.outcome.confirmed_rsqls = {9, 2};
-  diagnosed.outcome.repairs_applied = 1;
-  diagnosed.outcome.ttr_sec = 33.0;
-  state.outcomes = {deferred, diagnosed};
-
   state.processed_any = true;
   state.last_fleet_sec = 100'200;
   state.counters = {201, 7, 6, 1, 3, 1, 2, 1, 1, 3, 17};
@@ -1410,11 +1595,6 @@ TEST(FleetCheckpointTest, StateCodecRoundTripsEveryField) {
   EXPECT_TRUE(got.correlator.hosts.at(1).flagged);
   EXPECT_EQ(got.storms.at(0).closed_sec, 100'120);
   EXPECT_EQ(got.verdicts.at(0).cotenants, (std::vector<uint32_t>{3, 5}));
-  ASSERT_EQ(got.outcomes.size(), 2u);
-  EXPECT_EQ(got.outcomes[0].disposition,
-            fleet::FleetOutcome::Disposition::kStormDeferred);
-  EXPECT_EQ(got.outcomes[1].outcome.confirmed_rsqls,
-            (std::vector<uint64_t>{9, 2}));
   EXPECT_EQ(got.counters.records_retired, 17u);
 
   // Truncation anywhere is a clean ParseError, never a partial state.
@@ -1447,7 +1627,7 @@ online::ReplayLog StepStream(uint64_t salt, int64_t t0, int64_t t1,
 }
 
 /// Streams seconds [from, to) of every instance's log, then advances.
-void FeedFleet(fleet::FleetService* service,
+void FeedFleet(Incarnation* run,
                const std::vector<fleet::FleetInstanceSpec>& specs,
                const std::vector<online::ReplayLog>& logs, int64_t from,
                int64_t to) {
@@ -1455,16 +1635,16 @@ void FeedFleet(fleet::FleetService* service,
     for (size_t i = 0; i < specs.size(); ++i) {
       for (const QueryLogRecord& record : logs[i].records) {
         if (record.arrival_ms / 1000 == sec) {
-          service->IngestRecord(specs[i].instance_id, record);
+          run->service->IngestRecord(specs[i].instance_id, record);
         }
       }
       for (const online::PerfSample& sample : logs[i].samples) {
         if (sample.sec == sec) {
-          service->IngestMetrics(specs[i].instance_id, sample);
+          run->service->IngestMetrics(specs[i].instance_id, sample);
         }
       }
     }
-    service->AdvanceTo(sec);
+    run->Take(run->service->AdvanceTo(sec));
   }
 }
 
@@ -1494,7 +1674,8 @@ TEST(FleetCheckpointTest, StormCheckpointRecoversAfterStopAndCrash) {
   // fires alone 25 s earlier, three stay calm. The checkpoint lands while
   // the storm is open and the supervised diagnosis still waits in the
   // queue; both a graceful reopen and a crash copy must then reproduce the
-  // uninterrupted run's fingerprint and audit trail.
+  // uninterrupted run's fingerprint (less the outcomes their checkpoint
+  // counted) and audit trail.
   constexpr int64_t kT0 = 100'000;
   constexpr int64_t kStorm = kT0 + 260;
   constexpr int64_t kT1 = kStorm + 120;
@@ -1528,17 +1709,17 @@ TEST(FleetCheckpointTest, StormCheckpointRecoversAfterStopAndCrash) {
     auto service =
         std::make_unique<fleet::FleetService>(specs_with(supervisor), with_dir);
     RegisterCatalog(service.get());
-    service->Start();
-    return service;
+    return Begin(std::move(service));
   };
 
   Repairer reference_loop;
-  auto reference = make("", &reference_loop.supervisor);
-  FeedFleet(reference.get(), specs_with(nullptr), logs, kT0, kT1);
-  reference->Stop();
-  const std::string want = fleet::CollectFleetResult(*reference).Fingerprint();
-  const std::string want_audit = AuditDigest(reference->audit(kSupervised));
-  ASSERT_GE(reference->stats().storms_detected, 1u);
+  Incarnation reference = make("", &reference_loop.supervisor);
+  FeedFleet(&reference, specs_with(nullptr), logs, kT0, kT1);
+  reference.Stop();
+  const fleet::FleetResult want = reference.Result();
+  const std::string want_audit =
+      AuditDigest(reference.service->audit(kSupervised));
+  ASSERT_GE(reference.service->stats().storms_detected, 1u);
   ASSERT_FALSE(want_audit.empty()) << "the supervised loop must act";
 
   const std::string dir = MakeTempDir();
@@ -1546,55 +1727,62 @@ TEST(FleetCheckpointTest, StormCheckpointRecoversAfterStopAndCrash) {
   int64_t copied_at = 0;
   {
     Repairer loop;
-    auto live = make(dir, &loop.supervisor);
+    Incarnation live = make(dir, &loop.supervisor);
     int64_t sec = kT0;
     for (; sec < kT1; ++sec) {
-      FeedFleet(live.get(), specs_with(nullptr), logs, sec, sec + 1);
-      const fleet::FleetStats stats = live->stats();
-      const bool storm_open = stats.storms_detected > live->storms().size();
+      FeedFleet(&live, specs_with(nullptr), logs, sec, sec + 1);
+      const fleet::FleetStats stats = live.service->stats();
+      const bool storm_open =
+          stats.storms_detected > live.service->storms().size();
       const size_t queued =
           stats.pool.enqueued - stats.pool.completed - stats.pool.extracted;
       if (storm_open && queued > 0) break;
     }
     ASSERT_LT(sec, kT1) << "no second with an open storm and a queued "
                            "diagnosis";
-    ASSERT_TRUE(live->audit(kSupervised).empty())
+    ASSERT_TRUE(live.service->audit(kSupervised).empty())
         << "the supervised diagnosis must still be queued";
-    ASSERT_TRUE(live->Checkpoint().ok());
+    ASSERT_TRUE(live.service->Checkpoint().ok());
     // Stream on until the supervised diagnosis has run, so its repair
     // events sit in the WAL suffix only; then copy the data dir without
     // Stop(), as a crash leaves it.
-    for (++sec; sec < kT1 && live->audit(kSupervised).empty(); ++sec) {
-      FeedFleet(live.get(), specs_with(nullptr), logs, sec, sec + 1);
+    for (++sec; sec < kT1 && live.service->audit(kSupervised).empty();
+         ++sec) {
+      FeedFleet(&live, specs_with(nullptr), logs, sec, sec + 1);
     }
     ASSERT_LT(sec, kT1);
     copied_at = sec;
     std::filesystem::copy(dir, crash_copy,
                           std::filesystem::copy_options::recursive |
                               std::filesystem::copy_options::overwrite_existing);
-    FeedFleet(live.get(), specs_with(nullptr), logs, copied_at, kT1);
-    live->Stop();
-    EXPECT_EQ(fleet::CollectFleetResult(*live).Fingerprint(), want);
+    FeedFleet(&live, specs_with(nullptr), logs, copied_at, kT1);
+    live.Stop();
+    EXPECT_EQ(live.Result().Fingerprint(), want.Fingerprint());
   }
 
-  {  // Reopen after the graceful Stop(): its final checkpoint wins.
+  {  // Reopen after the graceful Stop(): its final checkpoint wins, and it
+     // counted every outcome, so the reopened fleet reports none again.
     Repairer loop;
-    auto reopened = make(dir, &loop.supervisor);
-    EXPECT_TRUE(reopened->recovery().checkpoint_loaded);
-    reopened->Stop();
-    EXPECT_EQ(fleet::CollectFleetResult(*reopened).Fingerprint(), want);
-    EXPECT_EQ(AuditDigest(reopened->audit(kSupervised)), want_audit);
+    Incarnation reopened = make(dir, &loop.supervisor);
+    EXPECT_TRUE(reopened.service->recovery().checkpoint_loaded);
+    reopened.Stop();
+    EXPECT_EQ(reopened.checkpointed, want.outcomes.size());
+    EXPECT_TRUE(reopened.outcomes.empty());
+    EXPECT_EQ(reopened.Result().Fingerprint(),
+              WithoutCheckpointed(want, reopened.checkpointed).Fingerprint());
+    EXPECT_EQ(AuditDigest(reopened.service->audit(kSupervised)), want_audit);
   }
   {  // Reopen the crash copy: the mid-storm checkpoint plus its suffix.
     Repairer loop;
-    auto recovered = make(crash_copy, &loop.supervisor);
-    EXPECT_TRUE(recovered->recovery().checkpoint_loaded);
-    EXPECT_EQ(recovered->recovery().checkpoint_counter, 1u);
-    EXPECT_GT(recovered->recovery().frames_valid, 0u);
-    FeedFleet(recovered.get(), specs_with(nullptr), logs, copied_at, kT1);
-    recovered->Stop();
-    EXPECT_EQ(fleet::CollectFleetResult(*recovered).Fingerprint(), want);
-    EXPECT_EQ(AuditDigest(recovered->audit(kSupervised)), want_audit);
+    Incarnation recovered = make(crash_copy, &loop.supervisor);
+    EXPECT_TRUE(recovered.service->recovery().checkpoint_loaded);
+    EXPECT_EQ(recovered.service->recovery().checkpoint_counter, 1u);
+    EXPECT_GT(recovered.service->recovery().frames_valid, 0u);
+    FeedFleet(&recovered, specs_with(nullptr), logs, copied_at, kT1);
+    recovered.Stop();
+    EXPECT_EQ(recovered.Result().Fingerprint(),
+              WithoutCheckpointed(want, recovered.checkpointed).Fingerprint());
+    EXPECT_EQ(AuditDigest(recovered.service->audit(kSupervised)), want_audit);
   }
 }
 
@@ -1607,21 +1795,22 @@ TEST(FleetCheckpointTest, RecoveryReplaysOnlyTheSuffix) {
   const std::string dir = MakeTempDir();
   fleet::FleetOptions options = DurableOpts(dir);
   options.checkpoint_every_sec = 60;
-  auto live = Open(options);
+  Incarnation live = Open(options);
   std::vector<size_t> replayed;
   for (int64_t streamed : {600, 1200}) {
-    Feed(live.get(), log, kT0 + streamed - 600, kT0 + streamed);
+    Feed(&live, log, kT0 + streamed - 600, kT0 + streamed);
     const std::string copy = MakeTempDir();
     std::filesystem::copy(dir, copy,
                           std::filesystem::copy_options::recursive |
                               std::filesystem::copy_options::overwrite_existing);
     fleet::FleetOptions reopen = options;
     reopen.data_dir = copy;
-    auto recovered = Open(reopen);
-    ASSERT_TRUE(recovered->recovery().checkpoint_loaded) << streamed;
-    EXPECT_GT(recovered->recovery().frames_valid, 0u);
-    EXPECT_LE(recovered->recovery().frames_valid, 2u * 60) << streamed;
-    replayed.push_back(recovered->recovery().frames_valid);
+    Incarnation recovered = Open(reopen);
+    const fleet::FleetRecoveryStats& recovery = recovered.service->recovery();
+    ASSERT_TRUE(recovery.checkpoint_loaded) << streamed;
+    EXPECT_GT(recovery.frames_valid, 0u);
+    EXPECT_LE(recovery.frames_valid, 2u * 60) << streamed;
+    replayed.push_back(recovery.frames_valid);
 
     // A full replay would have had to scan the whole history.
     WalScanStats full;
@@ -1629,10 +1818,10 @@ TEST(FleetCheckpointTest, RecoveryReplaysOnlyTheSuffix) {
                         WalPosition{}, [](const WalFrame&) {}, &full)
                     .ok());
     EXPECT_GE(full.samples, static_cast<size_t>(streamed));
-    recovered->Stop();
+    recovered.Stop();
   }
   EXPECT_EQ(replayed[0], replayed[1]) << "recovery cost grew with history";
-  live->Stop();
+  live.Stop();
 }
 
 }  // namespace

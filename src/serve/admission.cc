@@ -215,22 +215,6 @@ void AdmissionController::NoteDelivered(const std::string& tenant,
   it->second.stats.samples_delivered += samples;
 }
 
-void AdmissionController::NoteShed(const std::string& tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PINSQL_OBS_COUNT("serve.admission.dropped_shed", 1);
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) return;
-  ++it->second.stats.dropped_shed;
-}
-
-void AdmissionController::NoteDeadlineExpired(const std::string& tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PINSQL_OBS_COUNT("serve.admission.dropped_deadline", 1);
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) return;
-  ++it->second.stats.dropped_deadline;
-}
-
 size_t AdmissionController::pending_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pending_bytes_;

@@ -82,7 +82,6 @@ struct TenantAdmissionStats {
   uint64_t dropped_rate_limited = 0;   // requests
   uint64_t dropped_over_quota = 0;     // requests
   uint64_t dropped_shed = 0;           // requests
-  uint64_t dropped_deadline = 0;       // requests (expired in handler queue)
 };
 
 /// The admission-control layer between the socket and the deterministic
@@ -122,11 +121,6 @@ class AdmissionController {
   /// Delivery accounting (what the fleet accepted of an admitted batch).
   void NoteDelivered(const std::string& tenant, size_t records,
                      size_t samples);
-  /// A fully received request that expired in the handler queue (503).
-  void NoteDeadlineExpired(const std::string& tenant);
-  /// A request shed at the handler-queue boundary (503; counted with the
-  /// byte-threshold sheds — one overload signal for clients).
-  void NoteShed(const std::string& tenant);
 
   size_t pending_bytes() const;
   size_t pending_batches() const;

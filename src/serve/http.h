@@ -63,9 +63,6 @@ class HttpParser {
   State state() const { return state_; }
 
   const HttpRequest& request() const { return request_; }
-  /// Moves the completed request out (state() stays kComplete until
-  /// Reset); request() is empty afterwards.
-  HttpRequest TakeRequest() { return std::exchange(request_, {}); }
 
   /// 400/413/431/501/505 when state() == kError.
   int error_status() const { return error_status_; }

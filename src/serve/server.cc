@@ -9,6 +9,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -132,11 +134,6 @@ Status Server::Start() {
 
   stopping_.store(false);
   io_thread_ = std::thread(&Server::IoLoop, this);
-  const int workers = std::max(1, options_.num_handler_threads);
-  handler_threads_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    handler_threads_.emplace_back(&Server::HandlerLoop, this);
-  }
   pump_thread_ = std::thread(&Server::PumpLoop, this);
   started_ = true;
   return Status::OK();
@@ -148,23 +145,12 @@ void Server::Stop() {
     if (!started_ || stopped_) return;
     stopped_ = true;
   }
-  // 1. Event loop: stop accepting, flush open connections, exit.
+  // 1. Event loop: stop accepting, flush open connections, exit. Every
+  //    request it answered 202 was admitted before the answer was queued.
   stopping_.store(true);
   Wake();
   if (io_thread_.joinable()) io_thread_.join();
-  // 2. Handler pool: finish every fully received ingest request (their
-  //    batches land in the admission queues even though the connections
-  //    are gone — received work is never half-dropped).
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    handlers_stop_ = true;
-  }
-  queue_cv_.notify_all();
-  for (auto& thread : handler_threads_) {
-    if (thread.joinable()) thread.join();
-  }
-  handler_threads_.clear();
-  // 3. Pump: drain every staged batch into the fleet, advance, exit. The
+  // 2. Pump: drain every staged batch into the fleet, advance, exit. The
   //    fleet (and its durable journals) is stopped by the owner.
   {
     std::lock_guard<std::mutex> lock(pump_mu_);
@@ -194,14 +180,8 @@ void Server::IoLoop() {
     const int64_t now = NowMs();
 
     // Reap connections closed last turn.
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      if (it->second.closed) {
-        conn_fd_by_id_.erase(it->second.id);
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(conns_,
+                  [](const auto& entry) { return entry.second.closed; });
 
     if (stopping_.load()) {
       if (listen_fd_ >= 0) {
@@ -216,7 +196,6 @@ void Server::IoLoop() {
           if (!conn.closed) CloseConn(&conn);
         }
         conns_.clear();
-        conn_fd_by_id_.clear();
         return;
       }
     }
@@ -228,11 +207,8 @@ void Server::IoLoop() {
     pfds.push_back({wake_fds_[0], POLLIN, 0});
     for (auto& [fd, conn] : conns_) {
       short events = 0;
-      if (!conn.awaiting_response && !conn.close_after_write) events |= POLLIN;
+      if (conn.accepts_bytes()) events |= POLLIN;
       if (conn.out_off < conn.out.size()) events |= POLLOUT;
-      // events may be 0 while awaiting a handler response: POLLERR/POLLHUP
-      // are still reported, and polling POLLIN here would busy-spin on any
-      // pipelined bytes the client already sent.
       pfds.push_back({fd, events, 0});
     }
 
@@ -262,17 +238,15 @@ void Server::IoLoop() {
       if ((pfds[idx].revents & POLLOUT) != 0) {
         FlushConn(conn, after);
         if (!conn->closed && conn->out_off >= conn->out.size() &&
-            !conn->awaiting_response && !conn->close_after_write) {
+            !conn->close_after_write) {
           ProcessParserProgress(conn, after);
         }
       }
-      if (!conn->closed && (pfds[idx].revents & POLLIN) != 0 &&
-          !conn->awaiting_response && !conn->close_after_write) {
+      if ((pfds[idx].revents & POLLIN) != 0 && conn->accepts_bytes()) {
         ReadFromConn(conn, after);
       }
     }
 
-    DrainOutbound(after);
     SweepDeadlines(after);
   }
 }
@@ -303,9 +277,7 @@ void Server::AcceptPending(int64_t now_ms) {
     auto [it, inserted] = conns_.emplace(fd, Conn(options_.http));
     Conn& conn = it->second;
     conn.fd = fd;
-    conn.id = next_conn_id_++;
     conn.idle_deadline_at = now_ms + options_.idle_deadline_ms;
-    conn_fd_by_id_[conn.id] = fd;
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.connections_accepted;
   }
@@ -348,8 +320,7 @@ void Server::ReadFromConn(Conn* conn, int64_t now_ms) {
 }
 
 void Server::ProcessParserProgress(Conn* conn, int64_t now_ms) {
-  while (!conn->closed && !conn->close_after_write &&
-         !conn->awaiting_response) {
+  while (!conn->closed && !conn->close_after_write) {
     HttpParser& parser = conn->parser;
     const HttpParser::State state = parser.state();
     if (state == HttpParser::State::kHeaders) return;  // need more bytes
@@ -403,66 +374,21 @@ void Server::ProcessParserProgress(Conn* conn, int64_t now_ms) {
 
     if (state == HttpParser::State::kHeadersDone) return;  // body pending
 
-    // state == kComplete.
+    // state == kComplete: answer on this turn — GETs from the caches, an
+    // ingest body by decoding and admitting it — so nothing waits in a
+    // queue between the read and the response.
     conn->read_deadline_at = 0;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.requests_received;
+      if (is_ingest) ++stats_.ingest_requests;
     }
     const bool keep_alive = request.keep_alive && !stopping_.load();
-
-    if (is_ingest) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.ingest_requests;
-      }
-      bool shed = false;
-      {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        if (handler_queue_.size() >= options_.handler_queue_capacity) {
-          shed = true;
-        } else {
-          PendingIngest pending;
-          pending.conn_id = conn->id;
-          // `request` is not read past this point; the parser is reset
-          // once the response is written.
-          pending.request = parser.TakeRequest();
-          pending.arrival_ms = now_ms;
-          pending.keep_alive = keep_alive;
-          handler_queue_.push_back(std::move(pending));
-        }
-      }
-      if (shed) {
-        const std::string* tenant = request.FindHeader(kTenantHeader);
-        admission_.NoteShed(tenant != nullptr ? *tenant : "");
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.handler_queue_shed;
-        }
-        QueueResponse(conn,
-                      ErrorResponse(503, "overloaded: handler queue full", 1),
-                      keep_alive, now_ms);
-        if (conn->closed) return;
-        // Reset before any early return: the POLLOUT path re-enters this
-        // function once the flush drains, and a still-kComplete parser
-        // would re-process (and re-answer) the same request.
-        parser.Reset();
-        conn->pre_admit_done = false;
-        if (conn->out_off < conn->out.size()) return;  // resume after flush
-        continue;
-      }
-      queue_cv_.notify_one();
-      conn->awaiting_response = true;
-      return;
-    }
-
-    // Everything else (reports/health/metrics/404/405) is served inline —
-    // ingest floods queue behind the handler pool, never in front of these.
-    const HttpResponse response = HandleRequest(request, now_ms);
-    QueueResponse(conn, response, keep_alive, now_ms);
+    QueueResponse(conn, HandleRequest(request, now_ms), keep_alive, now_ms);
     if (conn->closed) return;
-    // As above: Reset must precede the partial-flush return so the POLLOUT
-    // re-entry sees a fresh parser, never the already-answered request.
+    // Reset must precede the partial-flush return: the POLLOUT path
+    // re-enters this function once the flush drains, and a still-kComplete
+    // parser would re-process (and re-answer) the same request.
     parser.Reset();
     conn->pre_admit_done = false;
     if (conn->out_off < conn->out.size()) return;  // resume after flush
@@ -540,101 +466,12 @@ void Server::SweepDeadlines(int64_t now_ms) {
       PINSQL_OBS_COUNT("serve.conn.write_deadline_closed", 1);
       continue;
     }
-    if (!conn.awaiting_response && conn.idle_deadline_at != 0 &&
-        now_ms > conn.idle_deadline_at && conn.read_deadline_at == 0 &&
-        conn.out.empty()) {
+    if (conn.idle_deadline_at != 0 && now_ms > conn.idle_deadline_at &&
+        conn.read_deadline_at == 0 && conn.out.empty()) {
       CloseConn(&conn);
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.connections_closed_idle;
     }
-  }
-}
-
-void Server::DrainOutbound(int64_t now_ms) {
-  std::vector<OutboundResponse> ready;
-  {
-    std::lock_guard<std::mutex> lock(resp_mu_);
-    ready.swap(responses_);
-  }
-  for (OutboundResponse& response : ready) {
-    auto id_it = conn_fd_by_id_.find(response.conn_id);
-    if (id_it == conn_fd_by_id_.end()) continue;  // connection died
-    auto it = conns_.find(id_it->second);
-    if (it == conns_.end() || it->second.closed ||
-        it->second.id != response.conn_id) {
-      continue;
-    }
-    Conn* conn = &it->second;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.responses_sent;
-      if (response.error_class_5xx) {
-        ++stats_.responses_5xx;
-      } else if (response.error_class_4xx) {
-        ++stats_.responses_4xx;
-      }
-    }
-    conn->out += response.bytes;
-    if (response.close_after) conn->close_after_write = true;
-    if (conn->write_deadline_at == 0) {
-      conn->write_deadline_at = now_ms + options_.write_deadline_ms;
-    }
-    conn->awaiting_response = false;
-    conn->parser.Reset();
-    conn->pre_admit_done = false;
-    FlushConn(conn, now_ms);
-    if (!conn->closed && conn->out_off >= conn->out.size() &&
-        !conn->close_after_write) {
-      ProcessParserProgress(conn, now_ms);
-    }
-  }
-}
-
-// --- Handler pool --------------------------------------------------------
-
-void Server::HandlerLoop() {
-  while (true) {
-    PendingIngest pending;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return handlers_stop_ || !handler_queue_.empty();
-      });
-      if (handler_queue_.empty()) {
-        if (handlers_stop_) return;
-        continue;
-      }
-      pending = std::move(handler_queue_.front());
-      handler_queue_.pop_front();
-    }
-    const int64_t now = NowMs();
-    HttpResponse response;
-    if (now - pending.arrival_ms > options_.request_deadline_ms) {
-      // The request went stale waiting for a handler: answer 503 so the
-      // client retries against fresher capacity instead of being silently
-      // processed late.
-      const std::string* tenant = pending.request.FindHeader(kTenantHeader);
-      admission_.NoteDeadlineExpired(tenant != nullptr ? *tenant : "");
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.deadline_expired;
-      }
-      response = ErrorResponse(503, "request deadline expired", 1);
-    } else {
-      response = HandleRequest(pending.request, now);
-    }
-    OutboundResponse outbound;
-    outbound.conn_id = pending.conn_id;
-    const bool keep_alive = pending.keep_alive && !response.close;
-    outbound.bytes = SerializeResponse(response, keep_alive);
-    outbound.close_after = !keep_alive;
-    outbound.error_class_4xx = response.status >= 400 && response.status < 500;
-    outbound.error_class_5xx = response.status >= 500;
-    {
-      std::lock_guard<std::mutex> lock(resp_mu_);
-      responses_.push_back(std::move(outbound));
-    }
-    Wake();
   }
 }
 
@@ -1007,7 +844,7 @@ HttpResponse Server::HandleMetricsz() const {
   Json root = Json::MakeObject();
 
   Json tenants = Json::MakeObject();
-  uint64_t rate_limited = 0, over_quota = 0, shed = 0, deadline = 0;
+  uint64_t rate_limited = 0, over_quota = 0, shed = 0;
   for (const auto& [name, s] : tenant_stats) {
     Json t = Json::MakeObject();
     t.Set("batches_admitted", static_cast<int64_t>(s.batches_admitted));
@@ -1020,12 +857,10 @@ HttpResponse Server::HandleMetricsz() const {
           static_cast<int64_t>(s.dropped_rate_limited));
     t.Set("dropped_over_quota", static_cast<int64_t>(s.dropped_over_quota));
     t.Set("dropped_shed", static_cast<int64_t>(s.dropped_shed));
-    t.Set("dropped_deadline", static_cast<int64_t>(s.dropped_deadline));
     tenants.Set(name, std::move(t));
     rate_limited += s.dropped_rate_limited;
     over_quota += s.dropped_over_quota;
     shed += s.dropped_shed;
-    deadline += s.dropped_deadline;
   }
   Json admission = Json::MakeObject();
   admission.Set("tenants", std::move(tenants));
@@ -1043,7 +878,6 @@ HttpResponse Server::HandleMetricsz() const {
   admission_drops.Set("rate_limited", static_cast<int64_t>(rate_limited));
   admission_drops.Set("over_quota", static_cast<int64_t>(over_quota));
   admission_drops.Set("shed", static_cast<int64_t>(shed));
-  admission_drops.Set("deadline_expired", static_cast<int64_t>(deadline));
   drops.Set("admission", std::move(admission_drops));
   Json ingest_drops = Json::MakeObject();
   ingest_drops.Set(
@@ -1084,10 +918,6 @@ HttpResponse Server::HandleMetricsz() const {
   server.Set("parse_errors", static_cast<int64_t>(server_stats.parse_errors));
   server.Set("requests_received",
              static_cast<int64_t>(server_stats.requests_received));
-  server.Set("handler_queue_shed",
-             static_cast<int64_t>(server_stats.handler_queue_shed));
-  server.Set("deadline_expired",
-             static_cast<int64_t>(server_stats.deadline_expired));
   server.Set("records_delivered",
              static_cast<int64_t>(server_stats.records_delivered));
   server.Set("fleet_stats_snapshots",
@@ -1122,14 +952,30 @@ HttpResponse Server::HandleMetricsz() const {
 namespace {
 
 /// `limit` query parameter shared by the three read endpoints: default 100,
-/// clamped to [1, 1000] so no response serializes an unbounded cache.
+/// clamped to [1, 1000] so no response serializes an unbounded cache. It
+/// reads the prefix atoll would (leading space, a sign, digits; no digits
+/// reads 0), but a value too large for any integer type clamps like any
+/// other instead of being undefined.
 size_t ParseLimit(const HttpRequest& request) {
-  size_t limit = 100;
-  if (const std::string param = request.QueryParam("limit"); !param.empty()) {
-    limit = static_cast<size_t>(
-        std::clamp<int64_t>(std::atoll(param.c_str()), 1, 1000));
+  const std::string param = request.QueryParam("limit");
+  if (param.empty()) return 100;
+  std::string_view digits = param;
+  while (!digits.empty() &&
+         std::isspace(static_cast<unsigned char>(digits.front()))) {
+    digits.remove_prefix(1);
   }
-  return limit;
+  bool negative = false;
+  if (!digits.empty() && (digits.front() == '+' || digits.front() == '-')) {
+    negative = digits.front() == '-';
+    digits.remove_prefix(1);
+  }
+  uint64_t value = 0;  // stays 0 when no digit follows
+  if (std::from_chars(digits.data(), digits.data() + digits.size(), value)
+          .ec == std::errc::result_out_of_range) {
+    value = std::numeric_limits<uint64_t>::max();
+  }
+  if (negative && value != 0) return 1;
+  return static_cast<size_t>(std::clamp<uint64_t>(value, 1, 1000));
 }
 
 /// Appends a JSON array of the pre-rendered values `select` picks from

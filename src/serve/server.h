@@ -36,15 +36,6 @@ struct ServerOptions {
   int64_t write_deadline_ms = 5000;
   /// Keep-alive connections idle longer than this are closed.
   int64_t idle_deadline_ms = 30'000;
-  /// A fully received ingest request that waits longer than this for a
-  /// handler is answered 503 (deadline-expired) instead of being processed
-  /// stale.
-  int64_t request_deadline_ms = 2000;
-  /// Bounded ingest handler queue; overflow is shed with 503. GET traffic
-  /// (reports/health/metrics) never enters this queue — it is served
-  /// directly from the event loop, so ingest floods cannot starve it.
-  size_t handler_queue_capacity = 512;
-  int num_handler_threads = 2;
   /// Fleet-stats snapshot cadence: while batches keep arriving the pump
   /// snapshots FleetService::stats() for /v1/healthz and /v1/metricsz at
   /// most once per interval, and once more after an interval without a
@@ -82,8 +73,6 @@ struct ServerStats {
   uint64_t responses_5xx = 0;
   uint64_t ingest_requests = 0;
   uint64_t ingest_accepted = 0;
-  uint64_t handler_queue_shed = 0;
-  uint64_t deadline_expired = 0;
   uint64_t batches_delivered = 0;
   uint64_t records_delivered = 0;
   uint64_t samples_delivered = 0;
@@ -96,14 +85,15 @@ struct ServerStats {
 /// the admission controller, plus report/trigger/repair/health/metrics
 /// endpoints that stay responsive during ingest floods.
 ///
-/// Architecture (see DESIGN.md §12): one poll()-based event loop owns every
-/// socket and serves GET endpoints inline from caches; POST /v1/ingest
-/// requests are pre-admitted at header time (byte quota + shed, before the
-/// body is read), parsed and admitted on a small handler pool, staged in
-/// the admission controller's per-tenant queues, and delivered into the
-/// fleet by a single pump thread via weighted-fair dequeue — so the order
-/// records enter the deterministic ingest boundary is a single serialized
-/// stream, and replaying the accepted set is bit-reproducible.
+/// Architecture (see DESIGN.md §12): two threads. One poll()-based event
+/// loop owns every socket and answers each request on the turn that
+/// completes it: GET endpoints from caches, POST /v1/ingest by pre-admitting
+/// at header time (byte quota + shed, before the body is read), then
+/// decoding the body and admitting it into the admission controller's
+/// per-tenant queues. A single pump thread delivers those into the fleet by
+/// weighted-fair dequeue — so the order records enter the deterministic
+/// ingest boundary is a single serialized stream, and replaying the
+/// accepted set is bit-reproducible.
 class Server {
  public:
   /// The server does not own the fleet; callers stop the fleet (flushing
@@ -114,15 +104,15 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and starts the event loop, handler pool and delivery
-  /// pump. InvalidArgument, before binding, when a tenant is scoped to an
+  /// Binds, listens and starts the event loop and the delivery pump.
+  /// InvalidArgument, before binding, when a tenant is scoped to an
   /// instance the fleet lacks; InvalidArgument / Internal on socket errors.
   Status Start();
 
-  /// Graceful drain: stops accepting, flushes open connections (bounded by
-  /// drain_deadline_ms), finishes queued ingest requests, and delivers
-  /// every staged batch into the fleet. Idempotent. The fleet itself keeps
-  /// running; the owner stops it afterwards.
+  /// Graceful drain in two stages: the event loop stops accepting and
+  /// flushes open connections (bounded by drain_deadline_ms); then the pump
+  /// delivers every staged batch into the fleet. Idempotent. The fleet
+  /// itself keeps running; the owner stops it afterwards.
   void Stop();
 
   uint16_t port() const { return port_; }
@@ -147,7 +137,6 @@ class Server {
  private:
   struct Conn {
     int fd = -1;
-    uint64_t id = 0;
     HttpParser parser;
     std::string out;
     size_t out_off = 0;
@@ -157,30 +146,19 @@ class Server {
     bool close_after_write = false;
     /// fd already closed; entry reaped at the top of the next loop turn.
     bool closed = false;
-    /// Request handed to the handler pool; reads pause until the response
-    /// is written.
-    bool awaiting_response = false;
     /// Header-time admission already ran for the current request.
     bool pre_admit_done = false;
 
     explicit Conn(const HttpLimits& limits) : parser(limits) {}
-  };
-  struct PendingIngest {
-    uint64_t conn_id = 0;
-    HttpRequest request;
-    int64_t arrival_ms = 0;
-    bool keep_alive = true;
-  };
-  struct OutboundResponse {
-    uint64_t conn_id = 0;
-    std::string bytes;
-    bool close_after = false;
-    bool error_class_4xx = false;
-    bool error_class_5xx = false;
+    /// Reads pause while the parser holds a complete request whose answer
+    /// waits for an earlier response to flush: Feed() would drop the bytes.
+    bool accepts_bytes() const {
+      return !closed && !close_after_write &&
+             parser.state() != HttpParser::State::kComplete;
+    }
   };
 
   void IoLoop();
-  void HandlerLoop();
   void PumpLoop();
 
   void AcceptPending(int64_t now_ms);
@@ -191,7 +169,6 @@ class Server {
   void FlushConn(Conn* conn, int64_t now_ms);
   void CloseConn(Conn* conn);
   void SweepDeadlines(int64_t now_ms);
-  void DrainOutbound(int64_t now_ms);
   void Wake();
 
   /// Rendered read-endpoint entries of one fleet outcome. The pump renders
@@ -235,23 +212,10 @@ class Server {
   std::atomic<bool> stopping_{false};
 
   std::thread io_thread_;
-  std::vector<std::thread> handler_threads_;
   std::thread pump_thread_;
 
   // IO-thread-only state.
   std::map<int, Conn> conns_;
-  std::map<uint64_t, int> conn_fd_by_id_;
-  uint64_t next_conn_id_ = 1;
-
-  // Handler queue (IO thread -> handler pool).
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<PendingIngest> handler_queue_;
-  bool handlers_stop_ = false;
-
-  // Response queue (handler pool -> IO thread).
-  std::mutex resp_mu_;
-  std::vector<OutboundResponse> responses_;
 
   // Pump control.
   std::mutex pump_mu_;

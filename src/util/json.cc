@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -46,7 +47,7 @@ Json::Object& Json::AsObject() {
 
 const Json* Json::Find(std::string_view key) const {
   if (!is_object()) return nullptr;
-  auto it = object_.find(std::string(key));
+  auto it = object_.find(key);
   return it == object_.end() ? nullptr : &it->second;
 }
 
@@ -226,27 +227,25 @@ std::string Json::Dump(bool pretty) const {
   return out;
 }
 
-namespace {
-
-/// Recursive-descent JSON parser with position-annotated errors.
-class Parser {
+/// Recursive-descent JSON parser with position-annotated errors. Each value
+/// is built in place: `out` is the null Json that will hold it — the
+/// document, an array's new back(), or an object's slot for its key.
+class JsonParser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
 
-  StatusOr<Json> ParseDocument() {
-    StatusOr<Json> value = ParseValue();
-    if (!value.ok()) return value;
+  Status ParseDocument(Json* out) {
+    if (Status status = ParseValue(out); !status.ok()) return status;
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Error("trailing characters after JSON document");
     }
-    return value;
+    return Status::OK();
   }
 
  private:
-  Status Error(const std::string& what) {
-    return Status::ParseError(
-        StrFormat("%s at offset %zu", what.c_str(), pos_));
+  Status Error(const char* what) const {
+    return Status::ParseError(StrFormat("%s at offset %zu", what, pos_));
   }
 
   void SkipWhitespace() {
@@ -268,7 +267,7 @@ class Parser {
     return false;
   }
 
-  StatusOr<Json> ParseValue() {
+  Status ParseValue(Json* out) {
     if (++depth_ > kMaxDepth) return Error("nesting too deep");
     struct DepthGuard {
       int* d;
@@ -280,104 +279,111 @@ class Parser {
     char c = text_[pos_];
     switch (c) {
       case 'n':
-        if (ConsumeLiteral("null")) return Json();
+        if (ConsumeLiteral("null")) return Status::OK();
         return Error("invalid literal");
       case 't':
-        if (ConsumeLiteral("true")) return Json(true);
-        return Error("invalid literal");
       case 'f':
-        if (ConsumeLiteral("false")) return Json(false);
-        return Error("invalid literal");
+        if (!ConsumeLiteral(c == 't' ? "true" : "false")) {
+          return Error("invalid literal");
+        }
+        out->type_ = Json::Type::kBool;
+        out->bool_ = c == 't';
+        return Status::OK();
       case '"':
-        return ParseString();
+        out->type_ = Json::Type::kString;
+        return ParseString(&out->string_);
       case '[':
-        return ParseArray();
+        return ParseArray(out);
       case '{':
-        return ParseObject();
+        return ParseObject(out);
       default:
-        if (c == '-' || (c >= '0' && c <= '9')) return ParseNumber();
+        if (c == '-' || (c >= '0' && c <= '9')) return ParseNumber(out);
         return Error("unexpected character");
     }
   }
 
-  StatusOr<Json> ParseString() {
-    std::string out;
+  /// Replaces *out with the string whose opening quote is at pos_.
+  Status ParseString(std::string* out) {
+    out->clear();
     ++pos_;  // opening quote
     while (true) {
+      // Copy the run up to the next quote, backslash or control byte whole.
+      const size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
+      }
+      out->append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) return Error("unterminated string");
       char c = text_[pos_++];
-      if (c == '"') return Json(std::move(out));
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return Error("unterminated escape");
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            out.push_back('"');
-            break;
-          case '\\':
-            out.push_back('\\');
-            break;
-          case '/':
-            out.push_back('/');
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 'b':
-            out.push_back('\b');
-            break;
-          case 'f':
-            out.push_back('\f');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Error("bad \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Error("bad \\u escape digit");
-              }
-            }
-            // UTF-8 encode the BMP code point (surrogate pairs are passed
-            // through as two separate 3-byte sequences, which is sufficient
-            // for config files; SQL text is ASCII in this system).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+      if (c == '"') return Status::OK();
+      if (c != '\\') return Error("unescaped control character in string");
+      if (pos_ >= text_.size()) return Error("unterminated escape");
+      char esc = text_[pos_++];
+      switch (esc) {
+        case '"':
+          out->push_back('"');
+          break;
+        case '\\':
+          out->push_back('\\');
+          break;
+        case '/':
+          out->push_back('/');
+          break;
+        case 'n':
+          out->push_back('\n');
+          break;
+        case 't':
+          out->push_back('\t');
+          break;
+        case 'r':
+          out->push_back('\r');
+          break;
+        case 'b':
+          out->push_back('\b');
+          break;
+        case 'f':
+          out->push_back('\f');
+          break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) return Error("bad \\u escape");
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            char h = text_[pos_++];
+            code <<= 4;
+            if (h >= '0' && h <= '9') {
+              code |= static_cast<unsigned>(h - '0');
+            } else if (h >= 'a' && h <= 'f') {
+              code |= static_cast<unsigned>(h - 'a' + 10);
+            } else if (h >= 'A' && h <= 'F') {
+              code |= static_cast<unsigned>(h - 'A' + 10);
             } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+              return Error("bad \\u escape digit");
             }
-            break;
           }
-          default:
-            return Error("unknown escape");
+          // UTF-8 encode the BMP code point (surrogate pairs are passed
+          // through as two separate 3-byte sequences, which is sufficient
+          // for config files; SQL text is ASCII in this system).
+          if (code < 0x80) {
+            out->push_back(static_cast<char>(code));
+          } else if (code < 0x800) {
+            out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          } else {
+            out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+            out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          }
+          break;
         }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      } else {
-        out.push_back(c);
+        default:
+          return Error("unknown escape");
       }
     }
   }
 
-  StatusOr<Json> ParseNumber() {
+  Status ParseNumber(Json* out) {
     size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     bool digits = false;
@@ -409,57 +415,69 @@ class Parser {
       }
       if (!exp) return Error("invalid number exponent");
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    return Json(std::strtod(token.c_str(), nullptr));
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    if (std::from_chars(first, last, value).ec != std::errc()) {
+      // Out of range: strtod's answers (±inf, ±0, subnormals) stand.
+      value = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
+    out->type_ = Json::Type::kNumber;
+    out->number_ = value;
+    return Status::OK();
   }
 
-  StatusOr<Json> ParseArray() {
+  Status ParseArray(Json* out) {
     ++pos_;  // '['
-    Json out = Json::MakeArray();
+    out->type_ = Json::Type::kArray;
     SkipWhitespace();
     if (pos_ < text_.size() && text_[pos_] == ']') {
       ++pos_;
-      return out;
+      return Status::OK();
     }
     while (true) {
-      StatusOr<Json> v = ParseValue();
-      if (!v.ok()) return v;
-      out.Append(std::move(v).value());
+      if (Status status = ParseValue(&out->array_.emplace_back());
+          !status.ok()) {
+        return status;
+      }
       SkipWhitespace();
       if (pos_ >= text_.size()) return Error("unterminated array");
       char c = text_[pos_++];
-      if (c == ']') return out;
+      if (c == ']') return Status::OK();
       if (c != ',') return Error("expected ',' or ']' in array");
     }
   }
 
-  StatusOr<Json> ParseObject() {
+  Status ParseObject(Json* out) {
     ++pos_;  // '{'
-    Json out = Json::MakeObject();
+    out->type_ = Json::Type::kObject;
     SkipWhitespace();
     if (pos_ < text_.size() && text_[pos_] == '}') {
       ++pos_;
-      return out;
+      return Status::OK();
     }
     while (true) {
       SkipWhitespace();
       if (pos_ >= text_.size() || text_[pos_] != '"') {
         return Error("expected object key string");
       }
-      StatusOr<Json> key = ParseString();
-      if (!key.ok()) return key;
+      // key_ is free again once the slot is found, so nested objects reuse
+      // it too.
+      if (Status status = ParseString(&key_); !status.ok()) return status;
       SkipWhitespace();
       if (pos_ >= text_.size() || text_[pos_] != ':') {
         return Error("expected ':' after object key");
       }
       ++pos_;
-      StatusOr<Json> value = ParseValue();
-      if (!value.ok()) return value;
-      out.Set(key->AsString(), std::move(value).value());
+      auto [slot, inserted] = out->object_.try_emplace(key_);
+      if (!inserted) slot->second = Json();  // the last duplicate wins
+      if (Status status = ParseValue(&slot->second); !status.ok()) {
+        return status;
+      }
       SkipWhitespace();
       if (pos_ >= text_.size()) return Error("unterminated object");
       char c = text_[pos_++];
-      if (c == '}') return out;
+      if (c == '}') return Status::OK();
       if (c != ',') return Error("expected ',' or '}' in object");
     }
   }
@@ -469,12 +487,15 @@ class Parser {
   std::string_view text_;
   size_t pos_ = 0;
   int depth_ = 0;
+  std::string key_;
 };
 
-}  // namespace
-
 StatusOr<Json> Json::Parse(std::string_view text) {
-  return Parser(text).ParseDocument();
+  Json out;
+  if (Status status = JsonParser(text).ParseDocument(&out); !status.ok()) {
+    return status;
+  }
+  return out;
 }
 
 }  // namespace pinsql

@@ -1,6 +1,7 @@
 #ifndef PINSQL_UTIL_JSON_H_
 #define PINSQL_UTIL_JSON_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,13 +17,14 @@ namespace pinsql {
 /// (paper Fig. 5) and for benchmark/experiment result emission.
 ///
 /// Numbers are stored as double; object keys are kept in sorted order
-/// (std::map) so serialization is deterministic.
+/// (std::map) so serialization is deterministic. The map's comparator is
+/// transparent, so lookups by string_view build no key.
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
   using Array = std::vector<Json>;
-  using Object = std::map<std::string, Json>;
+  using Object = std::map<std::string, Json, std::less<>>;
 
   /// Constructs null.
   Json() : type_(Type::kNull) {}
@@ -80,6 +82,9 @@ class Json {
   bool operator==(const Json& other) const;
 
  private:
+  /// Parse() builds each value in place, straight into its parent.
+  friend class JsonParser;
+
   void DumpTo(std::string* out, bool pretty, int indent) const;
 
   Type type_;

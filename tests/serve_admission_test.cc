@@ -245,19 +245,15 @@ TEST(AdmissionTest, DrainOrderIsDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(AdmissionTest, DeliveredAndDeadlineAccounting) {
+TEST(AdmissionTest, DeliveredAccounting) {
   AdmissionController controller(TwoTenantOptions());
   ASSERT_EQ(controller.Enqueue(Batch("acme", 1, 5, 100), 0).outcome,
             AdmitOutcome::kAdmitted);
   controller.NoteDelivered("acme", 5, 2);
-  controller.NoteDeadlineExpired("acme");
-  controller.NoteShed("acme");
   const auto stats = controller.TenantStats().at("acme");
   EXPECT_EQ(stats.records_admitted, 5u);
   EXPECT_EQ(stats.records_delivered, 5u);
   EXPECT_EQ(stats.samples_delivered, 2u);
-  EXPECT_EQ(stats.dropped_deadline, 1u);
-  EXPECT_EQ(stats.dropped_shed, 1u);
 }
 
 }  // namespace

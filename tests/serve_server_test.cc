@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fleet/fleet_replay.h"
@@ -448,6 +450,50 @@ TEST(ServeServerTest, PartialFlushDoesNotReplayOrDuplicateResponses) {
   const ServerStats stats = stack.server->stats();
   EXPECT_EQ(stats.requests_received, static_cast<uint64_t>(kBig) + 2);
   EXPECT_EQ(stats.responses_sent, static_cast<uint64_t>(kBig) + 2);
+}
+
+TEST(ServeServerTest, BytesArrivingBehindAStalledResponseAreKept) {
+  ServerOptions soptions;
+  soptions.socket_send_buffer_bytes = 2048;  // force partial flushes
+  Stack stack = MakeStack(soptions);
+  ASSERT_TRUE(stack.server->Start().ok());
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  int rcvbuf = 2048;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  const timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(stack.server->port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  // The responses stall while the parser already holds the next complete
+  // request. Bytes the client sends meanwhile must wait in the kernel, not
+  // be fed to (and dropped by) that complete parser.
+  constexpr int kBig = 16;
+  std::string wire;
+  for (int i = 0; i < kBig; ++i) {
+    wire += "GET /v1/metricsz HTTP/1.1\r\n\r\n";
+  }
+  ASSERT_TRUE(SendAll(fd, wire));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(
+      SendAll(fd, "GET /v1/nope HTTP/1.1\r\nConnection: close\r\n\r\n"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  std::string carry;
+  for (int i = 0; i < kBig; ++i) {
+    const ClientResponse response = ReadResponse(fd, &carry);
+    ASSERT_TRUE(response.ok) << "response " << i;
+    EXPECT_EQ(response.status, 200) << "response " << i;
+  }
+  const ClientResponse last = ReadResponse(fd, &carry);
+  ASSERT_TRUE(last.ok) << "the late request was lost";
+  EXPECT_EQ(last.status, 404);
+  ::close(fd);
 }
 
 TEST(ServeServerTest, PipelinedRequestSpanningMultipleReadsIsNotLost) {
@@ -967,6 +1013,23 @@ TEST(ServeServerTest, ReadEndpointsMatchTreeRenderingByteForByte) {
     request.headers = {{"X-Pinsql-Tenant", read.tenant}};
     EXPECT_EQ(stack.server->HandleRequest(request, Server::NowMs()).body,
               expected);
+  }
+
+  // `limit` reads what atoll would where that is defined, and clamps where
+  // it is not: 20 digits read as the maximum, negative values as 1.
+  const std::vector<std::pair<std::string, size_t>> limits = {
+      {"99999999999999999999", 1000}, {"+99999999999999999999", 1000},
+      {"-99999999999999999999", 1},   {"-3", 1},
+      {"", 100},                      {"abc", 1},
+      {"2abc", 2},                    {"0", 1}};
+  for (const auto& [param, limit] : limits) {
+    HttpRequest request;
+    request.method = "GET";
+    request.target = "/v1/reports?limit=" + param;
+    request.headers = {{"X-Pinsql-Tenant", "acme"}};
+    EXPECT_EQ(stack.server->HandleRequest(request, Server::NowMs()).body,
+              TreeReports(cache, scopes.at("acme"), limit))
+        << "limit=" << param;
   }
 }
 

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/json.h"
@@ -321,6 +327,78 @@ TEST(JsonTest, NumbersSerializeIntegersExactly) {
   EXPECT_EQ(Json(5).Dump(), "5");
   EXPECT_EQ(Json(-5).Dump(), "-5");
   EXPECT_EQ(Json(int64_t{123456789012}).Dump(), "123456789012");
+}
+
+TEST(JsonTest, ParseErrorsNameTheirOffset) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"", "unexpected end of input at offset 0"},
+      {"{", "expected object key string at offset 1"},
+      {"[1,]", "unexpected character at offset 3"},
+      {"{\"a\" 1}", "expected ':' after object key at offset 5"},
+      {"tru", "invalid literal at offset 0"},
+      {"falsy", "invalid literal at offset 0"},
+      {"1 2", "trailing characters after JSON document at offset 2"},
+      {"\"unterminated", "unterminated string at offset 13"},
+      {"1e", "invalid number exponent at offset 2"},
+      {"1.", "invalid number fraction at offset 2"},
+      {"-", "invalid number at offset 1"},
+      {"+1", "unexpected character at offset 0"},
+      {"[\"a\x01\"]", "unescaped control character in string at offset 4"},
+      {"\"abc\ndef\"", "unescaped control character in string at offset 5"},
+      {"\"\\q\"", "unknown escape at offset 3"},
+      {"\"\\u12\"", "bad \\u escape at offset 3"},
+      {"\"\\u12zz\"", "bad \\u escape digit at offset 6"},
+      {"{\"k\\", "unterminated escape at offset 4"},
+      {"[1 2]", "expected ',' or ']' in array at offset 4"},
+      {"{\"a\":1 \"b\":2}", "expected ',' or '}' in object at offset 8"},
+      {"{\"a\":", "unexpected end of input at offset 5"},
+  };
+  for (const auto& [text, message] : cases) {
+    const auto parsed = Json::Parse(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().message(), message) << text;
+  }
+}
+
+TEST(JsonTest, NumbersParseExactlyAsStrtod) {
+  const auto expect_strtod = [](const std::string& token) {
+    const auto parsed = Json::Parse(token);
+    ASSERT_TRUE(parsed.ok()) << token;
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed->AsNumber()),
+              std::bit_cast<uint64_t>(std::strtod(token.c_str(), nullptr)))
+        << token;
+  };
+  // Overflow, underflow, subnormals, signed zero, exponent spellings and
+  // mantissas longer than any double carries.
+  std::string long_fraction = "0.";
+  for (int i = 0; i < 1000; ++i) long_fraction.push_back('0' + i % 10);
+  for (const std::string& token :
+       {std::string("1e400"), std::string("-1e400"), std::string("1e-400"),
+        std::string("4.9e-324"), std::string("2.4703282292062327e-324"),
+        std::string("2.2250738585072011e-308"), std::string("-0"),
+        std::string("0e0"), std::string("1E+2"),
+        std::string(1000, '9') + "e-999", long_fraction}) {
+    expect_strtod(token);
+  }
+  constexpr int64_t kMaxExact = int64_t{1} << 53;
+  for (int64_t edge : {kMaxExact, -kMaxExact, kMaxExact - 1, int64_t{0}}) {
+    expect_strtod(std::to_string(edge));
+  }
+  Rng rng(20'261'019);
+  char buf[64];
+  for (int i = 0; i < 100'000; ++i) {
+    // Uniform bit patterns reach every exponent, subnormals included.
+    const uint64_t bits =
+        static_cast<uint64_t>(rng.UniformInt(0, 0xffffffff)) << 32 |
+        static_cast<uint64_t>(rng.UniformInt(0, 0xffffffff));
+    const double value = std::bit_cast<double>(bits);
+    if (!std::isfinite(value)) continue;
+    for (const char* format : {"%.17g", "%.6g", "%g"}) {
+      std::snprintf(buf, sizeof(buf), format, value);
+      expect_strtod(buf);
+    }
+    expect_strtod(std::to_string(rng.UniformInt(-kMaxExact, kMaxExact)));
+  }
 }
 
 // ------------------------------------------------------------ ThreadPool

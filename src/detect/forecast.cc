@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "detect/sketch.h"
-
 namespace pinsql::detect {
 
 const char* ForecastMethodName(ForecastMethod method) {
@@ -15,8 +13,6 @@ const char* ForecastMethodName(ForecastMethod method) {
       return "holt";
     case ForecastMethod::kHoltWinters:
       return "holt_winters";
-    case ForecastMethod::kEwmaSketch:
-      return "ewma_sketch";
   }
   return "unknown";
 }
@@ -376,6 +372,15 @@ class HoltWintersForecaster final : public ForecastDetector {
 
 }  // namespace
 
+Status CheckForecastSnapshot(const ForecastSnapshot& snap) {
+  // Holt's update count travels as a double: it must convert to uint64_t.
+  if (snap.method == ForecastMethod::kHolt && snap.model.size() > 2 &&
+      !(snap.model[2] >= 0.0 && snap.model[2] < 0x1p64)) {
+    return Status::InvalidArgument("holt snapshot update count out of range");
+  }
+  return Status::OK();
+}
+
 std::unique_ptr<ForecastDetector> MakeForecastDetector(
     const ForecastOptions& options, int64_t start_time,
     int64_t interval_sec) {
@@ -389,9 +394,6 @@ std::unique_ptr<ForecastDetector> MakeForecastDetector(
     case ForecastMethod::kHoltWinters:
       return std::make_unique<HoltWintersForecaster>(options, start_time,
                                                      interval_sec);
-    case ForecastMethod::kEwmaSketch:
-      return std::make_unique<SketchForecastDetector>(options, start_time,
-                                                      interval_sec);
   }
   return nullptr;
 }

@@ -8,16 +8,16 @@
 
 #include "anomaly/detectors.h"
 #include "ts/time_series.h"
+#include "util/status.h"
 
 namespace pinsql::detect {
 
-/// Forecasting model families (the Akumuli-style anomaly-detector menu:
-/// smoothing forecasters plus a sketch-backed variant for keyed streams).
+/// Forecasting model families (the Akumuli-style anomaly-detector menu of
+/// smoothing forecasters).
 enum class ForecastMethod {
   kEwma,         // exponentially weighted moving average (level only)
   kHolt,         // double exponential smoothing (level + trend)
   kHoltWinters,  // triple exponential smoothing (level + trend + season)
-  kEwmaSketch,   // EWMA cells behind a count-min style sketch
 };
 
 const char* ForecastMethodName(ForecastMethod method);
@@ -67,9 +67,6 @@ struct ForecastOptions {
   double scale_floor = 0.5;
   /// Threshold runs at least this long (seconds) are level shifts.
   int64_t level_shift_min_sec = 300;
-  /// Sketch geometry (kEwmaSketch only).
-  size_t sketch_width = 256;
-  size_t sketch_depth = 3;
 };
 
 /// Complete serializable state of any ForecastDetector. Model-specific
@@ -180,9 +177,12 @@ class ForecastDetector {
   double last_z_ = 0.0;
 };
 
-/// Builds a detector of the configured method. Every ForecastMethod is
-/// constructible here (kEwmaSketch included, as a single-key stream over
-/// the sketch engine).
+/// Whether a detector of the snapshot's method can restore it: OK, or
+/// InvalidArgument for model state no detector could have exported (a
+/// CRC-valid but hostile checkpoint).
+Status CheckForecastSnapshot(const ForecastSnapshot& snap);
+
+/// Builds a detector of the configured method.
 std::unique_ptr<ForecastDetector> MakeForecastDetector(
     const ForecastOptions& options, int64_t start_time, int64_t interval_sec);
 

@@ -225,13 +225,18 @@ std::string FleetResult::InstanceFingerprint(uint32_t instance_id) const {
 }
 
 FleetResult CollectFleetResult(const FleetService& service,
-                               std::vector<FleetOutcome> outcomes) {
+                               std::vector<FleetOutcome> outcomes,
+                               FleetEvents events) {
   FleetResult result;
   result.outcomes = std::move(outcomes);
-  result.storms = service.storms();
-  result.neighbors = service.neighbor_verdicts();
+  result.storms = std::move(events.storms);
+  result.neighbors = std::move(events.verdicts);
   for (uint32_t instance_id : service.instance_ids()) {
-    result.latencies[instance_id] = service.detection_latencies(instance_id);
+    result.latencies[instance_id] = {};
+  }
+  for (const online::AnomalyTrigger& trigger : events.confirmed) {
+    result.latencies[trigger.instance_id].push_back(trigger.trigger_sec -
+                                                    trigger.onset_sec);
   }
   result.stats = service.stats();
   return result;
@@ -280,7 +285,8 @@ FleetResult RunFleetReplay(const std::vector<FleetInstanceSpec>& specs,
 
   const size_t num_workers =
       static_cast<size_t>(std::max(options.num_ingest_workers, 1));
-  std::vector<FleetOutcome> outcomes = service.Start();
+  FleetEvents events;
+  std::vector<FleetOutcome> outcomes = service.Start(&events);
   const auto take = [&outcomes](std::vector<FleetOutcome> produced) {
     outcomes.insert(outcomes.end(), std::make_move_iterator(produced.begin()),
                     std::make_move_iterator(produced.end()));
@@ -336,12 +342,12 @@ FleetResult RunFleetReplay(const std::vector<FleetInstanceSpec>& specs,
   for (int64_t sec = first_sec; sec <= last_sec; ++sec) {
     sync.arrive_and_wait();
     sync.arrive_and_wait();
-    take(service.AdvanceTo(sec));
+    take(service.AdvanceTo(sec, &events));
     sync.arrive_and_wait();
   }
   for (std::thread& worker : workers) worker.join();
-  take(service.Stop());
-  return CollectFleetResult(service, std::move(outcomes));
+  take(service.Stop(&events));
+  return CollectFleetResult(service, std::move(outcomes), std::move(events));
 }
 
 }  // namespace pinsql::fleet

@@ -55,13 +55,16 @@ struct FleetResult {
 void AppendOutcomeFingerprint(const online::DiagnosisOutcome& outcome,
                               std::string* out);
 
-/// Collects a service's results — the outcomes its caller gathered from
-/// Start(), AdvanceTo() and Stop(), plus the service's storms, verdicts,
-/// every instance's detection latencies and stats — into a FleetResult:
-/// the step RunFleetReplay ends with, and how a running (e.g. recovered
-/// durable) fleet is fingerprinted.
+/// Collects what a service's caller gathered from its Start(), AdvanceTo()
+/// and Stop() calls — outcomes, plus the closed storms, verdicts and
+/// confirmed triggers of their FleetEvents — and the service's stats into
+/// a FleetResult: the step RunFleetReplay ends with, and how a running
+/// (e.g. recovered durable) fleet is fingerprinted. Each confirmed
+/// trigger's detection latency (trigger_sec - onset_sec) joins its
+/// instance's list in merge order, which per instance is firing order.
 FleetResult CollectFleetResult(const FleetService& service,
-                               std::vector<FleetOutcome> outcomes);
+                               std::vector<FleetOutcome> outcomes,
+                               FleetEvents events);
 
 /// The replay harness: replays one recorded stream per instance through a
 /// fresh FleetService, bit-deterministically (wall-clock timing fields are

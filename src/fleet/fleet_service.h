@@ -19,7 +19,6 @@
 #include "online/online_detector.h"
 #include "online/scheduler.h"
 #include "online/stream_ingestor.h"
-#include "repair/events.h"
 #include "repair/rule_engine.h"
 #include "store/env.h"
 #include "store/wal.h"
@@ -42,6 +41,18 @@ struct FleetOutcome {
   /// Storm batch id the trigger belonged to (0 = direct trigger).
   uint64_t storm_batch = 0;
   online::DiagnosisOutcome outcome;
+};
+
+/// What one Start(), AdvanceTo() or Stop() call produced besides its
+/// outcomes. Each item goes to the caller once; the fleet keeps none.
+struct FleetEvents {
+  /// Storm batches closed by this call, in closing order.
+  std::vector<StormBatch> storms;
+  /// Noisy-neighbor verdicts flagged by this call.
+  std::vector<NoisyNeighborVerdict> verdicts;
+  /// Every detector-confirmed trigger, before dedup, in merge order
+  /// (second, then instance order) — per instance that is firing order.
+  std::vector<online::AnomalyTrigger> confirmed;
 };
 
 struct FleetOptions {
@@ -168,10 +179,13 @@ struct FleetStats {
 /// fleet-level ticks (dedup, correlation, one dispatch wave per second,
 /// and a retention sweep every kRetentionEverySec fleet seconds).
 ///
-/// Outcomes: every diagnosis and storm-deferred trigger is handed to the
-/// caller once — by the Start() (recovery replay), AdvanceTo() or Stop()
-/// (drain) call that produced it — and the fleet keeps none; FleetStats
-/// counts them. Callers that need a history keep it themselves.
+/// Outcomes and events: every diagnosis and storm-deferred trigger, and
+/// every closed storm, noisy-neighbor verdict and confirmed trigger
+/// (FleetEvents), is handed to the caller once — by the Start() (recovery
+/// replay), AdvanceTo() or Stop() (drain) call that produced it — and the
+/// fleet keeps none; FleetStats counts them. Callers that need a history
+/// keep it themselves. Supervised-repair events ride in each report
+/// (DiagnosisReport::repair_events) and, durably, in the WAL.
 ///
 /// Threading: IngestRecord / IngestMetrics are safe from any number of
 /// producers between Start() and Stop(); outside that they refuse whole
@@ -221,18 +235,20 @@ class FleetService {
   /// (first Start() only): the newest valid checkpoint that fits its shape
   /// (others are skipped, see FleetRecoveryStats), then every instance's
   /// WAL suffix replayed with the canonical per-second discipline. Returns
-  /// the outcomes that replay produced; those the checkpoint already
-  /// counted are not reported again.
-  std::vector<FleetOutcome> Start();
+  /// the outcomes that replay produced, and appends its events to `events`
+  /// when given; what the checkpoint already counted is not handed out
+  /// again.
+  std::vector<FleetOutcome> Start(FleetEvents* events = nullptr);
 
   /// Graceful drain: refuses further ingest (in-flight calls complete
   /// first), folds everything staged, processes every instance up to its
   /// watermark, closes an open storm, and runs every queued diagnosis —
   /// in-flight and not-yet-due alike, each keeping its planned window. A
   /// checkpointing fleet then writes a final checkpoint. Returns the
-  /// outcomes the drain produced, storm-deferred ones included.
-  /// Idempotent: a second call returns nothing.
-  std::vector<FleetOutcome> Stop();
+  /// outcomes the drain produced, storm-deferred ones included, and
+  /// appends its events to `events` when given. Idempotent: a second call
+  /// returns nothing.
+  std::vector<FleetOutcome> Stop(FleetEvents* events = nullptr);
 
   bool running() const { return running_; }
 
@@ -244,22 +260,11 @@ class FleetService {
 
   /// Advances the fleet watermark to `fleet_sec` and processes everything
   /// up to it. Returns the fleet outcomes this call produced — diagnoses
-  /// and storm-deferred triggers alike — in completion order. A
-  /// checkpointing fleet writes its periodic checkpoint here.
-  std::vector<FleetOutcome> AdvanceTo(int64_t fleet_sec);
-
-  const std::vector<StormBatch>& storms() const { return storms_; }
-  const std::vector<NoisyNeighborVerdict>& neighbor_verdicts() const {
-    return verdicts_;
-  }
-
-  /// Detection latencies of one instance's detector, in firing order.
-  std::vector<int64_t> detection_latencies(uint32_t instance_id) const;
-
-  /// One instance's supervised-repair audit trail: recovered events plus
-  /// everything its supervisor emitted since (empty for an unknown id or
-  /// an instance without a supervisor).
-  std::vector<repair::RepairEvent> audit(uint32_t instance_id) const;
+  /// and storm-deferred triggers alike — in completion order, and appends
+  /// its events to `events` when given. A checkpointing fleet writes its
+  /// periodic checkpoint here.
+  std::vector<FleetOutcome> AdvanceTo(int64_t fleet_sec,
+                                      FleetEvents* events = nullptr);
 
   FleetStats stats() const;
 
@@ -274,10 +279,12 @@ class FleetService {
   FleetState ExportState();
 
   /// Restores an exported state into a stopped fleet of the same shape
-  /// (same instance ids in order, same ingestor shard count). Nothing
-  /// changes on error: FailedPrecondition when the fleet runs or the state
-  /// has another shape, InvalidArgument when its content is invalid. A
-  /// durable fleet's first Start() still recovers its data dir on top.
+  /// (same instance ids in order, same ingestor shard count, same detector
+  /// configuration). Nothing changes on error: FailedPrecondition when the
+  /// fleet runs or the state has another shape, InvalidArgument when its
+  /// content is invalid (e.g. a queued trigger or storm member of an
+  /// instance the fleet lacks). A durable fleet's first Start() still
+  /// recovers its data dir on top.
   Status ImportState(const FleetState& state);
 
   /// Durable fleets: writes a checkpoint now, prunes old ones and deletes
@@ -300,8 +307,8 @@ class FleetService {
     /// Repair accounting of this instance's last wave (its one diagnosis
     /// per wave writes it; the merge after the wave reads and clears it).
     online::DiagnosisSideStats side;
-    /// Audit trail, and how many of the supervisor's events it has seen.
-    std::vector<repair::RepairEvent> audit;
+    /// How many of the supervisor's events are journaled (or, on
+    /// recovery, came from the journal).
     size_t events_seen = 0;
     /// The stop gate: `accepting` is read by producers and written by
     /// SetAccepting under `gate` (in-memory fleets: held shared per call,
@@ -330,9 +337,20 @@ class FleetService {
     bool in_run = false;
   };
 
+  /// What one locked call hands out: its outcomes and, when the caller
+  /// asked for them, its events (nullptr: they are dropped).
+  struct Output {
+    explicit Output(FleetEvents* sink) : events(sink) {}
+    std::vector<FleetOutcome> outcomes;
+    FleetEvents* events;
+  };
+
   Instance* Find(uint32_t instance_id);
-  /// Appends the outcomes the processed seconds produced to `out`.
-  void AdvanceToLocked(int64_t fleet_sec, std::vector<FleetOutcome>* out);
+  /// Appends what the processed seconds produced to `out`.
+  void AdvanceToLocked(int64_t fleet_sec, Output* out);
+  /// Dedups and routes one instance-second's trigger and run activity.
+  void MergeEvent(const Instance& instance, const SecondEvent& event,
+                  Output* out);
   bool durable() const { return !options_.data_dir.empty(); }
   std::string InstanceDir(uint32_t instance_id) const;
   /// Opens or closes the ingest gate of every instance: in-flight producer
@@ -340,8 +358,9 @@ class FleetService {
   void SetAccepting(bool accepting);
   /// First Start() only: loads the newest valid checkpoint, then replays
   /// every instance's WAL suffix through the normal ingest path with the
-  /// canonical per-second discipline. Returns the replay's outcomes.
-  std::vector<FleetOutcome> RecoverLocked();
+  /// canonical per-second discipline. Appends what the replay produced to
+  /// `out`.
+  void RecoverLocked(Output* out);
   /// Opens (or reopens after Stop) each instance's writer, adopts the
   /// segments recovery scanned and re-journals the current catalog so
   /// template registrations made before Start() survive a crash.
@@ -349,14 +368,13 @@ class FleetService {
   void ProcessInstance(Instance* instance, int64_t fleet_sec,
                        std::vector<SecondEvent>* events);
   void RouteAcceptedTrigger(const online::AnomalyTrigger& trigger);
-  /// Enqueues the storm's top-k members and appends the rest to `out` as
-  /// deferred outcomes.
-  void TriageClosedStorm(StormBatch batch, int64_t now_sec,
-                         std::vector<FleetOutcome>* out);
+  /// Enqueues the storm's top-k members, appends the rest to `out` as
+  /// deferred outcomes and hands the batch out.
+  void TriageClosedStorm(StormBatch batch, int64_t now_sec, Output* out);
   /// Appends a wave's completions to `out`, merges their repair accounting
   /// and journals the supervisors' new events in instance order.
   void AppendCompletions(std::vector<FleetScheduler::Completion> completions,
-                         std::vector<FleetOutcome>* out);
+                         Output* out);
   online::DiagnosisOutcome RunOne(const QueuedTrigger& entry);
   /// Applies the archive retention at fleet second `sec`, never below an
   /// instance's open sliding window or the lookback of its queued or
@@ -394,9 +412,6 @@ class FleetService {
   bool processed_fleet_any_ = false;
   int64_t last_fleet_sec_ = 0;
   FleetCounters counters_;
-
-  std::vector<StormBatch> storms_;
-  std::vector<NoisyNeighborVerdict> verdicts_;
 
   store::Env* env_ = nullptr;
   bool journals_recovered_ = false;

@@ -63,23 +63,6 @@ bool DecodeStorm(Reader* r, StormBatch* batch) {
          DecodeSeq(r, &batch->triaged, 4, GetU32);
 }
 
-void EncodeVerdict(Writer* w, const NoisyNeighborVerdict& verdict) {
-  w->U32(verdict.host_id);
-  w->I64(verdict.flagged_sec);
-  EncodeSeq(w, verdict.cotenants, PutU32);
-  w->U32(verdict.dominant_instance);
-  w->I64(verdict.dominant_onset_sec);
-  w->F64(verdict.dominant_severity);
-}
-
-bool DecodeVerdict(Reader* r, NoisyNeighborVerdict* verdict) {
-  return r->U32(&verdict->host_id) && r->I64(&verdict->flagged_sec) &&
-         DecodeSeq(r, &verdict->cotenants, 4, GetU32) &&
-         r->U32(&verdict->dominant_instance) &&
-         r->I64(&verdict->dominant_onset_sec) &&
-         r->F64(&verdict->dominant_severity);
-}
-
 void EncodeInstance(Writer* w, const FleetInstanceState& instance) {
   w->U32(instance.instance_id);
   store::EncodeIngestor(w, instance.ingestor);
@@ -88,7 +71,6 @@ void EncodeInstance(Writer* w, const FleetInstanceState& instance) {
   w->I64(instance.last_processed_sec);
   EncodeSeq(w, instance.archive_records, store::EncodeRecord);
   store::EncodeCatalog(w, instance.catalog);
-  EncodeSeq(w, instance.audit, store::EncodeRepairEvent);
   w->U64(instance.lsn.segment_seq);
   w->U64(instance.lsn.offset);
 }
@@ -101,7 +83,6 @@ bool DecodeInstance(Reader* r, FleetInstanceState* instance) {
          r->I64(&instance->last_processed_sec) &&
          DecodeSeq(r, &instance->archive_records, 32, store::DecodeRecord) &&
          store::DecodeCatalog(r, &instance->catalog) &&
-         DecodeSeq(r, &instance->audit, 52, store::DecodeRepairEvent) &&
          r->U64(&instance->lsn.segment_seq) && r->U64(&instance->lsn.offset);
 }
 
@@ -183,7 +164,8 @@ void EncodeCounters(Writer* w, const FleetCounters& c) {
   w->I64(c.seconds_processed);
   for (size_t v : {c.triggers_confirmed, c.triggers_accepted,
                    c.triggers_suppressed, c.diagnoses_ok, c.diagnoses_failed,
-                   c.storm_deferred, c.repairs_applied, c.repairs_rejected,
+                   c.storm_deferred, c.neighbor_verdicts, c.repairs_applied,
+                   c.repairs_rejected,
                    c.retention_sweeps, c.records_retired}) {
     w->U64(v);
   }
@@ -197,6 +179,7 @@ bool DecodeCounters(Reader* r, FleetCounters* c) {
          DecodeU64Counter(r, &c->diagnoses_ok) &&
          DecodeU64Counter(r, &c->diagnoses_failed) &&
          DecodeU64Counter(r, &c->storm_deferred) &&
+         DecodeU64Counter(r, &c->neighbor_verdicts) &&
          DecodeU64Counter(r, &c->repairs_applied) &&
          DecodeU64Counter(r, &c->repairs_rejected) &&
          DecodeU64Counter(r, &c->retention_sweeps) &&
@@ -215,8 +198,6 @@ std::string EncodeFleetState(const FleetState& state) {
   });
   EncodeScheduler(&w, state.scheduler);
   EncodeCorrelator(&w, state.correlator);
-  EncodeSeq(&w, state.storms, EncodeStorm);
-  EncodeSeq(&w, state.verdicts, EncodeVerdict);
   w.Bool(state.processed_any);
   w.I64(state.last_fleet_sec);
   EncodeCounters(&w, state.counters);
@@ -236,10 +217,6 @@ StatusOr<FleetState> DecodeFleetState(std::string_view body) {
       !DecodeScheduler(&r, &state.scheduler) ||
       !DecodeCorrelator(&r, &state.correlator)) {
     return Status::ParseError("fleet checkpoint: malformed trigger routing");
-  }
-  if (!DecodeSeq(&r, &state.storms, 40, DecodeStorm) ||
-      !DecodeSeq(&r, &state.verdicts, 40, DecodeVerdict)) {
-    return Status::ParseError("fleet checkpoint: malformed results");
   }
   if (!r.Bool(&state.processed_any) || !r.I64(&state.last_fleet_sec) ||
       !DecodeCounters(&r, &state.counters)) {

@@ -12,7 +12,6 @@
 #include "logstore/log_store.h"
 #include "online/online_detector.h"
 #include "online/stream_ingestor.h"
-#include "repair/events.h"
 #include "store/wal.h"
 #include "util/status.h"
 
@@ -29,6 +28,8 @@ struct FleetCounters {
   size_t diagnoses_ok = 0;
   size_t diagnoses_failed = 0;
   size_t storm_deferred = 0;
+  /// Noisy-neighbor verdicts flagged.
+  size_t neighbor_verdicts = 0;
   /// Supervised actions applied / refused across every instance's loop.
   size_t repairs_applied = 0;
   size_t repairs_rejected = 0;
@@ -51,8 +52,6 @@ struct FleetInstanceState {
   std::vector<QueryLogRecord> archive_records;
   /// Catalog sorted by sql_id, so exported state is deterministic.
   std::vector<std::pair<uint64_t, TemplateCatalogEntry>> catalog;
-  /// The instance's supervised-repair audit trail.
-  std::vector<repair::RepairEvent> audit;
   /// Journal position the slice is consistent with: every record, sample
   /// and event folded into it was journaled at or before `lsn`, so
   /// recovery replays the instance's WAL from here.
@@ -62,9 +61,10 @@ struct FleetInstanceState {
 /// Complete serializable state of a FleetService, captured by
 /// ExportState() and restored by ImportState(): a restored fleet continues
 /// its streams bit-identically to one that never stopped. The durable
-/// fleet checkpoints exactly this (EncodeFleetState). Outcomes are not
-/// part of it: the fleet hands each one to its caller once and keeps none
-/// (the counters still count them).
+/// fleet checkpoints exactly this (EncodeFleetState). Outcomes, closed
+/// storms, verdicts, confirmed triggers and repair events are not part of
+/// it: the fleet hands each one out once and keeps none (the counters
+/// still count them; repair events live in the WAL).
 struct FleetState {
   /// In the fleet's instance order.
   std::vector<FleetInstanceState> instances;
@@ -72,8 +72,6 @@ struct FleetState {
   std::vector<std::pair<uint32_t, int64_t>> dedup_activity;
   FleetSchedulerState scheduler;
   CorrelatorState correlator;
-  std::vector<StormBatch> storms;
-  std::vector<NoisyNeighborVerdict> verdicts;
   /// The fleet clock.
   bool processed_any = false;
   int64_t last_fleet_sec = 0;

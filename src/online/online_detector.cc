@@ -31,7 +31,6 @@ OnlineDetectorState OnlineAnomalyDetector::ExportState() const {
   state.last_finite = last_finite_;
   state.seen_finite = seen_finite_;
   state.consecutive_gaps = consecutive_gaps_;
-  state.latencies = latencies_;
   state.stats = stats_;
   return state;
 }
@@ -41,7 +40,6 @@ void OnlineAnomalyDetector::ImportState(const OnlineDetectorState& state) {
   last_finite_ = state.last_finite;
   seen_finite_ = state.seen_finite;
   consecutive_gaps_ = state.consecutive_gaps;
-  latencies_ = state.latencies;
   stats_ = state.stats;
 }
 
@@ -88,7 +86,6 @@ std::optional<AnomalyTrigger> OnlineAnomalyDetector::Observe(
   trigger.pettitt_p = fired->pettitt_p;
   trigger.source = fired->source;
   ++stats_.triggers;
-  latencies_.push_back(trigger.trigger_sec - trigger.onset_sec);
   PINSQL_OBS_COUNT("online.triggers", 1);
   return trigger;
 }

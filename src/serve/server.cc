@@ -501,7 +501,10 @@ void Server::PumpLoop() {
     if (max_sec != std::numeric_limits<int64_t>::min() &&
         max_sec > advanced_to) {
       advanced_to = max_sec;
-      PublishOutcomes(fleet_->AdvanceTo(max_sec));
+      fleet::FleetEvents events;
+      std::vector<fleet::FleetOutcome> outcomes =
+          fleet_->AdvanceTo(max_sec, &events);
+      PublishOutcomes(outcomes, events.storms);
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.advanced_to_sec = max_sec;
     }
@@ -587,12 +590,9 @@ void Server::SnapshotFleetStats() {
   ++stats_.fleet_stats_snapshots;
 }
 
-void Server::PublishOutcomes(
-    const std::vector<fleet::FleetOutcome>& outcomes) {
-  // Only the pump mutates the fleet, so reading its storm list here (new
-  // entries only) is race-free.
-  const auto& storms = fleet_->storms();
-  if (outcomes.empty() && storms_seen_ == storms.size()) return;
+void Server::PublishOutcomes(const std::vector<fleet::FleetOutcome>& outcomes,
+                             const std::vector<fleet::StormBatch>& storms) {
+  if (outcomes.empty() && storms.empty()) return;
   // Render outside cache_mu_: reads never wait on report serialization.
   std::vector<OutcomeEntry> entries;
   entries.reserve(outcomes.size());
@@ -629,8 +629,7 @@ void Server::PublishOutcomes(
     entries.push_back(std::move(entry));
   }
   std::vector<std::string> closed;
-  for (; storms_seen_ < storms.size(); ++storms_seen_) {
-    const fleet::StormBatch& storm = storms[storms_seen_];
+  for (const fleet::StormBatch& storm : storms) {
     Json s = Json::MakeObject();
     s.Set("id", static_cast<int64_t>(storm.id));
     s.Set("opened_sec", storm.opened_sec);

@@ -183,9 +183,10 @@ class Server {
   /// Delivers one staged batch into the fleet; returns the max accepted
   /// sample second (INT64_MIN if none).
   int64_t DeliverBatch(StagedBatch batch);
-  /// Renders an advance's outcomes and newly closed storms into the read
+  /// Renders an advance's outcomes and the storms it closed into the read
   /// caches (pump thread only).
-  void PublishOutcomes(const std::vector<fleet::FleetOutcome>& outcomes);
+  void PublishOutcomes(const std::vector<fleet::FleetOutcome>& outcomes,
+                       const std::vector<fleet::StormBatch>& storms);
   void SnapshotFleetStats();
 
   HttpResponse HandleIngest(const HttpRequest& request, int64_t now_ms);
@@ -228,7 +229,6 @@ class Server {
   fleet::FleetStats fleet_stats_cache_;
   std::deque<OutcomeEntry> outcome_cache_;
   std::deque<std::string> storm_cache_;  // rendered /v1/triggers storms
-  size_t storms_seen_ = 0;  // pump thread only
   std::map<uint32_t, online::ReplayLog> capture_;
   std::map<uint32_t, int64_t> capture_last_sample_sec_;
 

@@ -21,16 +21,17 @@ constexpr char kCheckpointMagic[8] = {'P', 'S', 'Q', 'L', 'C', 'K', 'P', '1'};
 // archive). v4: one checkpoint per fleet (a FleetState body) instead of
 // one single-instance service state. v5: the fleet keeps no outcomes, so
 // the body carries none, and a template's table list is u32-counted like
-// the WAL's. Older checkpoints fail the version check and recovery falls
-// back to the WAL, which replays into the new format.
-constexpr uint32_t kCheckpointVersion = 5;
+// the WAL's. v6: the fleet keeps no closed storms, verdicts, repair audit
+// or detection latencies either (the verdict count joins the counters),
+// and the sketch forecaster is gone. Older checkpoints fail the version
+// check and recovery falls back to the WAL, which replays into the new
+// format.
+constexpr uint32_t kCheckpointVersion = 6;
 // magic(8) + version(4) at the front, crc(4) at the back.
 constexpr size_t kCheckpointOverhead = 16;
 
 void PutF64(codec::Writer* w, double v) { w->F64(v); }
 bool GetF64(codec::Reader* r, double* v) { return r->F64(v); }
-void PutI64(codec::Writer* w, int64_t v) { w->I64(v); }
-bool GetI64(codec::Reader* r, int64_t* v) { return r->I64(v); }
 
 void EncodeScreenSnapshot(codec::Writer* w,
                           const anomaly::StreamingDetectorSnapshot& screen) {
@@ -82,7 +83,7 @@ void EncodeForecast(codec::Writer* w, const detect::ForecastSnapshot& fc) {
 
 bool DecodeForecast(codec::Reader* r, detect::ForecastSnapshot* fc) {
   uint32_t method = 0;
-  if (!r->U32(&method) || method > 3) return false;
+  if (!r->U32(&method) || method > 2) return false;
   fc->method = static_cast<detect::ForecastMethod>(method);
   return r->U64(&fc->count) && r->F64(&fc->mad) && r->F64(&fc->cusum) &&
          r->U64(&fc->cusum_start) && r->U64(&fc->cusum_anchor) &&
@@ -198,7 +199,6 @@ void EncodeDetector(codec::Writer* w, const online::OnlineDetectorState& state) 
   w->F64(state.last_finite);
   w->Bool(state.seen_finite);
   w->U64(state.consecutive_gaps);
-  EncodeSeq(w, state.latencies, PutI64);
   w->U64(state.stats.samples);
   w->U64(state.stats.gaps_carried);
   w->U64(state.stats.gaps_skipped);
@@ -218,7 +218,6 @@ bool DecodeDetector(codec::Reader* r, online::OnlineDetectorState* state) {
          DecodeSeq(r, &ensemble.forecasters, 80, DecodeForecast) &&
          r->F64(&state->last_finite) && r->Bool(&state->seen_finite) &&
          r->U64(&state->consecutive_gaps) &&
-         DecodeSeq(r, &state->latencies, 8, GetI64) &&
          DecodeU64Counter(r, &state->stats.samples) &&
          DecodeU64Counter(r, &state->stats.gaps_carried) &&
          DecodeU64Counter(r, &state->stats.gaps_skipped) &&

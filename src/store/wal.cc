@@ -59,10 +59,9 @@ enum class SpanStatus {
   kInvalid,  // timestamp cannot be represented in int64 milliseconds
 };
 
-/// Largest |seconds| that survives a *1000 without signed overflow, and a
-/// double bound strictly inside int64 range (a CRC-valid but corrupt frame
-/// can carry any bit pattern; the arithmetic must reject it before UB).
-constexpr int64_t kMaxEventSec = std::numeric_limits<int64_t>::max() / 1000;
+/// A double bound strictly inside int64 range (a CRC-valid but corrupt
+/// frame can carry any bit pattern; the arithmetic must reject it before
+/// UB).
 constexpr double kMaxEventMsDouble = 9.0e18;
 
 SpanStatus FrameEventSpan(const WalFrame& frame, EventSpan* span) {

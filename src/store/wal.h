@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,12 @@
 #include "util/status.h"
 
 namespace pinsql::store {
+
+/// Largest |seconds| a sample may carry: it survives a *1000 without signed
+/// overflow. The scan rejects a frame beyond it, and a checkpoint carrying
+/// a second beyond it is refused on import.
+inline constexpr int64_t kMaxEventSec =
+    std::numeric_limits<int64_t>::max() / 1000;
 
 /// When the writer fsyncs (see DESIGN.md §11 for the durability matrix).
 enum class FsyncPolicy {

@@ -8,7 +8,6 @@
 
 #include "detect/ensemble.h"
 #include "detect/forecast.h"
-#include "detect/sketch.h"
 #include "util/rng.h"
 
 namespace pinsql::detect {
@@ -32,7 +31,7 @@ std::vector<double> FlatSeries(size_t n, double level, double noise) {
 
 const std::vector<ForecastMethod> kAllMethods = {
     ForecastMethod::kEwma, ForecastMethod::kHolt,
-    ForecastMethod::kHoltWinters, ForecastMethod::kEwmaSketch};
+    ForecastMethod::kHoltWinters};
 
 ForecastOptions MethodOptions(ForecastMethod method) {
   ForecastOptions options;
@@ -55,8 +54,6 @@ TEST(ForecastDetectorTest, EveryMethodConstructsAndNames) {
   EXPECT_STREQ(ForecastMethodName(ForecastMethod::kHolt), "holt");
   EXPECT_STREQ(ForecastMethodName(ForecastMethod::kHoltWinters),
                "holt_winters");
-  EXPECT_STREQ(ForecastMethodName(ForecastMethod::kEwmaSketch),
-               "ewma_sketch");
 }
 
 TEST(ForecastDetectorTest, QuietSeriesProducesNoEvents) {
@@ -222,69 +219,6 @@ TEST(ForecastDetectorTest, SnapshotRestoreResumesBitIdentically) {
       EXPECT_DOUBLE_EQ(a.model[i], b.model[i]);
     }
   }
-}
-
-// ----------------------------------------------------------------- sketch
-
-TEST(SketchTest, EngineForecastsPerKeyIndependently) {
-  SketchEwmaEngine engine(64, 3, 0.2, 0.1);
-  for (int i = 0; i < 100; ++i) {
-    engine.Update(1, 10.0);
-    engine.Update(2, 500.0);
-  }
-  EXPECT_TRUE(engine.Ready(1));
-  EXPECT_NEAR(engine.Forecast(1), 10.0, 1.0);
-  EXPECT_NEAR(engine.Forecast(2), 500.0, 50.0);
-  EXPECT_GE(engine.UpdateFloor(1), 100u);
-}
-
-TEST(SketchTest, EngineExportRestoreRoundTrips) {
-  SketchEwmaEngine engine(32, 2, 0.2, 0.1);
-  for (int i = 0; i < 50; ++i) {
-    engine.Update(7, 10.0 + Noise(static_cast<uint64_t>(i), 1.0));
-  }
-  std::vector<double> state;
-  engine.Export(&state);
-  SketchEwmaEngine restored(32, 2, 0.2, 0.1);
-  restored.Restore(state);
-  EXPECT_DOUBLE_EQ(engine.Forecast(7), restored.Forecast(7));
-  EXPECT_DOUBLE_EQ(engine.Scale(7), restored.Scale(7));
-  EXPECT_EQ(engine.UpdateFloor(7), restored.UpdateFloor(7));
-}
-
-TEST(SketchTest, KeyedDetectorFlagsAnomalousKeyOnce) {
-  ForecastOptions options;
-  options.threshold = 6.0;
-  options.scale_floor = 0.5;
-  KeyedSketchDetector detector(options);
-  // Warm 50 keys with distinct stable levels.
-  for (int64_t sec = 0; sec < 40; ++sec) {
-    for (uint64_t key = 0; key < 50; ++key) {
-      auto hit = detector.Observe(key, sec, 10.0 + static_cast<double>(key));
-      EXPECT_FALSE(hit.has_value());
-    }
-  }
-  // Key 17 jumps; exactly one anomaly, attributed to key 17, and the
-  // sustained anomaly does not re-fire while hot.
-  size_t hits = 0;
-  for (int64_t sec = 40; sec < 50; ++sec) {
-    for (uint64_t key = 0; key < 50; ++key) {
-      const double v = key == 17 ? 400.0 : 10.0 + static_cast<double>(key);
-      if (auto hit = detector.Observe(key, sec, v)) {
-        ++hits;
-        EXPECT_EQ(hit->key, 17u);
-        EXPECT_GT(hit->z, 6.0);
-        EXPECT_EQ(hit->sec, 40);
-      }
-    }
-  }
-  EXPECT_EQ(hits, 1u);
-  EXPECT_EQ(detector.hot_keys(), 1u);
-  // Clean samples re-arm the key.
-  for (int64_t sec = 50; sec < 52; ++sec) {
-    detector.Observe(17, sec, 27.0);
-  }
-  EXPECT_EQ(detector.hot_keys(), 0u);
 }
 
 // --------------------------------------------------------------- ensemble

@@ -469,9 +469,10 @@ std::string MakeDataDir() {
 }
 
 /// 100 s of calm, then a hard step on template 1001 — one incident.
-/// Appends the outcomes the advances returned to `outcomes`.
+/// Appends what the advances handed out to `outcomes` and `events`.
 void StreamStep(FleetService* service, uint32_t instance_id, int64_t from_sec,
-                int64_t to_sec, std::vector<FleetOutcome>* outcomes) {
+                int64_t to_sec, std::vector<FleetOutcome>* outcomes,
+                FleetEvents* events) {
   for (int64_t sec = from_sec; sec < to_sec; ++sec) {
     const bool anomalous = sec >= 100;
     for (int64_t k = 0; k < (anomalous ? 20 : 2); ++k) {
@@ -480,7 +481,7 @@ void StreamStep(FleetService* service, uint32_t instance_id, int64_t from_sec,
                            anomalous ? 30000 : 40));
     }
     service->IngestMetrics(instance_id, Sample(sec, anomalous ? 45.0 : 5.0));
-    for (FleetOutcome& outcome : service->AdvanceTo(sec)) {
+    for (FleetOutcome& outcome : service->AdvanceTo(sec, events)) {
       outcomes->push_back(std::move(outcome));
     }
   }
@@ -498,9 +499,10 @@ TEST(FleetServiceTest, StoppedDurableFleetRefusesIngestAndRecovers) {
     // archived without a journal entry behind it.
     EXPECT_FALSE(service.IngestRecord(7, Rec(50'000, 1001, 900.0, 900'000)));
     EXPECT_FALSE(service.IngestMetrics(7, Sample(50, 5.0)));
-    std::vector<FleetOutcome> outcomes = service.Start();
-    StreamStep(&service, 7, 0, 140, &outcomes);
-    for (FleetOutcome& outcome : service.Stop()) {
+    FleetEvents events;
+    std::vector<FleetOutcome> outcomes = service.Start(&events);
+    StreamStep(&service, 7, 0, 140, &outcomes, &events);
+    for (FleetOutcome& outcome : service.Stop(&events)) {
       outcomes.push_back(std::move(outcome));
     }
     // After Stop(): the same.
@@ -512,20 +514,77 @@ TEST(FleetServiceTest, StoppedDurableFleetRefusesIngestAndRecovers) {
     EXPECT_EQ(stats.ingest.records_enqueued, stats.ingest.records_folded);
     ASSERT_EQ(stats.diagnoses_ok, 1u) << "the step must be diagnosed";
     ASSERT_EQ(outcomes.size(), 1u) << "reported once";
-    live = CollectFleetResult(service, std::move(outcomes)).Fingerprint();
+    ASSERT_EQ(events.confirmed.size(), 1u) << "handed out once";
+    live = CollectFleetResult(service, std::move(outcomes), std::move(events))
+               .Fingerprint();
   }
   // The journal holds exactly what the live run processed, and no
-  // checkpoint covers any of it: a restart's replay reports every outcome
-  // again, byte-identically.
+  // checkpoint covers any of it: a restart's replay hands out every
+  // outcome and confirmed trigger again, byte-identically.
   FleetService restarted({{7, 0}}, options);
-  std::vector<FleetOutcome> recovered = restarted.Start();
+  FleetEvents events;
+  std::vector<FleetOutcome> recovered = restarted.Start(&events);
   EXPECT_TRUE(restarted.recovery().attempted);
   EXPECT_FALSE(restarted.recovery().checkpoint_loaded);
-  for (FleetOutcome& outcome : restarted.Stop()) {
+  for (FleetOutcome& outcome : restarted.Stop(&events)) {
     recovered.push_back(std::move(outcome));
   }
-  EXPECT_EQ(CollectFleetResult(restarted, std::move(recovered)).Fingerprint(),
+  EXPECT_EQ(CollectFleetResult(restarted, std::move(recovered),
+                               std::move(events))
+                .Fingerprint(),
             live);
+}
+
+TEST(FleetServiceTest, DrainMergesALaggingInstancesTriggerBehindTheClock) {
+  // Instance 1 drives the fleet clock to 100500 while instance 0 stops at
+  // 100399; instance 0's anomalous seconds 100400-100450 arrive only after
+  // that. Stop()'s drain processes them behind the fleet clock, which does
+  // not move: their trigger must still be confirmed, handed out and
+  // diagnosed — exactly as when one more fleet second merges it first.
+  std::vector<std::string> digests;
+  for (const bool one_more_second : {false, true}) {
+    SCOPED_TRACE(one_more_second);
+    FleetOptions options;
+    options.scheduler.zero_timings = true;
+    FleetService service({{0, 0}, {1, 1}}, options);
+    FleetEvents events;
+    std::vector<FleetOutcome> outcomes = service.Start(&events);
+    const auto take = [&](std::vector<FleetOutcome> more) {
+      for (FleetOutcome& outcome : more) outcomes.push_back(std::move(outcome));
+    };
+    const auto feed = [&](uint32_t id, int64_t sec, bool anomalous) {
+      for (int64_t k = 0; k < (anomalous ? 20 : 2); ++k) {
+        service.IngestRecord(
+            id, Rec(sec * 1000 + k, 1001, anomalous ? 90.0 : 4.0,
+                    anomalous ? 30000 : 40));
+      }
+      service.IngestMetrics(id, Sample(sec, anomalous ? 45.0 : 5.0));
+    };
+    for (int64_t sec = 100'000; sec < 100'400; ++sec) {
+      feed(0, sec, false);
+      feed(1, sec, false);
+      take(service.AdvanceTo(sec, &events));
+    }
+    for (int64_t sec = 100'400; sec <= 100'500; ++sec) feed(1, sec, false);
+    take(service.AdvanceTo(100'500, &events));
+    for (int64_t sec = 100'400; sec <= 100'450; ++sec) feed(0, sec, true);
+    if (one_more_second) {
+      feed(1, 100'501, false);
+      take(service.AdvanceTo(100'501, &events));
+    }
+    take(service.Stop(&events));
+
+    EXPECT_EQ(service.stats().triggers_confirmed, 1u);
+    ASSERT_EQ(events.confirmed.size(), 1u);
+    EXPECT_EQ(events.confirmed[0].instance_id, 0u);
+    EXPECT_GE(events.confirmed[0].onset_sec, 100'400);
+    ASSERT_EQ(outcomes.size(), 1u) << "the lagging trigger is diagnosed";
+    EXPECT_EQ(outcomes[0].disposition, FleetOutcome::Disposition::kDiagnosed);
+    std::string digest;
+    AppendOutcomeFingerprint(outcomes[0].outcome, &digest);
+    digests.push_back(digest);
+  }
+  EXPECT_EQ(digests[0], digests[1]);
 }
 
 TEST(FleetServiceTest, GracefulDrainUnderRacingProducers) {

@@ -339,9 +339,7 @@ TEST(OnlineDetectorTest, FiresExactlyOncePerSustainedRun) {
   EXPECT_LE(trigger->trigger_sec - trigger->onset_sec, 5);
   EXPECT_GT(trigger->severity, options.screen.threshold);
   EXPECT_LE(trigger->pettitt_p, options.pettitt_alpha);
-  ASSERT_EQ(detector.latencies_sec().size(), 1u);
-  EXPECT_EQ(detector.latencies_sec()[0],
-            trigger->trigger_sec - trigger->onset_sec);
+  EXPECT_EQ(detector.stats().triggers, 1u);
 }
 
 TEST(OnlineDetectorTest, ShortBlipsDoNotTrigger) {

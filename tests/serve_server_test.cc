@@ -932,18 +932,19 @@ TEST(ServeServerTest, ReadEndpointsMatchTreeRenderingByteForByte) {
   ::close(fd);
   stack.server->Stop();
 
-  // What the pump cached: every outcome AdvanceTo returned, in order —
-  // storm-deferred triggers included. The fleet keeps none, so a shadow
-  // fleet replays the pump's rounds — deliver the batch, then advance to
-  // its newest sample second when that moves the clock — and returns the
-  // same outcomes in the same order. Never Stop(): the served fleet was
-  // not drained either.
+  // What the pump cached: every outcome and closed storm AdvanceTo handed
+  // out, in order — storm-deferred triggers included. The fleet keeps
+  // none, so a shadow fleet replays the pump's rounds — deliver the batch,
+  // then advance to its newest sample second when that moves the clock —
+  // and hands out the same in the same order. Never Stop(): the served
+  // fleet was not drained either.
   size_t posted_records = 0;
   size_t posted_samples = 0;
   fleet::FleetService shadow(specs, foptions);
   RegisterCatalog(&shadow);
   shadow.Start();
   std::vector<TreeEntry> cache;
+  fleet::FleetEvents shadow_events;
   int64_t advanced_to = std::numeric_limits<int64_t>::min();
   for (const Posted& batch : posted) {
     for (const QueryLogRecord& record : batch.records) {
@@ -958,14 +959,15 @@ TEST(ServeServerTest, ReadEndpointsMatchTreeRenderingByteForByte) {
     posted_samples += batch.samples.size();
     if (max_sec <= advanced_to) continue;
     advanced_to = max_sec;
-    for (const fleet::FleetOutcome& fo : shadow.AdvanceTo(max_sec)) {
+    for (const fleet::FleetOutcome& fo :
+         shadow.AdvanceTo(max_sec, &shadow_events)) {
       cache.push_back(ToTreeEntry(fo));
     }
   }
   // The served fleet accepted every posted record and sample.
   EXPECT_EQ(stack.server->stats().records_delivered, posted_records);
   EXPECT_EQ(stack.server->stats().samples_delivered, posted_samples);
-  const std::vector<fleet::StormBatch>& storms = stack.fleet->storms();
+  const std::vector<fleet::StormBatch>& storms = shadow_events.storms;
   // The scenario exercises truncation at limit 4, tenant scoping, storm
   // rendering, a deferred storm member and full reports with repair
   // arrays.

@@ -144,27 +144,42 @@ online::ReplayLog ScanConfirmedInput(const std::string& data_dir,
   return log;
 }
 
-/// The uninterrupted replay's digest without its first `checkpointed`
-/// outcomes (completion order): those a loaded checkpoint had counted and
-/// a recovered fleet does not report again.
+/// Outcomes and confirmed triggers a loaded checkpoint had counted, which
+/// the recovered fleet does not hand out again (0 without one). A fleet of
+/// one closes no storm and flags no verdict.
+struct Counted {
+  size_t outcomes = 0;
+  size_t confirmed = 0;
+};
+
+/// Drops the first `n` entries of `list`.
+template <typename List>
+void DropPrefix(List* list, size_t n) {
+  EXPECT_LE(n, list->size());
+  list->erase(list->begin(),
+              list->begin() + static_cast<std::ptrdiff_t>(
+                                  std::min(n, list->size())));
+}
+
+/// The uninterrupted replay's digest less what the checkpoint counted:
+/// outcomes in completion order, detection latencies in firing order.
 std::string ReferenceFingerprint(const online::ReplayLog& log,
-                                 size_t checkpointed = 0) {
+                                 const Counted& checkpointed = {}) {
   fleet::FleetResult result = fleet::RunFleetReplay(
       {{0, 0}}, {log}, SyntheticCatalog(), fleet::FleetReplayOptions{});
-  EXPECT_LE(checkpointed, result.outcomes.size());
-  checkpointed = std::min(checkpointed, result.outcomes.size());
-  result.outcomes.erase(result.outcomes.begin(),
-                        result.outcomes.begin() + checkpointed);
+  EXPECT_TRUE(result.storms.empty());
+  EXPECT_TRUE(result.neighbors.empty());
+  DropPrefix(&result.outcomes, checkpointed.outcomes);
+  DropPrefix(&result.latencies[0], checkpointed.confirmed);
   return result.InstanceFingerprint(0);
 }
 
 /// Recovers `data_dir` into a fresh durable fleet of one, drains it, and
-/// returns it with what its Start() and Stop() reported and their digest.
+/// returns it with what its Start() and Stop() handed out and their digest.
 struct Recovered {
   std::unique_ptr<fleet::FleetService> service;
   std::vector<fleet::FleetOutcome> outcomes;
-  /// Outcomes the loaded checkpoint had counted (0 without one).
-  size_t checkpointed = 0;
+  Counted checkpointed;
   std::string fingerprint;
 };
 Recovered Recover(const std::string& data_dir, int64_t checkpoint_every_sec) {
@@ -179,17 +194,21 @@ Recovered Recover(const std::string& data_dir, int64_t checkpoint_every_sec) {
   for (const auto& [id, entry] : catalog.catalog()) {
     out.service->RegisterTemplateFleetWide(id, entry);
   }
-  out.outcomes = out.service->Start();
+  fleet::FleetEvents events;
+  out.outcomes = out.service->Start(&events);
   if (out.service->recovery().checkpoint_loaded) {
     const fleet::FleetStats stats = out.service->stats();
-    out.checkpointed = stats.diagnoses_ok + stats.diagnoses_failed +
-                       stats.storm_deferred - out.outcomes.size();
+    out.checkpointed.outcomes = stats.diagnoses_ok + stats.diagnoses_failed +
+                                stats.storm_deferred - out.outcomes.size();
+    out.checkpointed.confirmed =
+        stats.triggers_confirmed - events.confirmed.size();
   }
-  for (fleet::FleetOutcome& outcome : out.service->Stop()) {
+  for (fleet::FleetOutcome& outcome : out.service->Stop(&events)) {
     out.outcomes.push_back(std::move(outcome));
   }
-  out.fingerprint = fleet::CollectFleetResult(*out.service, out.outcomes)
-                        .InstanceFingerprint(0);
+  out.fingerprint =
+      fleet::CollectFleetResult(*out.service, out.outcomes, std::move(events))
+          .InstanceFingerprint(0);
   return out;
 }
 

@@ -1,13 +1,19 @@
 /// Durable store microbench: WAL append throughput under each fsync
-/// policy, and recovery (full-scan replay) time as a function of WAL
-/// length. Runs on a throwaway temp directory; real disks will show the
-/// fsync gap far more strongly than CI's tmpfs-backed /tmp.
+/// policy, recovery (full-scan replay) time as a function of WAL length,
+/// and a checkpointed durable fleet: checkpoint size and cost, and
+/// recovery from the newest checkpoint against recovery from the WAL
+/// alone, at two history lengths. Runs on throwaway temp directories; real
+/// disks will show the fsync gap far more strongly than CI's tmpfs-backed
+/// /tmp.
 ///
 /// Shape checks (hard, exit code = violations): every appended frame is
 /// recovered byte-exactly under every policy; a torn tail is truncated on
 /// the first scan and the second scan is clean; recovery touches every
-/// byte the writer reported. Throughput ordering across fsync policies is
-/// printed but not counted — it is hardware-dependent.
+/// byte the writer reported; a checkpoint body does not grow with the
+/// history (within 1% at three times the length); and both recoveries end
+/// with identical archives, record for record, and identical FleetStats.
+/// Throughput ordering across fsync policies is printed but not counted —
+/// it is hardware-dependent.
 ///
 /// Environment knobs: PINSQL_BENCH_STORE_SECONDS (simulated seconds per
 /// policy run, default 20000), PINSQL_BENCH_STORE_BATCH (records per
@@ -20,10 +26,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "fleet/fleet_service.h"
 #include "store/env.h"
 #include "store/wal.h"
 
@@ -54,13 +63,7 @@ std::string MakeTempDir() {
   return tmpl;
 }
 
-void RemoveTree(const std::string& dir) {
-  auto files = PosixEnv()->ListDir(dir);
-  if (files.ok()) {
-    for (const auto& name : *files) PosixEnv()->DeleteFile(dir + "/" + name);
-  }
-  ::rmdir(dir.c_str());
-}
+void RemoveTree(const std::string& dir) { std::filesystem::remove_all(dir); }
 
 double Seconds(std::chrono::steady_clock::time_point from,
                std::chrono::steady_clock::time_point to) {
@@ -123,7 +126,8 @@ ScanRun RunScan(const std::string& dir) {
   ScanRun run;
   const auto start = std::chrono::steady_clock::now();
   const auto status = ScanWal(PosixEnv(), dir, WalOptions(), WalPosition{},
-                              [&run](const WalFrame& frame) {
+                              [&run](const WalFrame& frame,
+                                     const WalPosition&) {
                                 ++run.frames;
                                 run.records += frame.records.size();
                               },
@@ -132,6 +136,215 @@ ScanRun RunScan(const std::string& dir) {
   if (!status.ok()) {
     std::fprintf(stderr, "scan: %s\n", status.ToString().c_str());
     std::exit(2);
+  }
+  return run;
+}
+
+/// Bytes of the files under `dir` whose names end in `suffix`, and the
+/// newest such file's name.
+uint64_t FileBytes(const std::string& dir, const std::string& suffix,
+                   std::string* newest = nullptr) {
+  uint64_t bytes = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (!entry.is_regular_file() || name.size() < suffix.size() ||
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
+      continue;
+    }
+    bytes += entry.file_size();
+    if (newest != nullptr && name > *newest) *newest = entry.path().string();
+  }
+  return bytes;
+}
+
+/// One recovery of a fleet over `dir`.
+struct Recovered {
+  double ms = 0;
+  std::unique_ptr<pinsql::fleet::FleetService> fleet;
+};
+
+constexpr int kTemplates = 40;
+
+void RegisterTemplates(pinsql::fleet::FleetService* fleet) {
+  for (uint64_t id = 1; id <= kTemplates; ++id) {
+    std::string table = "t";
+    table += std::to_string(id);
+    pinsql::TemplateCatalogEntry entry;
+    entry.template_text = "SELECT * FROM ";
+    entry.template_text += table;
+    entry.template_text += " WHERE k = ?";
+    entry.kind = pinsql::sqltpl::StatementKind::kSelect;
+    entry.tables = {table};
+    fleet->RegisterTemplateFleetWide(id, entry);
+  }
+}
+
+std::vector<pinsql::fleet::FleetInstanceSpec> Specs(int instances) {
+  std::vector<pinsql::fleet::FleetInstanceSpec> specs;
+  for (int i = 0; i < instances; ++i) {
+    specs.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(i / 4)});
+  }
+  return specs;
+}
+
+pinsql::fleet::FleetOptions CheckpointingOptions(const std::string& dir) {
+  pinsql::fleet::FleetOptions options;
+  options.data_dir = dir;
+  options.checkpoint_every_sec = 300;
+  options.wal.segment_bytes = 256 << 10;
+  options.wal.fsync = FsyncPolicy::kNever;
+  options.scheduler.zero_timings = true;
+  return options;
+}
+
+Recovered Recover(const std::string& dir, int instances) {
+  Recovered out;
+  out.fleet = std::make_unique<pinsql::fleet::FleetService>(
+      Specs(instances), CheckpointingOptions(dir));
+  RegisterTemplates(out.fleet.get());
+  out.fleet->Start();
+  out.ms = out.fleet->recovery().recovery_ms;
+  return out;
+}
+
+/// Whether two recovered fleets hold the same archives, record for record,
+/// and the same FleetStats (the journal writers each incarnation opened
+/// included).
+bool SameRecovery(const Recovered& a, const Recovered& b) {
+  for (uint32_t id : a.fleet->instance_ids()) {
+    const auto left = a.fleet->archive(id)->SnapshotRange(
+        std::numeric_limits<int64_t>::min(),
+        std::numeric_limits<int64_t>::max());
+    const auto right = b.fleet->archive(id)->SnapshotRange(
+        std::numeric_limits<int64_t>::min(),
+        std::numeric_limits<int64_t>::max());
+    if (left.size() != right.size()) return false;
+    for (size_t i = 0; i < left.size(); ++i) {
+      if (left[i].arrival_ms != right[i].arrival_ms ||
+          left[i].sql_id != right[i].sql_id ||
+          left[i].response_ms != right[i].response_ms ||
+          left[i].examined_rows != right[i].examined_rows) {
+        return false;
+      }
+    }
+  }
+  const pinsql::fleet::FleetStats x = a.fleet->stats();
+  const pinsql::fleet::FleetStats y = b.fleet->stats();
+  const auto& xi = x.ingest;
+  const auto& yi = y.ingest;
+  return x.instances == y.instances &&
+         xi.records_enqueued == yi.records_enqueued &&
+         xi.records_folded == yi.records_folded &&
+         xi.records_dropped_backpressure == yi.records_dropped_backpressure &&
+         xi.records_dropped_late == yi.records_dropped_late &&
+         xi.records_dropped_future == yi.records_dropped_future &&
+         xi.records_staged == yi.records_staged &&
+         xi.metric_samples == yi.metric_samples &&
+         xi.metric_samples_dropped == yi.metric_samples_dropped &&
+         x.samples_observed == y.samples_observed &&
+         x.triggers_confirmed == y.triggers_confirmed &&
+         x.triggers_accepted == y.triggers_accepted &&
+         x.triggers_suppressed == y.triggers_suppressed &&
+         x.diagnoses_ok == y.diagnoses_ok &&
+         x.diagnoses_failed == y.diagnoses_failed &&
+         x.storms_detected == y.storms_detected &&
+         x.storm_deferred == y.storm_deferred &&
+         x.neighbor_verdicts == y.neighbor_verdicts &&
+         x.seconds_processed == y.seconds_processed &&
+         x.retention_sweeps == y.retention_sweeps &&
+         x.records_retired == y.records_retired &&
+         x.pending_journal_records == y.pending_journal_records &&
+         x.wal.bytes_written == y.wal.bytes_written &&
+         x.wal.frames_appended == y.wal.frames_appended &&
+         x.pool.enqueued == y.pool.enqueued &&
+         x.pool.completed == y.pool.completed &&
+         x.pool.max_queue_depth == y.pool.max_queue_depth &&
+         x.pool.max_wait_sec == y.pool.max_wait_sec;
+}
+
+struct CheckpointRun {
+  uint64_t body_bytes = 0;
+  double checkpoint_ms = 0;
+  uint64_t wal_bytes = 0;
+  double from_checkpoint_ms = 0;
+  double from_wal_ms = 0;
+  bool same = false;
+};
+
+/// Streams `seconds` of ~13 records per instance-second through a durable
+/// fleet checkpointing every 300 s, checkpoints once more, and recovers a
+/// copy of the data dir twice: from the newest checkpoint, and with the
+/// checkpoints removed.
+CheckpointRun RunCheckpointed(int instances, int seconds) {
+  const std::string dir = MakeTempDir();
+  const std::string from_checkpoint_dir = MakeTempDir();
+  const std::string from_wal_dir = MakeTempDir();
+  CheckpointRun run;
+  {
+    pinsql::fleet::FleetService fleet(Specs(instances),
+                                      CheckpointingOptions(dir));
+    RegisterTemplates(&fleet);
+    fleet.Start();
+    const int64_t t0 = 100'000;
+    uint64_t state = 0x9E3779B97F4A7C15ull;
+    for (int64_t sec = t0; sec < t0 + seconds; ++sec) {
+      for (int i = 0; i < instances; ++i) {
+        for (int r = 0; r < 13; ++r) {
+          state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+          QueryLogRecord record;
+          record.arrival_ms =
+              sec * 1000 + static_cast<int64_t>((state >> 20) % 1000);
+          record.sql_id = 1 + (state >> 40) % kTemplates;
+          record.response_ms = 1.0 + static_cast<double>((state >> 8) % 50);
+          record.examined_rows = static_cast<int64_t>((state >> 30) % 500);
+          fleet.IngestRecord(static_cast<uint32_t>(i), record);
+        }
+        pinsql::online::PerfSample sample;
+        sample.sec = sec;
+        sample.active_session = 4.0 + static_cast<double>((state >> 12) % 3);
+        sample.cpu_usage = 0.3;
+        fleet.IngestMetrics(static_cast<uint32_t>(i), sample);
+      }
+      fleet.AdvanceTo(sec);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    const pinsql::Status status = fleet.Checkpoint();
+    run.checkpoint_ms =
+        Seconds(start, std::chrono::steady_clock::now()) * 1e3;
+    if (!status.ok()) {
+      std::fprintf(stderr, "checkpoint: %s\n", status.ToString().c_str());
+      std::exit(2);
+    }
+    std::string newest;
+    FileBytes(dir, ".ckpt", &newest);
+    run.body_bytes = std::filesystem::file_size(newest) - 16;
+    run.wal_bytes = FileBytes(dir, ".log");
+    // Crash copies, taken without Stop() (whose final checkpoint would
+    // leave no suffix to replay): one as is, one without its checkpoints.
+    for (const std::string& copy : {from_checkpoint_dir, from_wal_dir}) {
+      std::filesystem::copy(
+          dir, copy,
+          std::filesystem::copy_options::recursive |
+              std::filesystem::copy_options::overwrite_existing);
+    }
+    for (const auto& entry :
+         std::filesystem::directory_iterator(from_wal_dir)) {
+      if (entry.path().extension() == ".ckpt") {
+        std::filesystem::remove(entry.path());
+      }
+    }
+    const Recovered from_checkpoint = Recover(from_checkpoint_dir, instances);
+    const Recovered from_wal = Recover(from_wal_dir, instances);
+    run.from_checkpoint_ms = from_checkpoint.ms;
+    run.from_wal_ms = from_wal.ms;
+    run.same = from_checkpoint.fleet->recovery().checkpoint_loaded &&
+               !from_wal.fleet->recovery().checkpoint_loaded &&
+               SameRecovery(from_checkpoint, from_wal);
+    from_checkpoint.fleet->Stop();
+    from_wal.fleet->Stop();
+  }
+  for (const std::string& tree : {dir, from_checkpoint_dir, from_wal_dir}) {
+    RemoveTree(tree);
   }
   return run;
 }
@@ -228,6 +441,32 @@ int main(int argc, char** argv) {
     RemoveTree(dir);
   }
 
+  // --- Checkpointed durable fleet: size and recovery vs history ---------
+  const int fleet_instances = smoke ? 4 : 16;
+  const int short_history = smoke ? 600 : 900;
+  std::printf("\nCheckpointed durable fleet (%d instances, ~13 records per "
+              "instance-second, checkpoint every 300 s)\n",
+              fleet_instances);
+  std::printf("%9s | %10s %13s %10s | %14s %14s\n", "history", "body(B)",
+              "Checkpoint(ms)", "WAL(MB)", "from ckpt(ms)", "WAL only(ms)");
+  std::printf("----------+--------------------------------------+------------"
+              "------------------\n");
+  std::vector<CheckpointRun> checkpointed;
+  for (int seconds : {short_history, 3 * short_history}) {
+    checkpointed.push_back(RunCheckpointed(fleet_instances, seconds));
+    const CheckpointRun& run = checkpointed.back();
+    std::printf("%8ds | %10llu %13.2f %10.2f | %14.1f %14.1f\n", seconds,
+                static_cast<unsigned long long>(run.body_bytes),
+                run.checkpoint_ms, static_cast<double>(run.wal_bytes) / 1e6,
+                run.from_checkpoint_ms, run.from_wal_ms);
+  }
+  const uint64_t short_body = checkpointed[0].body_bytes;
+  const uint64_t long_body = checkpointed[1].body_bytes;
+  const bool body_flat = short_body > 0 &&
+                         long_body <= short_body + short_body / 100 &&
+                         long_body + short_body / 100 >= short_body;
+  const bool recoveries_agree = checkpointed[0].same && checkpointed[1].same;
+
   std::printf("\nshape checks:\n");
   std::printf("  every appended frame recovered under every policy: %s\n",
               recovered_ok ? "OK" : "VIOLATED");
@@ -235,7 +474,11 @@ int main(int argc, char** argv) {
               scan_complete_ok ? "OK" : "VIOLATED");
   std::printf("  torn tail truncated once, clean thereafter: %s\n",
               torn_ok ? "OK" : "VIOLATED");
+  std::printf("  checkpoint body flat in history (within 1%%): %s\n",
+              body_flat ? "OK" : "VIOLATED");
+  std::printf("  checkpoint and WAL-only recoveries agree: %s\n",
+              recoveries_agree ? "OK" : "VIOLATED");
 
   return (recovered_ok ? 0 : 1) + (scan_complete_ok ? 0 : 1) +
-         (torn_ok ? 0 : 1);
+         (torn_ok ? 0 : 1) + (body_flat ? 0 : 1) + (recoveries_agree ? 0 : 1);
 }

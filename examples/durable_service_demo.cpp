@@ -4,7 +4,8 @@
 // under --data-dir, streams the first half of a synthetic incident, then
 // hard-exits mid-ingest without any shutdown — exactly what `kill -9` (or
 // a power cut with fsync on) leaves behind. Second run: recovers from the
-// newest checkpoint plus the WAL suffix after it, streams the rest, and
+// newest checkpoint (the archive rebuilt from the WAL below it) plus the
+// WAL suffix after it, streams the rest, and
 // prints the outcomes its own Start(), AdvanceTo() and Stop() calls
 // returned (the fleet keeps none) — identical to a run that never crashed.
 // The second run exits non-zero unless it resumed from a checkpoint and
@@ -93,10 +94,11 @@ int main(int argc, char** argv) {
   if (already > 0) {
     std::printf("recovered %lld seconds of stream from %s\n",
                 static_cast<long long>(already), data_dir.c_str());
-    std::printf("  checkpoint: %s   WAL frames replayed: %llu   "
-                "recovery: %.1f ms\n",
+    std::printf("  checkpoint: %s   WAL frames rebuilt: %llu   replayed: "
+                "%llu   recovery: %.1f ms\n",
                 recovery.checkpoint_loaded ? "loaded" : "none",
-                static_cast<unsigned long long>(recovery.frames_valid),
+                static_cast<unsigned long long>(recovery.frames_rebuilt),
+                static_cast<unsigned long long>(recovery.frames_replayed),
                 recovery.recovery_ms);
   } else {
     std::printf("fresh data dir %s\n", data_dir.c_str());

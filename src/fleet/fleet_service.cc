@@ -28,6 +28,18 @@ std::vector<std::pair<uint64_t, TemplateCatalogEntry>> SortedCatalog(
   return catalog;
 }
 
+/// The lowest segment holding an event at or after `cutoff_ms` — a record
+/// the archive keeps, a sample the metric ring may hold or a record still
+/// staged — or `current_seq` when no sealed segment does.
+uint64_t FirstNeededSeq(const std::vector<store::SealedSegment>& sealed,
+                        uint64_t current_seq, int64_t cutoff_ms) {
+  uint64_t first = current_seq;
+  for (const store::SealedSegment& segment : sealed) {
+    if (segment.max_event_ms >= cutoff_ms) first = std::min(first, segment.seq);
+  }
+  return first;
+}
+
 /// A producer call the stop gate refused: counted, never applied.
 bool Refuse(std::atomic<uint64_t>* counter) {
   counter->fetch_add(1, std::memory_order_relaxed);
@@ -167,6 +179,9 @@ std::vector<FleetOutcome> FleetService::Stop(FleetEvents* events) {
       instance.next_seq = instance.writer->position().segment_seq + 1;
       instance.writer->Close();
       instance.closed_writers.Add(instance.writer->stats());
+      // The next writer adopts them, so later checkpoints still delete
+      // them and still name them when the archive needs them.
+      instance.recovered_segments = instance.writer->sealed();
       instance.writer.reset();
     }
   }
@@ -186,6 +201,22 @@ void FleetService::SetAccepting(bool accepting) {
   }
 }
 
+int64_t FleetService::NewestRecordSec(const Instance& instance) const {
+  // The WAL scan rejects a frame dated more than time_grace_sec before the
+  // one it follows, and abandons the rest of its segment: a record further
+  // ahead of the samples that follow it would cost every later recovery
+  // that stretch of the journal.
+  std::optional<int64_t> clock = instance.ingestor->watermark_sec();
+  if (!clock.has_value()) {
+    const int64_t fleet_sec = fleet_clock_sec_.load(std::memory_order_relaxed);
+    if (fleet_sec == std::numeric_limits<int64_t>::min()) {
+      return online::kMaxEventSec;
+    }
+    clock = fleet_sec;
+  }
+  return *clock + options_.wal.time_grace_sec;
+}
+
 bool FleetService::IngestRecord(uint32_t instance_id,
                                 const QueryLogRecord& record) {
   Instance* instance = Find(instance_id);
@@ -193,13 +224,15 @@ bool FleetService::IngestRecord(uint32_t instance_id,
   if (!durable()) {
     std::shared_lock<std::shared_mutex> gate(*instance->gate);
     if (!instance->accepting) return Refuse(&records_rejected_stopped_);
-    return instance->ingestor->IngestRecord(record);
+    return instance->ingestor->IngestRecord(record,
+                                            NewestRecordSec(*instance));
   }
   // The inner ingest and the journal buffer form one atomic step, so the
   // journal replays in exactly the order the ingestor accepted.
   std::lock_guard<std::mutex> journal_lock(*instance->journal_mu);
   if (!instance->accepting) return Refuse(&records_rejected_stopped_);
-  const bool accepted = instance->ingestor->IngestRecord(record);
+  const bool accepted =
+      instance->ingestor->IngestRecord(record, NewestRecordSec(*instance));
   // Buffer for the journal only while a writer exists to drain it: an
   // instance whose writer failed to open runs in-memory, and buffering
   // without a flusher would grow `pending` without bound.
@@ -244,21 +277,19 @@ void FleetService::RecoverLocked(Output* out) {
   const auto started = std::chrono::steady_clock::now();
   env_->CreateDirs(options_.data_dir);
 
-  // The newest checkpoint that decodes and fits this fleet's shape wins;
-  // each instance then replays its WAL from the checkpoint's LSN. One
-  // written for another shape (ImportStateLocked's FailedPrecondition) is
-  // skipped but kept on disk.
-  std::vector<store::WalPosition> starts(instances_.size());
+  // The newest checkpoint that decodes and fits this fleet's shape wins; it
+  // is imported once the data below its LSNs is rebuilt. One written for
+  // another shape (CheckStateLocked's FailedPrecondition) is skipped but
+  // kept on disk.
+  std::optional<FleetState> checkpoint;
   auto loaded = store::LoadLatestCheckpoint(
       env_, options_.data_dir, [&](std::string_view body) -> Status {
         auto state = DecodeFleetState(body);
         if (!state.ok()) return state.status();
-        if (Status status = ImportStateLocked(*state); !status.ok()) {
+        if (Status status = CheckStateLocked(*state); !status.ok()) {
           return status;
         }
-        for (size_t i = 0; i < instances_.size(); ++i) {
-          starts[i] = state->instances[i].lsn;
-        }
+        checkpoint = std::move(state).value();
         return Status::OK();
       });
   if (loaded.ok()) {
@@ -269,39 +300,60 @@ void FleetService::RecoverLocked(Output* out) {
     // Numbered above every file present, so a new checkpoint is the newest
     // and pruning drops the older ones, never it.
     checkpoint_counter_ = loaded->highest_counter;
-    if (loaded->loaded) checkpoint_lsns_.push_back(starts);
   } else {
     // The files' counters are unknown, so a new checkpoint could sort
     // below one already there: replay the whole WAL and write none.
     recovery_.checkpoint_error = loaded.status().ToString();
   }
+  if (checkpoint.has_value()) {
+    std::vector<uint64_t> first_needed;
+    for (const FleetInstanceState& slice : checkpoint->instances) {
+      first_needed.push_back(slice.first_needed_seq);
+    }
+    checkpoint_first_needed_.push_back(std::move(first_needed));
+  }
 
   // A journal groups records with the sample that closed their second:
   // every record-batch frame belongs to the next sample frame after it.
-  struct Batch {
-    std::vector<QueryLogRecord> records;
-    std::optional<online::PerfSample> sample;
-  };
+  // Each instance's frames up to the checkpoint's LSN rebuild its data;
+  // the frames after it are the suffix the canonical replay below runs.
   std::vector<std::deque<Batch>> batches(instances_.size());
   std::set<int64_t> sample_secs;
-
   for (size_t i = 0; i < instances_.size(); ++i) {
     Instance& instance = instances_[i];
+    const FleetInstanceState* slice =
+        checkpoint.has_value() ? &checkpoint->instances[i] : nullptr;
+    const store::WalPosition lsn =
+        slice != nullptr ? slice->lsn : store::WalPosition{};
     const std::string dir = InstanceDir(instance.spec.instance_id);
     env_->CreateDirs(dir);
     store::WalScanStats scan;
     Batch open;
+    // batches[i]'s first `rebuilt` batches end at or before the LSN.
+    size_t rebuilt = 0;
+    bool in_suffix = false;
     store::ScanWal(
-        env_, dir, options_.wal, starts[i],
-        [&](const store::WalFrame& frame) {
+        env_, dir, options_.wal,
+        slice != nullptr ? store::WalPosition{slice->first_needed_seq, 0}
+                         : store::WalPosition{},
+        [&](const store::WalFrame& frame, const store::WalPosition& end) {
+          if (!in_suffix && lsn < end) {
+            // Records journaled before the LSN but not closed by a sample
+            // before it are rebuilt too.
+            if (!open.records.empty()) batches[i].push_back(std::move(open));
+            open = Batch{};
+            rebuilt = batches[i].size();
+            in_suffix = true;
+          }
+          ++(in_suffix ? recovery_.frames_replayed : recovery_.frames_rebuilt);
           switch (frame.kind) {
             case store::FrameKind::kRecordBatch:
               open.records.insert(open.records.end(), frame.records.begin(),
                                   frame.records.end());
               break;
             case store::FrameKind::kSample:
+              if (in_suffix) sample_secs.insert(frame.sample.sec);
               open.sample = frame.sample;
-              sample_secs.insert(frame.sample.sec);
               batches[i].push_back(std::move(open));
               open = Batch{};
               break;
@@ -317,8 +369,12 @@ void FleetService::RecoverLocked(Output* out) {
         },
         &scan);
     if (!open.records.empty()) batches[i].push_back(std::move(open));
+    if (!in_suffix) rebuilt = batches[i].size();
+    if (slice != nullptr) {
+      RebuildLocked(&instance, *slice, &batches[i], rebuilt);
+    }
     if (scan.last_seq > 0) ++recovery_.instances_with_wal;
-    instance.next_seq = std::max(scan.last_seq, starts[i].segment_seq) + 1;
+    instance.next_seq = std::max(scan.last_seq, lsn.segment_seq) + 1;
     instance.recovered_segments = std::move(scan.segments);
     recovery_.frames_valid += scan.frames_valid;
     recovery_.frames_corrupt += scan.frames_corrupt;
@@ -333,6 +389,7 @@ void FleetService::RecoverLocked(Output* out) {
     recovery_.templates += scan.templates;
     recovery_.torn_tail_bytes_truncated += scan.torn_tail_bytes_truncated;
   }
+  if (checkpoint.has_value()) ImportStateLocked(*checkpoint);
 
   // Replay with the canonical per-second discipline: for every second that
   // closed a sample anywhere in the fleet, re-ingest each instance's
@@ -387,6 +444,56 @@ void FleetService::RecoverLocked(Output* out) {
                                          recovery_.frames_time_rejected));
 }
 
+void FleetService::RebuildLocked(Instance* instance,
+                                 const FleetInstanceState& slice,
+                                 std::deque<Batch>* batches, size_t rebuilt) {
+  online::StreamIngestor& ingestor = *instance->ingestor;
+  const auto prefix_end = batches->begin() + static_cast<ptrdiff_t>(rebuilt);
+  // The records the checkpoint counts as staged stay staged: per shard,
+  // its last ones journaled before the LSN, because a pump empties a shard
+  // under its lock and the journal keeps ingest order. `passed[k]` counts
+  // shard k's records that go through the ingest path first.
+  std::vector<uint64_t> passed(slice.ingestor.shards.size(), 0);
+  for (auto batch = batches->begin(); batch != prefix_end; ++batch) {
+    for (const QueryLogRecord& record : batch->records) {
+      ++passed[ingestor.ShardOf(record.sql_id)];
+    }
+  }
+  for (size_t k = 0; k < passed.size(); ++k) {
+    const online::IngestorShardState& shard = slice.ingestor.shards[k];
+    passed[k] -= std::min(passed[k], shard.enqueued - shard.folded -
+                                         shard.dropped_late -
+                                         shard.dropped_future -
+                                         shard.dropped_backpressure);
+  }
+  std::vector<QueryLogRecord> staged;
+  // The canonical replay advances, and so pumps, before it ingests a
+  // sample newer than every earlier one.
+  std::optional<int64_t> newest;
+  for (auto it = batches->begin(); it != prefix_end; ++it) {
+    const Batch& batch = *it;
+    if (batch.sample.has_value() &&
+        (!newest.has_value() || batch.sample->sec > *newest)) {
+      ingestor.Pump();
+      newest = batch.sample->sec;
+    }
+    for (const QueryLogRecord& record : batch.records) {
+      uint64_t& left = passed[ingestor.ShardOf(record.sql_id)];
+      if (left > 0) {
+        --left;
+        ingestor.IngestRecord(record);
+      } else {
+        staged.push_back(record);
+      }
+    }
+    if (batch.sample.has_value()) ingestor.IngestMetrics(*batch.sample);
+  }
+  ingestor.Pump();
+  for (const QueryLogRecord& record : staged) ingestor.Restage(record);
+  instance->archive->TrimBefore(slice.retention_cutoff_ms);
+  batches->erase(batches->begin(), prefix_end);
+}
+
 void FleetService::OpenJournalsLocked() {
   for (Instance& instance : instances_) {
     std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
@@ -438,7 +545,23 @@ void FleetService::ProcessInstance(Instance* instance, int64_t fleet_sec,
   const int64_t to = std::min(*mark, fleet_sec);
   const int64_t from =
       instance->processed_any ? instance->last_processed_sec + 1 : *mark;
+  const int64_t ring_floor = *instance->ingestor->window_floor_sec();
   for (int64_t sec = from; sec <= to; ++sec) {
+    if (sec < ring_floor && !instance->detector->seeded() &&
+        !instance->detector->in_run()) {
+      // Catching up from before the metric ring: an unseeded detector only
+      // counts a gap second, so the seconds up to the ring's next sample go
+      // in one step — a long gap costs O(window), not O(gap).
+      const int64_t next = std::min(
+          {instance->ingestor->NextSampleSec(sec), ring_floor, to + 1});
+      if (next > sec) {
+        instance->detector->SkipGaps(static_cast<uint64_t>(next - sec));
+        instance->last_processed_sec = next - 1;
+        instance->processed_any = true;
+        sec = next - 1;
+        continue;
+      }
+    }
     double value = std::numeric_limits<double>::quiet_NaN();
     if (auto sample = instance->ingestor->SampleAt(sec); sample.has_value()) {
       value = sample->active_session;
@@ -681,6 +804,7 @@ void FleetService::AdvanceToLocked(int64_t fleet_sec, Output* out) {
     processed_fleet_any_ = true;
     ++counters_.seconds_processed;
   }
+  fleet_clock_sec_.store(last_fleet_sec_, std::memory_order_relaxed);
   PINSQL_OBS_COUNT("fleet.seconds_processed",
                    static_cast<uint64_t>(fleet_sec - tick_from + 1));
 }
@@ -711,8 +835,12 @@ std::vector<int64_t> FleetService::OpenWindowFloorsMs() const {
 void FleetService::SweepRetentionLocked(int64_t sec) {
   const std::vector<int64_t> floors = OpenWindowFloorsMs();
   for (size_t i = 0; i < instances_.size(); ++i) {
-    counters_.records_retired +=
-        instances_[i].archive->TrimExpiredKeeping(sec * 1000, floors[i]);
+    Instance& instance = instances_[i];
+    const int64_t cutoff_ms =
+        std::min(sec * 1000 - LogStore::kRetentionMs, floors[i]);
+    counters_.records_retired += instance.archive->TrimBefore(cutoff_ms);
+    instance.retention_cutoff_ms =
+        std::max(instance.retention_cutoff_ms, cutoff_ms);
   }
   ++counters_.retention_sweeps;
 }
@@ -728,6 +856,7 @@ FleetStats FleetService::stats() const {
     stats.ingest.records_dropped_backpressure +=
         cut.records_dropped_backpressure;
     stats.ingest.records_dropped_late += cut.records_dropped_late;
+    stats.ingest.records_dropped_future += cut.records_dropped_future;
     stats.ingest.records_staged += cut.records_staged;
     stats.ingest.metric_samples += cut.metric_samples;
     stats.ingest.metric_samples_dropped += cut.metric_samples_dropped;
@@ -771,7 +900,7 @@ FleetState FleetService::ExportStateLocked() {
   for (Instance& instance : instances_) {
     FleetInstanceState& slice = state.instances.emplace_back();
     // Under the journal mutex, with the buffered records flushed, the
-    // ingestor's staged queues and the WAL position describe one cut.
+    // ingestor's counters and the WAL position describe one cut.
     std::unique_lock<std::mutex> journal_lock;
     if (instance.journal_mu != nullptr) {
       journal_lock = std::unique_lock<std::mutex>(*instance.journal_mu);
@@ -782,19 +911,23 @@ FleetState FleetService::ExportStateLocked() {
         instance.pending.clear();
       }
       slice.lsn = instance.writer->position();
+      slice.first_needed_seq =
+          FirstNeededSeq(instance.writer->sealed(), slice.lsn.segment_seq,
+                         instance.retention_cutoff_ms);
     } else {
       // Nothing of this incarnation is journaled: everything before the
       // next segment is covered.
       slice.lsn = store::WalPosition{instance.next_seq, 0};
+      slice.first_needed_seq =
+          FirstNeededSeq(instance.recovered_segments, instance.next_seq,
+                         instance.retention_cutoff_ms);
     }
+    slice.retention_cutoff_ms = instance.retention_cutoff_ms;
     slice.instance_id = instance.spec.instance_id;
     slice.ingestor = instance.ingestor->ExportState();
     slice.detector = instance.detector->ExportState();
     slice.processed_any = instance.processed_any;
     slice.last_processed_sec = instance.last_processed_sec;
-    slice.archive_records = instance.archive->SnapshotRange(
-        std::numeric_limits<int64_t>::min(),
-        std::numeric_limits<int64_t>::max());
     slice.catalog = SortedCatalog(*instance.archive);
   }
   state.dedup_activity = deduper_.ExportActivity();
@@ -808,18 +941,19 @@ FleetState FleetService::ExportStateLocked() {
 
 Status FleetService::ImportState(const FleetState& state) {
   std::lock_guard<std::mutex> lock(advance_mu_);
-  return ImportStateLocked(state);
+  if (Status status = CheckStateLocked(state); !status.ok()) return status;
+  ImportStateLocked(state);
+  return Status::OK();
 }
 
-Status FleetService::ImportStateLocked(const FleetState& state) {
+Status FleetService::CheckStateLocked(const FleetState& state) const {
   if (running_) {
     return Status::FailedPrecondition("ImportState requires a stopped fleet");
   }
-  // Validate everything first, so a mismatched state changes nothing.
   // Every second the state carries must be one the WAL could have
   // journaled: the fleet's second-to-millisecond arithmetic relies on it.
   const auto bad_sec = [](int64_t sec) {
-    return sec < -store::kMaxEventSec || sec > store::kMaxEventSec;
+    return sec < -online::kMaxEventSec || sec > online::kMaxEventSec;
   };
   const auto bad_trigger = [&](const online::AnomalyTrigger& trigger) {
     return index_by_id_.count(trigger.instance_id) == 0 ||
@@ -839,20 +973,20 @@ Status FleetService::ImportStateLocked(const FleetState& state) {
     if (slice.ingestor.shards.size() != num_shards) {
       return Status::FailedPrecondition("fleet state ingestor shape differs");
     }
-    for (const online::IngestorMetricBucketState& bucket :
-         slice.ingestor.metric_buckets) {
-      if (bad_sec(bucket.sec)) {
-        return Status::InvalidArgument("metric bucket second out of range");
-      }
-    }
+    // An instance processes no second past the fleet clock.
     if (bad_sec(slice.last_processed_sec) ||
-        (slice.ingestor.watermark != std::numeric_limits<int64_t>::min() &&
-         bad_sec(slice.ingestor.watermark))) {
+        (slice.processed_any &&
+         (!state.processed_any ||
+          slice.last_processed_sec > state.last_fleet_sec))) {
       return Status::InvalidArgument("instance clock out of range");
+    }
+    // Recovery rebuilds from the first-needed segment up to the LSN.
+    if (slice.first_needed_seq > slice.lsn.segment_seq) {
+      return Status::InvalidArgument("first needed segment past the LSN");
     }
     // A detector of another configuration is another shape.
     if (Status status = instances_[i].detector->CheckState(
-            slice.detector, store::kMaxEventSec);
+            slice.detector, online::kMaxEventSec);
         !status.ok()) {
       return status;
     }
@@ -892,6 +1026,10 @@ Status FleetService::ImportStateLocked(const FleetState& state) {
   if (bad_sec(state.last_fleet_sec)) {
     return Status::InvalidArgument("fleet clock out of range");
   }
+  return Status::OK();
+}
+
+void FleetService::ImportStateLocked(const FleetState& state) {
   for (size_t i = 0; i < instances_.size(); ++i) {
     const FleetInstanceState& slice = state.instances[i];
     Instance& instance = instances_[i];
@@ -899,7 +1037,7 @@ Status FleetService::ImportStateLocked(const FleetState& state) {
     instance.detector->ImportState(slice.detector);
     instance.processed_any = slice.processed_any;
     instance.last_processed_sec = slice.last_processed_sec;
-    instance.archive->ReplaceRecords(slice.archive_records);
+    instance.retention_cutoff_ms = slice.retention_cutoff_ms;
     for (const auto& [sql_id, entry] : slice.catalog) {
       instance.archive->RegisterTemplate(sql_id, entry);
     }
@@ -912,8 +1050,11 @@ Status FleetService::ImportStateLocked(const FleetState& state) {
   correlator_.ImportState(state.correlator);
   processed_fleet_any_ = state.processed_any;
   last_fleet_sec_ = state.last_fleet_sec;
+  fleet_clock_sec_.store(processed_fleet_any_
+                             ? last_fleet_sec_
+                             : std::numeric_limits<int64_t>::min(),
+                         std::memory_order_relaxed);
   counters_ = state.counters;
-  return Status::OK();
 }
 
 Status FleetService::Checkpoint() {
@@ -931,10 +1072,10 @@ Status FleetService::CheckpointLocked() {
                                       recovery_.checkpoint_error);
   }
   const FleetState state = ExportStateLocked();
-  std::vector<store::WalPosition> lsns;
-  lsns.reserve(state.instances.size());
+  std::vector<uint64_t> first_needed;
+  first_needed.reserve(state.instances.size());
   for (const FleetInstanceState& slice : state.instances) {
-    lsns.push_back(slice.lsn);
+    first_needed.push_back(slice.first_needed_seq);
   }
   ++checkpoint_counter_;
   if (Status status = store::WriteCheckpoint(env_, options_.data_dir,
@@ -943,26 +1084,21 @@ Status FleetService::CheckpointLocked() {
       !status.ok()) {
     return status;
   }
-  checkpoint_lsns_.push_back(std::move(lsns));
-  while (checkpoint_lsns_.size() > kCheckpointsToKeep) {
-    checkpoint_lsns_.pop_front();
+  checkpoint_first_needed_.push_back(std::move(first_needed));
+  while (checkpoint_first_needed_.size() > kCheckpointsToKeep) {
+    checkpoint_first_needed_.pop_front();
   }
   store::PruneCheckpoints(env_, options_.data_dir, kCheckpointsToKeep);
 
-  // Retire WAL segments that retention no longer needs *and* the oldest
-  // retained checkpoint already covers — a fallback recovery must always
-  // find its full replay suffix on disk.
-  const std::vector<int64_t> floors = OpenWindowFloorsMs();
+  // Retire the WAL segments below the oldest retained checkpoint's
+  // first-needed segment: a fallback recovery must always find every
+  // segment it rebuilds from on disk.
   for (size_t i = 0; i < instances_.size(); ++i) {
     Instance& instance = instances_[i];
-    const auto mark = instance.ingestor->watermark_sec();
-    if (!mark.has_value()) continue;
-    const int64_t cutoff_ms =
-        std::min(*mark * 1000 - LogStore::kRetentionMs, floors[i]);
     std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
     if (instance.writer == nullptr) continue;
-    instance.writer->DeleteSealedSegments(cutoff_ms,
-                                          checkpoint_lsns_.front()[i], env_);
+    instance.writer->DeleteSealedSegments(checkpoint_first_needed_.front()[i],
+                                          env_);
   }
   last_checkpoint_sec_ = last_fleet_sec_;
   cadence_anchored_ = true;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -83,20 +84,20 @@ struct FleetOptions {
   store::WalOptions wal;
   /// Durable fleets only: write a whole-fleet checkpoint
   /// (<data_dir>/ckpt-*.ckpt) every this many fleet seconds, plus a final
-  /// one on Stop(), and delete the WAL segments the checkpoints cover.
-  /// 0 writes no checkpoint at all: recovery is a full WAL replay and
-  /// segments are kept. A checkpoint embeds every archived record, and
-  /// segments only go once past the 3-day horizon, so checkpoints cost
-  /// disk on top of the WAL.
+  /// one on Stop(), and delete the WAL segments no retained checkpoint
+  /// needs. 0 writes no checkpoint at all: recovery is a full WAL replay
+  /// and segments are kept. A checkpoint holds only what the WAL cannot
+  /// rebuild, so its size follows the fleet's state, not its history.
   int64_t checkpoint_every_sec = 0;
   /// Filesystem the journals go through (nullptr = POSIX); tests
   /// substitute a fault-injecting Env.
   store::Env* env = nullptr;
 };
 
-/// Accounting of one fleet recovery: the checkpoint it started from and
-/// the WAL suffixes it replayed (summed over instances). Every corrupt,
-/// rejected or missing byte is counted here, never silently skipped.
+/// Accounting of one fleet recovery: the checkpoint it started from, the
+/// WAL frames it rebuilt the checkpoint's data from and the WAL suffixes it
+/// replayed (summed over instances). Every corrupt, rejected or missing
+/// byte is counted here, never silently skipped.
 struct FleetRecoveryStats {
   bool attempted = false;
   bool checkpoint_loaded = false;
@@ -112,7 +113,13 @@ struct FleetRecoveryStats {
   /// writes no checkpoint, so it never numbers one below a file on disk.
   std::string checkpoint_error;
   size_t instances_with_wal = 0;
+  /// Every valid frame the scans read.
   size_t frames_valid = 0;
+  /// Frames up to a loaded checkpoint's LSN, ingested to rebuild its
+  /// archives, metric rings and staged records without advancing; and the
+  /// frames after it, replayed through the advance.
+  size_t frames_rebuilt = 0;
+  size_t frames_replayed = 0;
   size_t frames_corrupt = 0;
   size_t frames_malformed = 0;
   size_t frames_time_rejected = 0;
@@ -201,8 +208,9 @@ struct FleetStats {
 /// byte-identical (see FleetResult::Fingerprint) at any ingest shard
 /// count, any diagnoser pool size and any advance_workers — diagnosis
 /// windows are fixed at trigger time and storm membership is decided by
-/// trigger times alone. A recovered durable fleet (checkpoint + WAL
-/// suffix) continues byte-identically to one that never stopped.
+/// trigger times alone. A recovered durable fleet (checkpoint, the data
+/// rebuilt from the WAL below it, the WAL suffix replayed above it)
+/// continues byte-identically to one that never stopped.
 class FleetService {
  public:
   /// Archive retention sweep cadence, in fleet seconds. The horizon is
@@ -233,9 +241,11 @@ class FleetService {
 
   /// Starts accepting work. A durable fleet first recovers its data dir
   /// (first Start() only): the newest valid checkpoint that fits its shape
-  /// (others are skipped, see FleetRecoveryStats), then every instance's
-  /// WAL suffix replayed with the canonical per-second discipline. Returns
-  /// the outcomes that replay produced, and appends its events to `events`
+  /// (others are skipped, see FleetRecoveryStats), each instance's
+  /// archive, metric ring and staged records rebuilt from the frames it
+  /// journaled up to the checkpoint, then every instance's WAL suffix
+  /// replayed with the canonical per-second discipline. Returns the
+  /// outcomes that replay produced, and appends its events to `events`
   /// when given; what the checkpoint already counted is not handed out
   /// again.
   std::vector<FleetOutcome> Start(FleetEvents* events = nullptr);
@@ -254,7 +264,11 @@ class FleetService {
 
   /// Thread-safe producer entry points. Return false when the record /
   /// sample was dropped (and counted). Unknown instance ids are rejected;
-  /// calls before Start() or from the start of Stop() are refused whole.
+  /// calls before Start() or from the start of Stop() are refused whole. A
+  /// record dated more than wal.time_grace_sec past its instance's newest
+  /// sample second (before its first sample: past the fleet clock) is
+  /// refused as too far ahead, in-memory fleets included, and so is a
+  /// second beyond ±online::kMaxEventSec.
   bool IngestRecord(uint32_t instance_id, const QueryLogRecord& record);
   bool IngestMetrics(uint32_t instance_id, const online::PerfSample& sample);
 
@@ -272,28 +286,29 @@ class FleetService {
   /// without a data_dir).
   const FleetRecoveryStats& recovery() const { return recovery_; }
 
-  /// Captures the complete mutable state as one consistent cut under the
-  /// advance mutex (each instance's slice under its journal mutex, with
-  /// its buffered records flushed, so the slice matches its WAL position).
-  /// Safe while producers race; call between AdvanceTo() calls.
+  /// Captures the state no WAL can give back (see FleetState) as one
+  /// consistent cut under the advance mutex (each instance's slice under
+  /// its journal mutex, with its buffered records flushed, so the slice
+  /// matches its WAL position). Copies no record or sample. Safe while
+  /// producers race; call between AdvanceTo() calls.
   FleetState ExportState();
 
   /// Restores an exported state into a stopped fleet of the same shape
   /// (same instance ids in order, same ingestor shard count, same detector
-  /// configuration). Nothing changes on error: FailedPrecondition when the
-  /// fleet runs or the state has another shape, InvalidArgument when its
-  /// content is invalid (e.g. a queued trigger or storm member of an
-  /// instance the fleet lacks). A durable fleet's first Start() still
-  /// recovers its data dir on top.
+  /// configuration): detectors, trigger routing, clocks, counters and the
+  /// catalog. Archives, metric rings and staged records are left as they
+  /// are — only a durable recovery rebuilds them, from the WAL. Nothing
+  /// changes on error: FailedPrecondition when the fleet runs or the state
+  /// has another shape, InvalidArgument when its content is invalid (e.g.
+  /// a queued trigger or storm member of an instance the fleet lacks). A
+  /// durable fleet's first Start() still recovers its data dir on top.
   Status ImportState(const FleetState& state);
 
   /// Durable fleets: writes a checkpoint now, prunes old ones and deletes
-  /// the WAL segments they cover. FailedPrecondition when the fleet is
-  /// in-memory, not running, or its recovery could not list the data dir.
-  /// Tests and the durable demo only so far: served fleets run with
-  /// checkpoint_every_sec = 0, and a checkpoint's cost at served scale
-  /// (ExportState copies every archive while holding the advance mutex,
-  /// which blocks AdvanceTo and stats) is not yet measured.
+  /// the WAL segments no retained checkpoint needs. FailedPrecondition
+  /// when the fleet is in-memory, not running, or its recovery could not
+  /// list the data dir. Tests, benches and the durable demo only so far:
+  /// served fleets run with checkpoint_every_sec = 0.
   Status Checkpoint();
 
  private:
@@ -304,6 +319,8 @@ class FleetService {
     std::unique_ptr<online::OnlineAnomalyDetector> detector;
     bool processed_any = false;
     int64_t last_processed_sec = 0;
+    /// The highest cutoff a retention sweep applied to the archive.
+    int64_t retention_cutoff_ms = std::numeric_limits<int64_t>::min();
     /// Repair accounting of this instance's last wave (its one diagnosis
     /// per wave writes it; the merge after the wave reads and clears it).
     online::DiagnosisSideStats side;
@@ -326,8 +343,16 @@ class FleetService {
     /// Accounting of the writers Stop() closed.
     store::WalWriterStats closed_writers;
     uint64_t next_seq = 1;
-    /// Segments a recovery scanned, adopted by the next writer.
+    /// Segments a recovery scanned or Stop() closed, adopted by the next
+    /// writer.
     std::vector<store::SealedSegment> recovered_segments;
+  };
+  /// One journaled second of an instance: the records the WAL grouped with
+  /// the sample that closed it (no sample: records journaled after the
+  /// last one).
+  struct Batch {
+    std::vector<QueryLogRecord> records;
+    std::optional<online::PerfSample> sample;
   };
   /// What one instance-second produced, recorded by the parallel advance
   /// step and merged sequentially in instance order.
@@ -356,15 +381,24 @@ class FleetService {
   /// Opens or closes the ingest gate of every instance: in-flight producer
   /// calls finish before this returns.
   void SetAccepting(bool accepting);
-  /// First Start() only: loads the newest valid checkpoint, then replays
-  /// every instance's WAL suffix through the normal ingest path with the
-  /// canonical per-second discipline. Appends what the replay produced to
-  /// `out`.
+  /// First Start() only: loads the newest valid checkpoint, rebuilds each
+  /// instance's data from the frames up to its LSN, imports the
+  /// checkpoint, then replays every instance's WAL suffix through the
+  /// normal ingest path with the canonical per-second discipline. Appends
+  /// what the replay produced to `out`.
   void RecoverLocked(Output* out);
+  /// Passes the first `rebuilt` of an instance's journaled batches (those
+  /// up to a checkpoint's LSN) through its ingestor, pumping where the
+  /// canonical replay advances, leaves staged what the slice counts as
+  /// staged, trims to its retention cutoff, and drops them from `batches`.
+  void RebuildLocked(Instance* instance, const FleetInstanceState& slice,
+                     std::deque<Batch>* batches, size_t rebuilt);
   /// Opens (or reopens after Stop) each instance's writer, adopts the
   /// segments recovery scanned and re-journals the current catalog so
   /// template registrations made before Start() survive a crash.
   void OpenJournalsLocked();
+  /// The newest second a record offered to `instance` may be dated.
+  int64_t NewestRecordSec(const Instance& instance) const;
   void ProcessInstance(Instance* instance, int64_t fleet_sec,
                        std::vector<SecondEvent>* events);
   void RouteAcceptedTrigger(const online::AnomalyTrigger& trigger);
@@ -384,7 +418,10 @@ class FleetService {
   /// (INT64_MAX when nothing pins the instance).
   std::vector<int64_t> OpenWindowFloorsMs() const;
   FleetState ExportStateLocked();
-  Status ImportStateLocked(const FleetState& state);
+  /// Whether ImportStateLocked can adopt `state` (ImportState's errors).
+  Status CheckStateLocked(const FleetState& state) const;
+  /// Adopts a checked state.
+  void ImportStateLocked(const FleetState& state);
   Status CheckpointLocked();
 
   FleetOptions options_;
@@ -411,6 +448,8 @@ class FleetService {
   bool recovering_ = false;
   bool processed_fleet_any_ = false;
   int64_t last_fleet_sec_ = 0;
+  /// last_fleet_sec_ for producers (INT64_MIN before the first advance).
+  std::atomic<int64_t> fleet_clock_sec_{std::numeric_limits<int64_t>::min()};
   FleetCounters counters_;
 
   store::Env* env_ = nullptr;
@@ -418,13 +457,13 @@ class FleetService {
   FleetRecoveryStats recovery_;
 
   /// Checkpointing: the cadence anchor, the file counter, and the
-  /// per-instance LSNs of the retained checkpoints (oldest first) —
-  /// segment deletion stays covered by the oldest one, so a fallback
-  /// recovery always finds its replay suffix on disk.
+  /// per-instance first-needed segments of the retained checkpoints
+  /// (oldest first) — segment deletion stays below the oldest one, so a
+  /// fallback recovery always finds every segment it rebuilds from.
   bool cadence_anchored_ = false;
   int64_t last_checkpoint_sec_ = 0;
   uint64_t checkpoint_counter_ = 0;
-  std::deque<std::vector<store::WalPosition>> checkpoint_lsns_;
+  std::deque<std::vector<uint64_t>> checkpoint_first_needed_;
 };
 
 }  // namespace pinsql::fleet

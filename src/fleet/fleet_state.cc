@@ -69,10 +69,11 @@ void EncodeInstance(Writer* w, const FleetInstanceState& instance) {
   store::EncodeDetector(w, instance.detector);
   w->Bool(instance.processed_any);
   w->I64(instance.last_processed_sec);
-  EncodeSeq(w, instance.archive_records, store::EncodeRecord);
   store::EncodeCatalog(w, instance.catalog);
   w->U64(instance.lsn.segment_seq);
   w->U64(instance.lsn.offset);
+  w->U64(instance.first_needed_seq);
+  w->I64(instance.retention_cutoff_ms);
 }
 
 bool DecodeInstance(Reader* r, FleetInstanceState* instance) {
@@ -81,9 +82,10 @@ bool DecodeInstance(Reader* r, FleetInstanceState* instance) {
          store::DecodeDetector(r, &instance->detector) &&
          r->Bool(&instance->processed_any) &&
          r->I64(&instance->last_processed_sec) &&
-         DecodeSeq(r, &instance->archive_records, 32, store::DecodeRecord) &&
          store::DecodeCatalog(r, &instance->catalog) &&
-         r->U64(&instance->lsn.segment_seq) && r->U64(&instance->lsn.offset);
+         r->U64(&instance->lsn.segment_seq) && r->U64(&instance->lsn.offset) &&
+         r->U64(&instance->first_needed_seq) &&
+         r->I64(&instance->retention_cutoff_ms);
 }
 
 void EncodeHost(Writer* w, const std::pair<const uint32_t, HostEpisode>& host) {

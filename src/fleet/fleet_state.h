@@ -2,6 +2,7 @@
 #define PINSQL_FLEET_FLEET_STATE_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -39,32 +40,41 @@ struct FleetCounters {
   size_t records_retired = 0;
 };
 
-/// One instance's slice of a FleetState.
+/// One instance's slice of a FleetState. It carries none of the data the
+/// instance's WAL holds — archived and staged records, the metric ring, the
+/// watermark — only what says where that data starts and what of it the
+/// archive has retired.
 struct FleetInstanceState {
   uint32_t instance_id = 0;
+  /// The ingestor's counters.
   online::IngestorState ingestor;
   online::OnlineDetectorState detector;
   bool processed_any = false;
   int64_t last_processed_sec = 0;
-  /// Archive contents in arrival order (ties keep insertion order, which
-  /// LogStore's stable sort preserves — required for bit-identical window
-  /// snapshots after a restore).
-  std::vector<QueryLogRecord> archive_records;
   /// Catalog sorted by sql_id, so exported state is deterministic.
   std::vector<std::pair<uint64_t, TemplateCatalogEntry>> catalog;
   /// Journal position the slice is consistent with: every record, sample
-  /// and event folded into it was journaled at or before `lsn`, so
-  /// recovery replays the instance's WAL from here.
+  /// and event the slice counts was journaled at or before `lsn`, so
+  /// recovery rebuilds the data of the frames up to it and replays the
+  /// frames after it.
   store::WalPosition lsn;
+  /// The lowest WAL segment holding a record, sample or staged record the
+  /// instance still keeps (at most `lsn.segment_seq`): recovery rebuilds
+  /// from its start, and segments below it may be deleted.
+  uint64_t first_needed_seq = 1;
+  /// The highest retention cutoff the archive has applied: recovery trims
+  /// the rebuilt archive to it, so no retired record comes back.
+  int64_t retention_cutoff_ms = std::numeric_limits<int64_t>::min();
 };
 
-/// Complete serializable state of a FleetService, captured by
-/// ExportState() and restored by ImportState(): a restored fleet continues
-/// its streams bit-identically to one that never stopped. The durable
-/// fleet checkpoints exactly this (EncodeFleetState). Outcomes, closed
-/// storms, verdicts, confirmed triggers and repair events are not part of
-/// it: the fleet hands each one out once and keeps none (the counters
-/// still count them; repair events live in the WAL).
+/// Complete serializable state of a FleetService that its WAL cannot give
+/// back, captured by ExportState() and restored by ImportState(): detector
+/// models, trigger routing, counters, clocks and the catalog. The durable
+/// fleet checkpoints exactly this (EncodeFleetState) and rebuilds each
+/// instance's archive, metric ring and staged records from its WAL.
+/// Outcomes, closed storms, verdicts, confirmed triggers and repair events
+/// are not part of it: the fleet hands each one out once and keeps none
+/// (the counters still count them; repair events live in the WAL).
 struct FleetState {
   /// In the fleet's instance order.
   std::vector<FleetInstanceState> instances;

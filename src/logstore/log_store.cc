@@ -226,12 +226,6 @@ size_t LogStore::TrimExpired(int64_t now_ms, int64_t retention_ms) {
   return TrimBefore(now_ms - retention_ms);
 }
 
-size_t LogStore::TrimExpiredKeeping(int64_t now_ms, int64_t keep_from_ms,
-                                    int64_t retention_ms) {
-  PINSQL_OBS_COUNT("logstore.retention_trims", 1);
-  return TrimBefore(std::min(now_ms - retention_ms, keep_from_ms));
-}
-
 void LogStore::ReplaceRecords(std::vector<QueryLogRecord> records) {
   std::lock_guard<std::mutex> lock(sort_mu_);
   arena_.Clear();

@@ -121,15 +121,6 @@ class LogStore {
   /// of dropped records.
   size_t TrimExpired(int64_t now_ms, int64_t retention_ms = kRetentionMs);
 
-  /// Retention with a floor: like TrimExpired, but never drops a record
-  /// with arrival_ms >= keep_from_ms even when it is older than the
-  /// retention horizon. The online service passes the start of its open
-  /// sliding window (or of an in-flight diagnosis window), so retention can
-  /// never eat records a pending trigger is about to diagnose. Records at
-  /// exactly the 3-day edge follow the TrimExpired half-open convention.
-  size_t TrimExpiredKeeping(int64_t now_ms, int64_t keep_from_ms,
-                            int64_t retention_ms = kRetentionMs);
-
   /// Replaces the full record set, keeping the template catalog. Used by
   /// the telemetry fault injectors (and tests) to rewrite a store's
   /// records with dropped/duplicated/reordered/skewed copies. The records

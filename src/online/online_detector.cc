@@ -25,6 +25,12 @@ OnlineAnomalyDetector::OnlineAnomalyDetector(
 
 bool OnlineAnomalyDetector::in_run() const { return ensemble_.in_run(); }
 
+void OnlineAnomalyDetector::SkipGaps(uint64_t count) {
+  stats_.samples += count;
+  stats_.gaps_skipped += count;
+  consecutive_gaps_ += count;
+}
+
 OnlineDetectorState OnlineAnomalyDetector::ExportState() const {
   OnlineDetectorState state;
   state.ensemble = ensemble_.ExportSnapshot();

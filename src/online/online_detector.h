@@ -121,6 +121,14 @@ class OnlineAnomalyDetector {
   /// True while any ensemble member currently has a flagged run open.
   bool in_run() const;
 
+  /// Whether a finite sample is held (gaps are carried), i.e. a gap is more
+  /// than counted.
+  bool seeded() const { return seen_finite_; }
+
+  /// Observes `count` gap seconds at once while not seeded(): each would
+  /// only be counted.
+  void SkipGaps(uint64_t count);
+
   /// Checkpoint support: a detector restored from an exported state
   /// observes the rest of the stream bit-identically.
   OnlineDetectorState ExportState() const;

@@ -71,6 +71,15 @@ DiagnosisOutcome RunWindowedDiagnosis(const WindowedDiagnosisContext& ctx,
   const int64_t a_s = trigger.onset_sec;
   const int64_t a_e = window_end_sec;
   const int64_t t0 = a_s - options.diagnoser.delta_s_sec;
+  // The window's series hold one slot per second, and the archive keeps 3
+  // days: a longer window (only a corrupt trigger has one) is refused
+  // before anything is allocated for it.
+  if (a_e - t0 > LogStore::kRetentionMs / 1000) {
+    outcome.ok = false;
+    outcome.error = "diagnosis window longer than the retention horizon";
+    PINSQL_OBS_COUNT("online.diagnoses_failed", 1);
+    return outcome;
+  }
 
   // Window-local log store: a consistent point-in-time copy of the archive
   // records the diagnoser will scan, taken while ingest threads keep

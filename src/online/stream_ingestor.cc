@@ -44,34 +44,50 @@ void StreamIngestor::DropStagedLocked(Shard* shard) {
   }
 }
 
-bool StreamIngestor::IngestRecord(const QueryLogRecord& record) {
+void StreamIngestor::StageLocked(Shard* shard, const QueryLogRecord& record) {
+  if (shard->tail == nullptr || shard->tail->full()) {
+    IngestChunk* chunk = pool_->Acquire();
+    if (shard->tail == nullptr) {
+      shard->head = chunk;
+    } else {
+      shard->tail->next = chunk;
+    }
+    shard->tail = chunk;
+  }
+  shard->tail->push(record);
+  ++shard->staged;
+}
+
+bool StreamIngestor::IngestRecord(const QueryLogRecord& record,
+                                  int64_t newest_sec) {
   const int64_t mark = watermark_.load(std::memory_order_relaxed);
-  Shard& shard = *shards_[ShardIndex(record.sql_id)];
+  const int64_t sec = record.arrival_ms / 1000;
+  Shard& shard = *shards_[ShardOf(record.sql_id)];
   std::lock_guard<std::mutex> lock(shard.queue_mu);
   ++shard.enqueued;
   // Strictly older than the grace horizon: a record at exactly
   // watermark - late_grace_sec is still on time.
   if (mark != std::numeric_limits<int64_t>::min() &&
-      record.arrival_ms / 1000 < mark - options_.late_grace_sec) {
+      sec < mark - options_.late_grace_sec) {
     ++shard.dropped_late;
+    return false;
+  }
+  if (sec > std::min(newest_sec, kMaxEventSec)) {
+    ++shard.dropped_future;
     return false;
   }
   if (shard.staged >= options_.shard_queue_capacity) {
     ++shard.dropped_backpressure;
     return false;
   }
-  if (shard.tail == nullptr || shard.tail->full()) {
-    IngestChunk* chunk = pool_->Acquire();
-    if (shard.tail == nullptr) {
-      shard.head = chunk;
-    } else {
-      shard.tail->next = chunk;
-    }
-    shard.tail = chunk;
-  }
-  shard.tail->push(record);
-  ++shard.staged;
+  StageLocked(&shard, record);
   return true;
+}
+
+void StreamIngestor::Restage(const QueryLogRecord& record) {
+  Shard& shard = *shards_[ShardOf(record.sql_id)];
+  std::lock_guard<std::mutex> lock(shard.queue_mu);
+  StageLocked(&shard, record);
 }
 
 bool StreamIngestor::IngestMetrics(const PerfSample& sample) {
@@ -79,8 +95,9 @@ bool StreamIngestor::IngestMetrics(const PerfSample& sample) {
   const int64_t mark = watermark_.load(std::memory_order_relaxed);
   // Strict: a sample at exactly mark - window_sec + 1 (the window floor)
   // is the oldest retained instant; one second older misses the ring.
-  if (mark != std::numeric_limits<int64_t>::min() &&
-      sample.sec <= mark - options_.window_sec) {
+  if (sample.sec < -kMaxEventSec || sample.sec > kMaxEventSec ||
+      (mark != std::numeric_limits<int64_t>::min() &&
+       sample.sec <= mark - options_.window_sec)) {
     ++metric_samples_dropped_;
     return false;
   }
@@ -161,6 +178,15 @@ std::optional<PerfSample> StreamIngestor::SampleAt(int64_t sec) const {
   return bucket.sample;
 }
 
+int64_t StreamIngestor::NextSampleSec(int64_t sec) const {
+  std::lock_guard<std::mutex> lock(metrics_mu_);
+  int64_t next = std::numeric_limits<int64_t>::max();
+  for (const MetricBucket& bucket : metric_ring_) {
+    if (bucket.sec >= sec) next = std::min(next, bucket.sec);
+  }
+  return next;
+}
+
 TemplateMetricsStore StreamIngestor::SnapshotTemplates(int64_t t0_sec,
                                                        int64_t t1_sec) const {
   TemplateMetricsStore store(t0_sec, t1_sec, /*interval_sec=*/1);
@@ -225,27 +251,14 @@ IngestorState StreamIngestor::ExportState() const {
   state.shards.reserve(shards_.size());
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
-    IngestorShardState shard_state;
-    shard_state.queue.reserve(shard.staged);
-    for (const IngestChunk* c = shard.head; c != nullptr; c = c->next) {
-      shard_state.queue.insert(shard_state.queue.end(), c->items,
-                               c->items + c->size);
-    }
-    shard_state.enqueued = shard.enqueued;
-    shard_state.dropped_backpressure = shard.dropped_backpressure;
-    shard_state.folded = shard.folded;
-    shard_state.dropped_late = shard.dropped_late;
-    state.shards.push_back(std::move(shard_state));
+    state.shards.push_back({shard.enqueued, shard.dropped_backpressure,
+                            shard.folded, shard.dropped_late,
+                            shard.dropped_future});
   }
   queue_locks.clear();
   std::lock_guard<std::mutex> lock(metrics_mu_);
-  for (const MetricBucket& bucket : metric_ring_) {
-    if (bucket.sec == kEmptySec) continue;
-    state.metric_buckets.push_back({bucket.sec, bucket.sample});
-  }
   state.metric_samples = metric_samples_;
   state.metric_samples_dropped = metric_samples_dropped_;
-  state.watermark = watermark_.load(std::memory_order_relaxed);
   return state;
 }
 
@@ -259,39 +272,16 @@ Status StreamIngestor::ImportState(const IngestorState& state) {
     Shard& shard = *shards_[i];
     const IngestorShardState& shard_state = state.shards[i];
     std::lock_guard<std::mutex> lock(shard.queue_mu);
-    DropStagedLocked(&shard);
-    for (const QueryLogRecord& record : shard_state.queue) {
-      if (shard.tail == nullptr || shard.tail->full()) {
-        IngestChunk* chunk = pool_->Acquire();
-        if (shard.tail == nullptr) {
-          shard.head = chunk;
-        } else {
-          shard.tail->next = chunk;
-        }
-        shard.tail = chunk;
-      }
-      shard.tail->push(record);
-      ++shard.staged;
-    }
     shard.enqueued = static_cast<size_t>(shard_state.enqueued);
     shard.dropped_backpressure =
         static_cast<size_t>(shard_state.dropped_backpressure);
     shard.folded = static_cast<size_t>(shard_state.folded);
     shard.dropped_late = static_cast<size_t>(shard_state.dropped_late);
+    shard.dropped_future = static_cast<size_t>(shard_state.dropped_future);
   }
   std::lock_guard<std::mutex> lock(metrics_mu_);
-  for (MetricBucket& bucket : metric_ring_) bucket.sec = kEmptySec;
-  for (const IngestorMetricBucketState& bucket_state : state.metric_buckets) {
-    if (bucket_state.sec == kEmptySec) {
-      return Status::InvalidArgument("metric bucket with sentinel sec");
-    }
-    MetricBucket& bucket = metric_ring_[RingIndex(bucket_state.sec)];
-    bucket.sec = bucket_state.sec;
-    bucket.sample = bucket_state.sample;
-  }
   metric_samples_ = static_cast<size_t>(state.metric_samples);
   metric_samples_dropped_ = static_cast<size_t>(state.metric_samples_dropped);
-  watermark_.store(state.watermark, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -314,6 +304,7 @@ IngestStats StreamIngestor::stats() const {
     stats.records_dropped_backpressure += shard.dropped_backpressure;
     stats.records_folded += shard.folded;
     stats.records_dropped_late += shard.dropped_late;
+    stats.records_dropped_future += shard.dropped_future;
     stats.records_staged += shard.staged;
   }
   queue_locks.clear();

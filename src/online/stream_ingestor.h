@@ -19,6 +19,15 @@
 
 namespace pinsql::online {
 
+/// Largest |second| a sample may carry and a record may arrive at: half of
+/// what survives a *1000, so the window, lookback and retention arithmetic
+/// around an accepted second ((onset - delta_s) * 1000, (watermark - window
+/// + 1) * 1000) cannot overflow either. The ingestor refuses and counts
+/// anything beyond it, the WAL scan rejects a frame beyond it, and a
+/// checkpoint carrying a second beyond it is refused on import.
+inline constexpr int64_t kMaxEventSec =
+    std::numeric_limits<int64_t>::max() / 1000 / 2;
+
 /// One per-second performance sample from the monitoring agent, the
 /// streaming form of dbsim::InstanceMetrics: the value of every monitored
 /// metric for one wall second. Non-finite values are telemetry gaps, as
@@ -64,9 +73,10 @@ struct IngestorOptions {
 /// stats() returns a *consistent cut*: the shard counters are read with
 /// every shard's queue lock held at once, so the invariant
 /// `records_enqueued == records_folded + records_dropped_late +
-/// records_dropped_backpressure + records_staged` holds exactly in every
-/// snapshot, even while producers and pumpers race — never a torn
-/// per-shard sum. (Fleet-level stats sum these per-instance cuts.)
+/// records_dropped_future + records_dropped_backpressure + records_staged`
+/// holds exactly in every snapshot, even while producers and pumpers race —
+/// never a torn per-shard sum. (Fleet-level stats sum these per-instance
+/// cuts.)
 struct IngestStats {
   /// Every record offered to IngestRecord, accepted or not.
   size_t records_enqueued = 0;
@@ -74,6 +84,8 @@ struct IngestStats {
   size_t records_folded = 0;
   size_t records_dropped_backpressure = 0;
   size_t records_dropped_late = 0;
+  /// Records dated beyond the newest second IngestRecord was told to accept.
+  size_t records_dropped_future = 0;
   /// Records accepted into a shard queue but not yet taken by a Pump().
   size_t records_staged = 0;
   size_t metric_samples = 0;
@@ -86,31 +98,22 @@ struct WindowMetrics {
   std::map<std::string, TimeSeries> helpers;  // cpu/iops/lock-wait nodes
 };
 
-/// Serializable mirror of a StreamIngestor's full mutable state, for the
-/// fleet's checkpoints (see fleet/fleet_state.h). A restored
-/// ingestor stages, pumps, snapshots and drops bit-identically to the one
-/// the state was exported from.
+/// A StreamIngestor's counters, for the fleet's checkpoints (see
+/// fleet/fleet_state.h). The data they count (staged records, the metric
+/// ring, the watermark) is not part of it: a durable fleet rebuilds that
+/// from its WAL before it imports the counters.
 struct IngestorShardState {
-  /// Staged records accepted but not yet taken by a Pump().
-  std::vector<QueryLogRecord> queue;
   uint64_t enqueued = 0;
   uint64_t dropped_backpressure = 0;
   uint64_t folded = 0;
   uint64_t dropped_late = 0;
-};
-
-struct IngestorMetricBucketState {
-  int64_t sec = -1;
-  PerfSample sample;
+  uint64_t dropped_future = 0;
 };
 
 struct IngestorState {
   std::vector<IngestorShardState> shards;
-  std::vector<IngestorMetricBucketState> metric_buckets;
   uint64_t metric_samples = 0;
   uint64_t metric_samples_dropped = 0;
-  /// INT64_MIN = no sample seen yet.
-  int64_t watermark = std::numeric_limits<int64_t>::min();
 };
 
 /// Thread-safe streaming ingestion of query-log records and per-second
@@ -144,15 +147,30 @@ class StreamIngestor {
   void AttachArchive(LogStore* store) { archive_ = store; }
 
   /// Stages one record (thread-safe). Returns false when the record was
-  /// dropped and counted: late (older than watermark - late_grace_sec) or
-  /// refused by a full shard queue.
-  bool IngestRecord(const QueryLogRecord& record);
+  /// dropped and counted: late (older than watermark - late_grace_sec),
+  /// dated after `newest_sec` (or after kMaxEventSec), or refused by a full
+  /// shard queue.
+  bool IngestRecord(const QueryLogRecord& record,
+                    int64_t newest_sec = kMaxEventSec);
 
   /// Ingests one per-second sample (thread-safe) and advances the
-  /// watermark. Returns false when the sample was older than the retained
-  /// window and was dropped. A sample at exactly window_floor_sec() is the
-  /// oldest retained instant.
+  /// watermark. Returns false when the sample was dropped and counted:
+  /// older than the retained window, or beyond ±kMaxEventSec. A sample at
+  /// exactly window_floor_sec() is the oldest retained instant.
   bool IngestMetrics(const PerfSample& sample);
+
+  /// Stages a record a checkpoint counts as staged, as recovery rebuilds
+  /// the queue: no drop check and no counter moves, because it was accepted
+  /// and counted before the crash. Not thread-safe: call before producers
+  /// start.
+  void Restage(const QueryLogRecord& record);
+
+  /// The shard queue a template's records stage in: bitmask when
+  /// num_shards is a power of two, modulo otherwise.
+  size_t ShardOf(uint64_t sql_id) const {
+    return shard_mask_ != 0 ? static_cast<size_t>(sql_id & shard_mask_)
+                            : static_cast<size_t>(sql_id % shards_.size());
+  }
 
   /// Moves every staged record into the archive. Safe to call from any
   /// thread. Returns the number of records taken from the queues.
@@ -164,6 +182,10 @@ class StreamIngestor {
 
   /// The sample for `sec`, if it is inside the retained window.
   std::optional<PerfSample> SampleAt(int64_t sec) const;
+
+  /// The oldest second at or after `sec` that SampleAt answers, or
+  /// INT64_MAX when none does. O(window_sec).
+  int64_t NextSampleSec(int64_t sec) const;
 
   /// Per-template aggregates over [t0_sec, t1_sec): AggregateWindow over a
   /// SnapshotRange of the attached archive — the series a diagnosis of that
@@ -185,13 +207,13 @@ class StreamIngestor {
   /// The chunk pool backing the shard queues (shared or private).
   const IngestChunkPool& chunk_pool() const { return *pool_; }
 
-  /// Captures the full mutable state (metric ring, staged queues,
-  /// counters, watermark) as one consistent cut — safe while producers
+  /// Captures the counters as one consistent cut — safe while producers
   /// race.
   IngestorState ExportState() const;
 
-  /// Restores an exported state. The ingestor must be shaped identically
-  /// (same shard count and window) to the one the state came from;
+  /// Overwrites the counters with exported ones, leaving the staged
+  /// records, the metric ring and the watermark as they are. The ingestor
+  /// must have the shard count of the one the state came from;
   /// InvalidArgument otherwise. Not thread-safe: call before producers
   /// start.
   Status ImportState(const IngestorState& state);
@@ -213,6 +235,7 @@ class StreamIngestor {
     size_t enqueued = 0;
     size_t dropped_backpressure = 0;
     size_t dropped_late = 0;
+    size_t dropped_future = 0;
     size_t folded = 0;
   };
   struct MetricBucket {
@@ -229,14 +252,10 @@ class StreamIngestor {
     return static_cast<size_t>(m < 0 ? m + w : m);
   }
 
-  /// Shard for a template id: bitmask when num_shards is a power of two,
-  /// modulo otherwise.
-  size_t ShardIndex(uint64_t sql_id) const {
-    return shard_mask_ != 0 ? static_cast<size_t>(sql_id & shard_mask_)
-                            : static_cast<size_t>(sql_id % shards_.size());
-  }
   /// Releases a shard's staged chunk list back to the pool (queue_mu held).
   void DropStagedLocked(Shard* shard);
+  /// Appends one record to a shard's staged chunk list (queue_mu held).
+  void StageLocked(Shard* shard, const QueryLogRecord& record);
 
   IngestorOptions options_;
   std::shared_ptr<IngestChunkPool> pool_;

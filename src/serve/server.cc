@@ -131,6 +131,7 @@ Status Server::Start() {
   }
 
   SnapshotFleetStats();
+  recovery_ = fleet_->recovery();
 
   stopping_.store(false);
   io_thread_ = std::thread(&Server::IoLoop, this);
@@ -885,6 +886,8 @@ HttpResponse Server::HandleMetricsz() const {
   ingest_drops.Set("late",
                    static_cast<int64_t>(cached.ingest.records_dropped_late));
   ingest_drops.Set(
+      "future", static_cast<int64_t>(cached.ingest.records_dropped_future));
+  ingest_drops.Set(
       "metric_samples",
       static_cast<int64_t>(cached.ingest.metric_samples_dropped));
   drops.Set("ingest", std::move(ingest_drops));
@@ -903,6 +906,30 @@ HttpResponse Server::HandleMetricsz() const {
   fleet.Set("storm_deferred", static_cast<int64_t>(cached.storm_deferred));
   fleet.Set("pending_journal_records",
             static_cast<int64_t>(cached.pending_journal_records));
+  // What the fleet's last recovery rebuilt, replayed and lost.
+  Json recovery = Json::MakeObject();
+  recovery.Set("attempted", recovery_.attempted);
+  recovery.Set("checkpoint_loaded", recovery_.checkpoint_loaded);
+  recovery.Set("checkpoints_corrupt_skipped",
+               static_cast<int64_t>(recovery_.checkpoints_corrupt_skipped));
+  recovery.Set("checkpoints_mismatched_skipped",
+               static_cast<int64_t>(recovery_.checkpoints_mismatched_skipped));
+  recovery.Set("frames_rebuilt",
+               static_cast<int64_t>(recovery_.frames_rebuilt));
+  recovery.Set("frames_replayed",
+               static_cast<int64_t>(recovery_.frames_replayed));
+  recovery.Set("frames_corrupt",
+               static_cast<int64_t>(recovery_.frames_corrupt));
+  recovery.Set("frames_malformed",
+               static_cast<int64_t>(recovery_.frames_malformed));
+  recovery.Set("frames_time_rejected",
+               static_cast<int64_t>(recovery_.frames_time_rejected));
+  recovery.Set("seq_gaps", static_cast<int64_t>(recovery_.seq_gaps));
+  recovery.Set("stopped_early", static_cast<int64_t>(recovery_.stopped_early));
+  recovery.Set("torn_tail_bytes_truncated",
+               static_cast<int64_t>(recovery_.torn_tail_bytes_truncated));
+  recovery.Set("recovery_ms", recovery_.recovery_ms);
+  fleet.Set("recovery", std::move(recovery));
   root.Set("fleet", std::move(fleet));
 
   Json server = Json::MakeObject();

@@ -200,6 +200,9 @@ class Server {
                                         const std::string& body) const;
 
   fleet::FleetService* fleet_;
+  /// The fleet's recovery accounting, read once by Start() (the fleet is
+  /// started first) and constant after it.
+  fleet::FleetRecoveryStats recovery_;
   ServerOptions options_;
   AdmissionController admission_;
 

@@ -23,10 +23,13 @@ constexpr char kCheckpointMagic[8] = {'P', 'S', 'Q', 'L', 'C', 'K', 'P', '1'};
 // the body carries none, and a template's table list is u32-counted like
 // the WAL's. v6: the fleet keeps no closed storms, verdicts, repair audit
 // or detection latencies either (the verdict count joins the counters),
-// and the sketch forecaster is gone. Older checkpoints fail the version
-// check and recovery falls back to the WAL, which replays into the new
-// format.
-constexpr uint32_t kCheckpointVersion = 6;
+// and the sketch forecaster is gone. v7: no data the WAL holds — no
+// archive, metric ring, staged records or watermark; each instance names
+// the first segment its archive needs and the retention cutoff it applied,
+// and the ingestor counts records refused as too far ahead. Older
+// checkpoints fail the version check and recovery falls back to the WAL,
+// which replays into the new format.
+constexpr uint32_t kCheckpointVersion = 7;
 // magic(8) + version(4) at the front, crc(4) at the back.
 constexpr size_t kCheckpointOverhead = 16;
 
@@ -96,28 +99,17 @@ bool DecodeForecast(codec::Reader* r, detect::ForecastSnapshot* fc) {
 }
 
 void EncodeShard(codec::Writer* w, const online::IngestorShardState& shard) {
-  EncodeSeq(w, shard.queue, EncodeRecord);
   w->U64(shard.enqueued);
   w->U64(shard.dropped_backpressure);
   w->U64(shard.folded);
   w->U64(shard.dropped_late);
+  w->U64(shard.dropped_future);
 }
 
 bool DecodeShard(codec::Reader* r, online::IngestorShardState* shard) {
-  return DecodeSeq(r, &shard->queue, 32, DecodeRecord) &&
-         r->U64(&shard->enqueued) && r->U64(&shard->dropped_backpressure) &&
-         r->U64(&shard->folded) && r->U64(&shard->dropped_late);
-}
-
-void EncodeMetricBucket(codec::Writer* w,
-                        const online::IngestorMetricBucketState& bucket) {
-  w->I64(bucket.sec);
-  EncodeSample(w, bucket.sample);
-}
-
-bool DecodeMetricBucket(codec::Reader* r,
-                        online::IngestorMetricBucketState* bucket) {
-  return r->I64(&bucket->sec) && DecodeSample(r, &bucket->sample);
+  return r->U64(&shard->enqueued) && r->U64(&shard->dropped_backpressure) &&
+         r->U64(&shard->folded) && r->U64(&shard->dropped_late) &&
+         r->U64(&shard->dropped_future);
 }
 
 /// Parses the counter out of a checkpoint file name, or nullopt when the
@@ -174,17 +166,14 @@ bool DecodeCatalog(
 
 void EncodeIngestor(codec::Writer* w, const online::IngestorState& state) {
   EncodeSeq(w, state.shards, EncodeShard);
-  EncodeSeq(w, state.metric_buckets, EncodeMetricBucket);
   w->U64(state.metric_samples);
   w->U64(state.metric_samples_dropped);
-  w->I64(state.watermark);
 }
 
 bool DecodeIngestor(codec::Reader* r, online::IngestorState* state) {
   return DecodeSeq(r, &state->shards, 40, DecodeShard) &&
-         DecodeSeq(r, &state->metric_buckets, 56, DecodeMetricBucket) &&
          r->U64(&state->metric_samples) &&
-         r->U64(&state->metric_samples_dropped) && r->I64(&state->watermark);
+         r->U64(&state->metric_samples_dropped);
 }
 
 void EncodeDetector(codec::Writer* w, const online::OnlineDetectorState& state) {
@@ -340,8 +329,8 @@ StatusOr<LoadedCheckpoint> LoadLatestCheckpoint(
     }
     // Corrupt: fall back to the next-older checkpoint. Its older LSN just
     // means a longer WAL replay — never data loss, because segments are
-    // only deleted once covered by the *oldest* retained checkpoint (see
-    // WalWriter::DeleteSealedSegments). Deleting it keeps it from winning
+    // only deleted below the *oldest* retained checkpoint's first-needed
+    // segment (see WalWriter::DeleteSealedSegments). Deleting it keeps it from winning
     // a later recovery over the checkpoint that validates.
     ++loaded.corrupt_skipped;
     env->DeleteFile(path);

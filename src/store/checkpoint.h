@@ -70,10 +70,10 @@ size_t PruneCheckpoints(Env* env, const std::string& dir, size_t keep);
 
 // ---------------------------------------------------------------------------
 // Codecs for the online-level component states a checkpoint body is built
-// from (records, samples, templates and repair events use the WAL's element
-// codecs, store/wal.h). Each Decode* returns false on malformed or
-// truncated input (the reader then stays failed); element counts are
-// checked against the bytes left before anything is allocated.
+// from (catalog entries use the WAL's template codec, store/wal.h). Each
+// Decode* returns false on malformed or truncated input (the reader then
+// stays failed); element counts are checked against the bytes left before
+// anything is allocated.
 
 /// A decoded element count is plausible when its minimum encoding fits the
 /// remaining payload.

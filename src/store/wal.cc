@@ -101,27 +101,6 @@ SpanStatus FrameEventSpan(const WalFrame& frame, EventSpan* span) {
   return SpanStatus::kNone;
 }
 
-}  // namespace
-
-const char* FsyncPolicyName(FsyncPolicy policy) {
-  switch (policy) {
-    case FsyncPolicy::kEveryBatch:
-      return "every_batch";
-    case FsyncPolicy::kInterval:
-      return "interval";
-    case FsyncPolicy::kNever:
-      return "never";
-  }
-  return "unknown";
-}
-
-std::string SegmentFileName(uint64_t seq) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "wal-%020llu.log",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
-
 void EncodeRecord(codec::Writer* w, const QueryLogRecord& record) {
   w->I64(record.arrival_ms);
   w->F64(record.response_ms);
@@ -147,6 +126,52 @@ bool DecodeSample(codec::Reader* r, online::PerfSample* sample) {
   return r->I64(&sample->sec) && r->F64(&sample->active_session) &&
          r->F64(&sample->cpu_usage) && r->F64(&sample->iops_usage) &&
          r->F64(&sample->row_lock_waits) && r->F64(&sample->mdl_waits);
+}
+
+// A repair event's kind and action travel as their stable names, so a
+// decode validates them against the enums instead of trusting a raw byte.
+void EncodeRepairEvent(codec::Writer* w, const repair::RepairEvent& event) {
+  w->F64(event.time_ms);
+  w->Str(repair::RepairEventKindName(event.kind));
+  w->Str(repair::ActionTypeName(event.action));
+  w->U64(event.sql_id);
+  w->U64(event.ticket);
+  w->I64(event.attempt);
+  w->Str(event.detail);
+}
+
+bool DecodeRepairEvent(codec::Reader* r, repair::RepairEvent* event) {
+  std::string kind_name, action_name;
+  int64_t attempt = 0;
+  if (!r->F64(&event->time_ms) || !r->Str(&kind_name) ||
+      !r->Str(&action_name) || !r->U64(&event->sql_id) ||
+      !r->U64(&event->ticket) || !r->I64(&attempt) || !r->Str(&event->detail)) {
+    return false;
+  }
+  event->attempt = static_cast<int>(attempt);
+  return repair::RepairEventKindFromName(kind_name, &event->kind) &&
+         repair::ActionTypeFromName(action_name, &event->action);
+}
+
+}  // namespace
+
+const char* FsyncPolicyName(FsyncPolicy policy) {
+  switch (policy) {
+    case FsyncPolicy::kEveryBatch:
+      return "every_batch";
+    case FsyncPolicy::kInterval:
+      return "interval";
+    case FsyncPolicy::kNever:
+      return "never";
+  }
+  return "unknown";
+}
+
+std::string SegmentFileName(uint64_t seq) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "wal-%020llu.log",
+                static_cast<unsigned long long>(seq));
+  return buf;
 }
 
 void EncodeTemplate(codec::Writer* w, uint64_t sql_id,
@@ -176,29 +201,6 @@ bool DecodeTemplate(codec::Reader* r, uint64_t* sql_id,
     if (!r->Str(&table)) return false;
   }
   return true;
-}
-
-void EncodeRepairEvent(codec::Writer* w, const repair::RepairEvent& event) {
-  w->F64(event.time_ms);
-  w->Str(repair::RepairEventKindName(event.kind));
-  w->Str(repair::ActionTypeName(event.action));
-  w->U64(event.sql_id);
-  w->U64(event.ticket);
-  w->I64(event.attempt);
-  w->Str(event.detail);
-}
-
-bool DecodeRepairEvent(codec::Reader* r, repair::RepairEvent* event) {
-  std::string kind_name, action_name;
-  int64_t attempt = 0;
-  if (!r->F64(&event->time_ms) || !r->Str(&kind_name) ||
-      !r->Str(&action_name) || !r->U64(&event->sql_id) ||
-      !r->U64(&event->ticket) || !r->I64(&attempt) || !r->Str(&event->detail)) {
-    return false;
-  }
-  event->attempt = static_cast<int>(attempt);
-  return repair::RepairEventKindFromName(kind_name, &event->kind) &&
-         repair::ActionTypeFromName(action_name, &event->action);
 }
 
 std::string EncodeFramePayload(const WalFrame& frame) {
@@ -331,7 +333,7 @@ void WalWriter::SealCurrent() {
   sealed.path = dir_ + "/" + SegmentFileName(current_seq_);
   sealed.max_event_ms = current_has_event_
                             ? current_max_event_ms_
-                            : std::numeric_limits<int64_t>::max();
+                            : std::numeric_limits<int64_t>::min();
   sealed.size = current_offset_;
   sealed_.push_back(std::move(sealed));
   ++stats_.segments_sealed;
@@ -463,20 +465,12 @@ void WalWriter::AdoptSealed(const std::vector<SealedSegment>& segments) {
   }
 }
 
-size_t WalWriter::DeleteSealedSegments(int64_t cutoff_ms,
-                                       const WalPosition& covered_lsn,
-                                       Env* env) {
+size_t WalWriter::DeleteSealedSegments(uint64_t first_needed_seq, Env* env) {
   size_t deleted = 0;
   std::vector<SealedSegment> kept;
   kept.reserve(sealed_.size());
   for (SealedSegment& segment : sealed_) {
-    const bool aged_out = segment.max_event_ms < cutoff_ms;
-    // Strictly below the covered LSN's segment: the LSN's own segment must
-    // survive even when the checkpoint landed exactly at its end, or a
-    // recovery from that checkpoint finds its start below the oldest
-    // segment on disk and falsely reports a sequence gap.
-    const bool covered = segment.seq < covered_lsn.segment_seq;
-    if (aged_out && covered && env->DeleteFile(segment.path).ok()) {
+    if (segment.seq < first_needed_seq && env->DeleteFile(segment.path).ok()) {
       ++deleted;
       PINSQL_OBS_COUNT("store.wal_segments_deleted", 1);
       continue;
@@ -501,7 +495,6 @@ Status ScanWal(Env* env, const std::string& dir, const WalOptions& options,
                const WalPosition& start, const WalFrameFn& fn,
                WalScanStats* stats) {
   *stats = WalScanStats{};
-  stats->end = start;
 
   auto names = env->ListDir(dir);
   if (!names.ok()) return names.status();
@@ -541,14 +534,16 @@ Status ScanWal(Env* env, const std::string& dir, const WalOptions& options,
     contents[*seq] = std::move(data);
   }
 
-  if (by_seq.empty()) return Status::OK();
+  // A start below the oldest surviving segment, or a start when no segment
+  // survives, means a deletion outran the checkpoint we recovered from
+  // (data loss, counted as a gap). Likewise a from-scratch scan ({0,0}: no
+  // checkpoint) that finds no segment 1: the stream's base is gone — only
+  // a checkpoint's deletion rule may legitimately remove it.
+  if (by_seq.empty()) {
+    stats->seq_gap = !(start == WalPosition{});
+    return Status::OK();
+  }
   stats->last_seq = by_seq.rbegin()->first;
-  // Frames below the start LSN were already folded into the checkpoint; a
-  // start LSN below the oldest surviving segment means an intermediate
-  // deletion outran the checkpoint we recovered from (data loss, counted
-  // as a gap). Likewise a from-scratch scan ({0,0}: no checkpoint) that
-  // finds no segment 1: the stream's base is gone — only retention guarded
-  // by a checkpoint may legitimately remove it.
   if (start == WalPosition{}) {
     if (by_seq.begin()->first != 1) stats->seq_gap = true;
   } else if (start.segment_seq < by_seq.begin()->first) {
@@ -684,16 +679,13 @@ Status ScanWal(Env* env, const std::string& dir, const WalOptions& options,
           break;
       }
       const WalPosition pos{seq, off};
-      if (start < pos) {
-        fn(frame);
-        stats->end = pos;
-      }
+      if (start < pos) fn(frame, pos);
     }
     SealedSegment meta;
     meta.seq = seq;
     meta.path = path;
     meta.max_event_ms = seg_has_event ? seg_max_event_ms
-                                      : std::numeric_limits<int64_t>::max();
+                                      : std::numeric_limits<int64_t>::min();
     meta.size = off;
     stats->segments.push_back(std::move(meta));
   }

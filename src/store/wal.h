@@ -17,11 +17,9 @@
 
 namespace pinsql::store {
 
-/// Largest |seconds| a sample may carry: it survives a *1000 without signed
-/// overflow. The scan rejects a frame beyond it, and a checkpoint carrying
-/// a second beyond it is refused on import.
-inline constexpr int64_t kMaxEventSec =
-    std::numeric_limits<int64_t>::max() / 1000;
+/// Largest |seconds| a sample may carry (see online::kMaxEventSec): the
+/// scan rejects a frame beyond it.
+using online::kMaxEventSec;
 
 /// When the writer fsyncs (see DESIGN.md §11 for the durability matrix).
 enum class FsyncPolicy {
@@ -76,7 +74,8 @@ struct WalFrame {
 
 /// A position in the WAL: (segment sequence number, byte offset within the
 /// segment). Checkpoints record the writer position as their LSN; recovery
-/// replays only frames at or after it.
+/// rebuilds the data of the frames that end at or before it and replays the
+/// frames after it.
 struct WalPosition {
   uint64_t segment_seq = 0;
   uint64_t offset = 0;
@@ -92,23 +91,14 @@ struct WalPosition {
   }
 };
 
-/// Element codecs shared by WAL frame payloads and checkpoint bodies; each
-/// format adds its own sequence counts around them. Each Decode* returns
-/// false on malformed or truncated input (the reader then stays failed).
-void EncodeRecord(codec::Writer* w, const QueryLogRecord& record);
-bool DecodeRecord(codec::Reader* r, QueryLogRecord* record);
-void EncodeSample(codec::Writer* w, const online::PerfSample& sample);
-bool DecodeSample(codec::Reader* r, online::PerfSample* sample);
-/// One catalog registration: id, text, statement kind (validated) and a
+/// One catalog registration, the element codec WAL template frames and
+/// checkpoint catalogs share: id, text, statement kind (validated) and a
 /// u32-counted table list, bounded by the bytes left before allocation.
+/// Decode returns false on malformed or truncated input.
 void EncodeTemplate(codec::Writer* w, uint64_t sql_id,
                     const TemplateCatalogEntry& entry);
 bool DecodeTemplate(codec::Reader* r, uint64_t* sql_id,
                     TemplateCatalogEntry* entry);
-/// Kind and action travel as their stable names, so a decode validates
-/// them against the enums instead of trusting a raw byte.
-void EncodeRepairEvent(codec::Writer* w, const repair::RepairEvent& event);
-bool DecodeRepairEvent(codec::Reader* r, repair::RepairEvent* event);
 
 /// Encodes the payload of one frame (kind byte + body). Exposed so tests
 /// can hand-craft frames (e.g. a CRC-valid frame with an out-of-range
@@ -145,10 +135,9 @@ struct WalWriterStats {
 struct SealedSegment {
   uint64_t seq = 0;
   std::string path;
-  /// Largest event time any frame in the segment carries. INT64_MAX when
-  /// the segment held only untimestamped frames (templates): such a
-  /// segment never ages out — template registrations are tiny and must
-  /// survive as long as any record referencing them might replay.
+  /// Largest event time any frame in the segment carries. INT64_MIN when
+  /// the segment held only untimestamped frames (templates): no archive
+  /// needs it, because a checkpoint carries the catalog.
   int64_t max_event_ms = 0;
   /// Byte size, i.e. the end offset of its last frame.
   uint64_t size = 0;
@@ -186,14 +175,11 @@ class WalWriter {
     return WalPosition{current_seq_, current_offset_};
   }
 
-  /// Deletes sealed segments whose every event is older than `cutoff_ms`
-  /// AND whose sequence is strictly below `covered_lsn.segment_seq` (the
-  /// oldest retained checkpoint's LSN, so any fallback checkpoint can
-  /// still replay, and the LSN's own segment survives even when the
-  /// checkpoint landed exactly at its end). Returns the number of segments
-  /// deleted.
-  size_t DeleteSealedSegments(int64_t cutoff_ms, const WalPosition& covered_lsn,
-                              Env* env);
+  /// Deletes the sealed segments whose sequence is below `first_needed_seq`
+  /// (the oldest retained checkpoint's first-needed segment, so a recovery
+  /// from any retained checkpoint finds every segment it rebuilds from).
+  /// Returns the number of segments deleted.
+  size_t DeleteSealedSegments(uint64_t first_needed_seq, Env* env);
 
   /// Adopts prior-incarnation segments (from a recovery scan) into the
   /// sealed set, so retention keeps deleting segments written before the
@@ -232,9 +218,9 @@ class WalWriter {
 };
 
 /// Accounting of one recovery scan. Every byte of every segment ends up in
-/// exactly one bucket: replayed, skipped (below the start LSN), truncated
-/// torn tail, or discarded after a hard corruption — bounded, counted data
-/// loss, never silent.
+/// exactly one bucket: delivered, skipped (below the start position),
+/// truncated torn tail, or discarded after a hard corruption — bounded,
+/// counted data loss, never silent.
 struct WalScanStats {
   size_t segments_scanned = 0;
   size_t segments_duplicate_seq = 0;
@@ -260,19 +246,19 @@ struct WalScanStats {
   size_t repair_events = 0;
   /// Highest segment sequence present on disk (valid header), 0 if none.
   uint64_t last_seq = 0;
-  /// Position one past the last frame the scan delivered.
-  WalPosition end;
   /// Every scanned segment with its retention metadata, so a recovered
   /// writer can adopt prior-incarnation segments into the sealed set and
   /// retention keeps deleting them.
   std::vector<SealedSegment> segments;
 };
 
-using WalFrameFn = std::function<void(const WalFrame&)>;
+/// Receives one valid frame and the position one past its end.
+using WalFrameFn = std::function<void(const WalFrame&, const WalPosition&)>;
 
 /// Scans every segment in `dir` in sequence order, validating headers,
 /// frame CRCs and event-time ranges, and invokes `fn` for every valid
-/// frame at or after `start` (a checkpoint LSN; {0,0} replays everything).
+/// frame that ends after `start` ({0,0} delivers everything; a start in a
+/// segment that is not on disk, or no segment at all, is a gap).
 /// A partial or corrupt frame at the tail of a segment is truncated off
 /// (the kill -9 case and the torn-write case — the writer re-appends a
 /// torn frame to the next segment, so the stream stays contiguous); a

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -20,6 +22,10 @@
 #include "fleet/fleet_service.h"
 #include "online/replay.h"
 #include "serve/server.h"
+#include "store/codec.h"
+#include "store/crc32c.h"
+#include "store/env.h"
+#include "store/wal.h"
 #include "util/json.h"
 
 namespace pinsql::serve {
@@ -310,6 +316,61 @@ TEST(ServeServerTest, HealthAndMetricsEndpoints) {
 
   const ClientResponse missing = Request(port, "GET", "/v1/nope", "");
   EXPECT_EQ(missing.status, 404);
+}
+
+TEST(ServeServerTest, MetricszServesTheLastRecovery) {
+  // A data dir whose WAL holds a CRC-valid frame dated ten days after the
+  // one before it: the recovery scan rejects it and stops early, and a
+  // running server shows that loss in /v1/metricsz, next to the ingest
+  // layer's drop ledger.
+  std::string dir = ::testing::TempDir() + "pinsql_store_XXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  const std::string wal_dir = dir + "/inst-1";
+  ASSERT_TRUE(store::PosixEnv()->CreateDirs(wal_dir).ok());
+  std::string segment;
+  store::codec::Writer w(&segment);
+  segment.append("PSQLWAL1", 8);
+  w.U32(1);  // version
+  w.U64(1);  // seq
+  w.U32(store::Crc32c(segment.data(), segment.size()));
+  store::WalFrame sample;
+  sample.kind = store::FrameKind::kSample;
+  sample.sample.sec = 100'000;
+  sample.sample.active_session = 4.0;
+  segment += store::WrapFrame(store::EncodeFramePayload(sample));
+  sample.sample.sec += 10 * 24 * 3600;
+  segment += store::WrapFrame(store::EncodeFramePayload(sample));
+  {
+    std::ofstream f(wal_dir + "/" + store::SegmentFileName(1),
+                    std::ios::binary);
+    f.write(segment.data(), static_cast<std::streamsize>(segment.size()));
+  }
+
+  fleet::FleetOptions foptions;
+  foptions.data_dir = dir;
+  Stack stack = MakeStack({}, {{1, 0}}, foptions);
+  ASSERT_TRUE(stack.server->Start().ok());
+  const ClientResponse metrics =
+      Request(stack.server->port(), "GET", "/v1/metricsz", "");
+  ASSERT_TRUE(metrics.ok);
+  auto parsed = Json::Parse(metrics.body);
+  ASSERT_TRUE(parsed.ok()) << metrics.body.substr(0, 200);
+  const Json* fleet = parsed.value().Find("fleet");
+  ASSERT_NE(fleet, nullptr);
+  const Json* recovery = fleet->Find("recovery");
+  ASSERT_NE(recovery, nullptr) << metrics.body;
+  EXPECT_TRUE(recovery->GetBoolOr("attempted", false));
+  EXPECT_FALSE(recovery->GetBoolOr("checkpoint_loaded", true));
+  EXPECT_EQ(recovery->GetNumberOr("frames_replayed", -1), 1);
+  EXPECT_EQ(recovery->GetNumberOr("frames_rebuilt", -1), 0);
+  EXPECT_EQ(recovery->GetNumberOr("frames_time_rejected", -1), 1);
+  EXPECT_EQ(recovery->GetNumberOr("stopped_early", -1), 1);
+  EXPECT_EQ(recovery->GetNumberOr("frames_corrupt", -1), 0);
+  EXPECT_EQ(recovery->GetNumberOr("seq_gaps", -1), 0);
+  EXPECT_GE(recovery->GetNumberOr("recovery_ms", -1), 0);
+  const Json* ingest_drops = parsed.value().Find("drops")->Find("ingest");
+  ASSERT_NE(ingest_drops, nullptr);
+  EXPECT_EQ(ingest_drops->GetNumberOr("future", -1), 0);
 }
 
 TEST(ServeServerTest, TenantAuthIsEnforcedOverTheWire) {

@@ -126,7 +126,7 @@ online::ReplayLog ScanConfirmedInput(const std::string& data_dir,
   online::ReplayLog log;
   const Status status = ScanWal(
       PosixEnv(), WalDir(data_dir), WalOptions(), WalPosition{},
-      [&log](const WalFrame& frame) {
+      [&log](const WalFrame& frame, const WalPosition&) {
         switch (frame.kind) {
           case FrameKind::kRecordBatch:
             log.records.insert(log.records.end(), frame.records.begin(),

@@ -185,7 +185,10 @@ TEST(WalFuzzTest, MutatedPayloadsBehindValidCrcsDecodeOrFailCleanly) {
       size_t delivered = 0;
       const Status status =
           ScanWal(PosixEnv(), dir, WalOptions(), WalPosition{},
-                  [&](const WalFrame&) { ++delivered; }, &stats);
+                  [&](const WalFrame&, const WalPosition&) {
+                    ++delivered;
+                  },
+                  &stats);
       EXPECT_TRUE(status.ok()) << "case " << i << ": " << status.ToString();
       EXPECT_EQ(delivered, stats.frames_valid);
       EXPECT_GE(delivered, 1u) << "case " << i;
@@ -302,13 +305,13 @@ TEST(CheckpointFuzzTest, MutatedFleetStatesDecodeImportAndRunOrFailCleanly) {
       ++imported;
       service.Start();
       // Advance 60 s past the restored fleet clock, every instance
-      // streaming its next second first, from its own watermark on — as
-      // far as seconds the WAL could journal reach (ImportState bounded
-      // every clock by kMaxEventSec, so these sums cannot overflow).
+      // streaming that second first — as far as seconds the WAL could
+      // journal reach (ImportState bounded the fleet clock by kMaxEventSec,
+      // so these sums cannot overflow).
       const int64_t from = state->last_fleet_sec;
       for (int64_t step = 1; step <= 60; ++step) {
         for (const fleet::FleetInstanceState& slice : state->instances) {
-          const int64_t sec = std::max(from, slice.ingestor.watermark) + step;
+          const int64_t sec = from + step;
           if (sec < kMaxEventSec) {
             FeedSecond(&service, slice.instance_id, sec, step > 30);
           }

@@ -257,6 +257,22 @@ size_t DeleteFilesEndingIn(const std::string& dir, const std::string& suffix) {
   return deleted;
 }
 
+/// Whether two archives hold the same records, field for field, in the
+/// same order.
+bool SameRecords(const LogStore* a, const LogStore* b) {
+  const std::vector<QueryLogRecord> left = a->SnapshotRange(
+      std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max());
+  const std::vector<QueryLogRecord> right = b->SnapshotRange(
+      std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max());
+  return std::equal(left.begin(), left.end(), right.begin(), right.end(),
+                    [](const QueryLogRecord& x, const QueryLogRecord& y) {
+                      return x.arrival_ms == y.arrival_ms &&
+                             x.response_ms == y.response_ms &&
+                             x.sql_id == y.sql_id &&
+                             x.examined_rows == y.examined_rows;
+                    });
+}
+
 // --- CRC32C ----------------------------------------------------------------
 
 TEST(Crc32cTest, KnownAnswerAndExtend) {
@@ -416,8 +432,12 @@ TEST(WalTest, WriterScannerRoundTrip) {
 
   WalScanStats stats;
   std::vector<WalFrame> frames;
+  WalPosition last_end;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, WalPosition{},
-                      [&](const WalFrame& f) { frames.push_back(f); },
+                      [&](const WalFrame& f, const WalPosition& at) {
+                        frames.push_back(f);
+                        last_end = at;
+                      },
                       &stats)
                   .ok());
   ASSERT_EQ(frames.size(), 4u);
@@ -431,14 +451,17 @@ TEST(WalTest, WriterScannerRoundTrip) {
   EXPECT_EQ(stats.records, 2u);
   EXPECT_EQ(stats.samples, 1u);
   EXPECT_EQ(stats.last_seq, 1u);
-  EXPECT_EQ(stats.end, end);
+  EXPECT_EQ(last_end, end);  // each frame's end position is handed out
   EXPECT_FALSE(stats.seq_gap);
 
   // Resuming from the end position replays nothing.
   WalScanStats tail_stats;
   size_t tail_frames = 0;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, end,
-                      [&](const WalFrame&) { ++tail_frames; }, &tail_stats)
+                      [&](const WalFrame&, const WalPosition&) {
+                        ++tail_frames;
+                      },
+                      &tail_stats)
                   .ok());
   EXPECT_EQ(tail_frames, 0u);
 }
@@ -463,7 +486,7 @@ TEST(WalTest, RotationSealsAndScansAcrossSegments) {
   WalScanStats stats;
   size_t samples = 0;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, WalPosition{},
-                      [&](const WalFrame& f) {
+                      [&](const WalFrame& f, const WalPosition&) {
                         if (f.kind == FrameKind::kSample) ++samples;
                       },
                       &stats)
@@ -494,7 +517,10 @@ TEST(WalTest, TornTailIsTruncatedAndCounted) {
   WalScanStats stats;
   size_t delivered = 0;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, WalPosition{},
-                      [&](const WalFrame&) { ++delivered; }, &stats)
+                      [&](const WalFrame&, const WalPosition&) {
+                        ++delivered;
+                      },
+                      &stats)
                   .ok());
   EXPECT_EQ(delivered, 2u);
   EXPECT_EQ(stats.frames_corrupt, 1u);
@@ -503,7 +529,7 @@ TEST(WalTest, TornTailIsTruncatedAndCounted) {
   // The truncation is physical: a second scan is clean.
   WalScanStats again;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, WalPosition{},
-                      [](const WalFrame&) {}, &again)
+                      [](const WalFrame&, const WalPosition&) {}, &again)
                   .ok());
   EXPECT_EQ(again.frames_corrupt, 0u);
   EXPECT_EQ(again.frames_valid, 2u);
@@ -522,7 +548,7 @@ TEST(WalTest, MidSegmentCorruptionDiscardsRestOfSegmentOnly) {
   ASSERT_TRUE((*writer)->Close().ok());
   WalScanStats clean;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, WalPosition{},
-                      [](const WalFrame&) {}, &clean)
+                      [](const WalFrame&, const WalPosition&) {}, &clean)
                   .ok());
   ASSERT_GT(clean.last_seq, 2u) << "fixture needs several segments";
 
@@ -541,7 +567,9 @@ TEST(WalTest, MidSegmentCorruptionDiscardsRestOfSegmentOnly) {
   WalScanStats stats;
   std::vector<int64_t> secs;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, WalPosition{},
-                      [&](const WalFrame& f) { secs.push_back(f.sample.sec); },
+                      [&](const WalFrame& f, const WalPosition&) {
+                        secs.push_back(f.sample.sec);
+                      },
                       &stats)
                   .ok());
   EXPECT_EQ(stats.frames_corrupt, 1u);
@@ -572,7 +600,7 @@ TEST(WalTest, MissingBaseSegmentIsAGap) {
   // flagged as a gap, never passed off as a complete replay.
   WalScanStats stats;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, WalPosition{},
-                      [](const WalFrame&) {}, &stats)
+                      [](const WalFrame&, const WalPosition&) {}, &stats)
                   .ok());
   EXPECT_TRUE(stats.seq_gap);
 }
@@ -590,7 +618,7 @@ TEST(WalTest, DuplicateSegmentSequenceKeepsFirstAndCounts) {
   ASSERT_TRUE((*writer)->Close().ok());
   WalScanStats clean;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, WalPosition{},
-                      [](const WalFrame&) {}, &clean)
+                      [](const WalFrame&, const WalPosition&) {}, &clean)
                   .ok());
 
   // A second file whose header claims an already-seen sequence (e.g. a
@@ -606,7 +634,10 @@ TEST(WalTest, DuplicateSegmentSequenceKeepsFirstAndCounts) {
   WalScanStats stats;
   size_t delivered = 0;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, WalPosition{},
-                      [&](const WalFrame&) { ++delivered; }, &stats)
+                      [&](const WalFrame&, const WalPosition&) {
+                        ++delivered;
+                      },
+                      &stats)
                   .ok());
   EXPECT_EQ(stats.segments_duplicate_seq, 1u);
   EXPECT_EQ(delivered, clean.frames_valid);
@@ -645,7 +676,7 @@ TEST(WalTest, CrcValidFrameWithImpossibleTimestampIsRejected) {
   WalScanStats stats;
   std::vector<uint64_t> seen;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, WalPosition{},
-                      [&](const WalFrame& f) {
+                      [&](const WalFrame& f, const WalPosition&) {
                         for (const auto& r : f.records) seen.push_back(r.sql_id);
                       },
                       &stats)
@@ -689,7 +720,10 @@ TEST(WalTest, OverflowingTimestampIsRejectedBeforeArithmetic) {
   WalScanStats stats;
   size_t delivered = 0;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, WalPosition{},
-                      [&](const WalFrame&) { ++delivered; }, &stats)
+                      [&](const WalFrame&, const WalPosition&) {
+                        ++delivered;
+                      },
+                      &stats)
                   .ok());
   EXPECT_EQ(delivered, 0u);
   EXPECT_EQ(stats.frames_valid, 0u);
@@ -720,7 +754,7 @@ TEST(WalTest, OverflowingTimestampIsRejectedBeforeArithmetic) {
   }
   WalScanStats stats2;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir2, options, WalPosition{},
-                      [](const WalFrame&) {}, &stats2)
+                      [](const WalFrame&, const WalPosition&) {}, &stats2)
                   .ok());
   EXPECT_EQ(stats2.frames_valid, 1u);
   EXPECT_EQ(stats2.frames_time_rejected, 1u);
@@ -743,7 +777,7 @@ TEST(WalTest, TornHeaderLeftoverIsTruncatedOnReopenNotPoisoned) {
   }
   WalScanStats first;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, WalPosition{},
-                      [](const WalFrame&) {}, &first)
+                      [](const WalFrame&, const WalPosition&) {}, &first)
                   .ok());
   EXPECT_EQ(first.frames_valid, 5u);
   EXPECT_EQ(first.segments_invalid_header, 1u);
@@ -762,7 +796,9 @@ TEST(WalTest, TornHeaderLeftoverIsTruncatedOnReopenNotPoisoned) {
   WalScanStats second;
   std::vector<int64_t> secs;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, WalPosition{},
-                      [&](const WalFrame& f) { secs.push_back(f.sample.sec); },
+                      [&](const WalFrame& f, const WalPosition&) {
+                        secs.push_back(f.sample.sec);
+                      },
                       &second)
                   .ok());
   EXPECT_EQ(second.frames_valid, 10u);
@@ -788,20 +824,24 @@ TEST(WalTest, CheckpointAtSegmentEndKeepsLsnSegment) {
   ASSERT_GE(sealed.size(), 3u) << "fixture needs several sealed segments";
 
   // A checkpoint taken exactly at a sealed segment's end: its LSN points
-  // one past that segment's last frame. Retention must keep the LSN's own
-  // segment, or a recovery from this checkpoint finds its start below the
+  // one past that segment's last frame, and its first-needed segment is at
+  // most the LSN's own. Deletion keeps every segment from the first-needed
+  // one on, or a recovery from this checkpoint finds its start below the
   // oldest segment on disk and falsely reports a sequence gap.
   const SealedSegment& boundary = sealed[1];
   const WalPosition lsn{boundary.seq, boundary.size};
-  const size_t deleted = (*writer)->DeleteSealedSegments(
-      std::numeric_limits<int64_t>::max(), lsn, PosixEnv());
-  EXPECT_EQ(deleted, 1u);  // only segments strictly below the LSN's
+  const size_t deleted =
+      (*writer)->DeleteSealedSegments(boundary.seq, PosixEnv());
+  EXPECT_EQ(deleted, 1u);  // only segments strictly below the first needed
   EXPECT_TRUE(PosixEnv()->FileExists(boundary.path));
 
   WalScanStats stats;
   size_t delivered = 0;
   ASSERT_TRUE(ScanWal(PosixEnv(), dir, options, lsn,
-                      [&](const WalFrame&) { ++delivered; }, &stats)
+                      [&](const WalFrame&, const WalPosition&) {
+                        ++delivered;
+                      },
+                      &stats)
                   .ok());
   EXPECT_FALSE(stats.seq_gap);
   EXPECT_FALSE(stats.stopped_early);
@@ -917,12 +957,12 @@ TEST(CheckpointTest, OlderFormatVersionIsSkippedAndCounted) {
   ASSERT_TRUE(WriteCheckpoint(env, dir, 3, "state-at-1000").ok());
   ASSERT_TRUE(WriteCheckpoint(env, dir, 4, "state-at-2000").ok());
 
-  // Version 5 predates the v6 body without storms, verdicts, audit trails
-  // or detection latencies: the otherwise intact newest file fails the
-  // version check and recovery falls back, counting it.
+  // Version 6 predates the v7 body without the data the WAL holds: the
+  // otherwise intact newest file fails the version check and recovery
+  // falls back, counting it.
   const std::string newest = dir + "/" + CheckpointFileName(4);
-  const uint32_t current = RewriteCheckpointVersion(newest, 5);
-  EXPECT_EQ(current, 6u);
+  const uint32_t current = RewriteCheckpointVersion(newest, 6);
+  EXPECT_EQ(current, 7u);
   std::string older_format;
   ASSERT_TRUE(env->ReadFile(newest, &older_format).ok());
   std::string body;
@@ -1018,12 +1058,16 @@ TEST(DurableFleetTest, CheckpointOnlyRecoveryRestoresState) {
     Feed(&run, log, 0, 1'000'000);
     run.Stop();
   }
-  // Remove every WAL segment: Stop()'s final checkpoint alone must carry
-  // the full state. It counted every outcome, so none is reported again.
+  // Remove every WAL segment: Stop()'s final checkpoint alone restores
+  // detectors, routing and counters. It counted every outcome, so none is
+  // reported again. The data it names is gone: recovery counts the missing
+  // first-needed segment as a gap, and the archive comes back empty.
   ASSERT_GT(DeleteFilesEndingIn(InstanceWalDir(dir), ".log"), 0u);
   Incarnation resumed = Open(DurableOpts(dir));
   EXPECT_TRUE(resumed.service->recovery().checkpoint_loaded);
   EXPECT_EQ(resumed.service->recovery().frames_valid, 0u);
+  EXPECT_EQ(resumed.service->recovery().seq_gaps, 1u);
+  EXPECT_EQ(resumed.service->archive(kInstance)->size(), 0u);
   resumed.Stop();
   EXPECT_GT(resumed.checkpointed.outcomes, 0u);
   EXPECT_GT(resumed.checkpointed.confirmed, 0u);
@@ -1060,14 +1104,14 @@ TEST(DurableFleetTest, OlderFormatCheckpointsFallBackToWalReplay) {
     Feed(&run, log, 0, 1'000'000);
     run.Stop();
   }
-  // Every checkpoint claims version 5: none is usable, so recovery must
+  // Every checkpoint claims version 6: none is usable, so recovery must
   // replay the WAL alone into the current format.
   auto names = PosixEnv()->ListDir(dir);
   ASSERT_TRUE(names.ok());
   size_t rewritten = 0;
   for (const std::string& name : *names) {
     if (name.size() > 5 && name.compare(name.size() - 5, 5, ".ckpt") == 0) {
-      RewriteCheckpointVersion(dir + "/" + name, 5);
+      RewriteCheckpointVersion(dir + "/" + name, 6);
       ++rewritten;
     }
   }
@@ -1582,12 +1626,13 @@ fleet::FleetInstanceState InstanceSlice(uint32_t instance_id, int64_t clock) {
   slice.detector = detector.ExportState();
   slice.processed_any = true;
   slice.last_processed_sec = clock;
-  slice.archive_records = {Rec(clock * 1000 - 5, 9), Rec(clock * 1000, 2)};
   const LogStore catalog = SyntheticCatalog();
   slice.catalog.assign(catalog.catalog().begin(), catalog.catalog().end());
   std::sort(slice.catalog.begin(), slice.catalog.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   slice.lsn = store::WalPosition{instance_id + 2, 4096u + instance_id};
+  slice.first_needed_seq = instance_id;
+  slice.retention_cutoff_ms = (clock - 3 * 24 * 3600) * 1000;
   return slice;
 }
 
@@ -1639,7 +1684,12 @@ TEST(FleetCheckpointTest, StateCodecRoundTripsEveryField) {
   EXPECT_EQ(got.instances[0].last_processed_sec, 100'200);
   EXPECT_EQ(got.instances[1].last_processed_sec, 100'150);
   EXPECT_EQ(got.instances[1].lsn, (store::WalPosition{7, 4101}));
-  EXPECT_EQ(got.instances[0].ingestor.watermark, 100'200);
+  EXPECT_EQ(got.instances[1].first_needed_seq, 5u);
+  EXPECT_EQ(got.instances[0].retention_cutoff_ms,
+            (100'200 - 3 * 24 * 3600) * 1000);
+  EXPECT_EQ(got.instances[0].ingestor.shards.size(), 4u);
+  EXPECT_EQ(got.instances[0].ingestor.shards[1].dropped_late, 0u);
+  EXPECT_EQ(got.instances[0].ingestor.metric_samples, 201u);
   EXPECT_EQ(got.instances[0].catalog.size(), 5u);
   EXPECT_EQ(got.dedup_activity, state.dedup_activity);
   ASSERT_EQ(got.scheduler.queue.size(), 1u);
@@ -1816,7 +1866,7 @@ std::string JournaledAudit(const std::string& data_dir, uint32_t instance_id) {
   EXPECT_TRUE(ScanWal(PosixEnv(),
                       data_dir + "/inst-" + std::to_string(instance_id),
                       WalOptions(), WalPosition{},
-                      [&](const WalFrame& frame) {
+                      [&](const WalFrame& frame, const WalPosition&) {
                         if (frame.kind == FrameKind::kRepairEvent) {
                           journaled.push_back(frame.event);
                         }
@@ -2044,9 +2094,10 @@ TEST(FleetCheckpointTest, RecoveryMergesALaggingInstanceBehindTheClock) {
 }
 
 TEST(FleetCheckpointTest, RecoveryReplaysOnlyTheSuffix) {
-  // With a checkpoint every 60 s, a crash replays at most the frames
-  // journaled since the newest checkpoint — one record batch and one
-  // sample per second, under 60 seconds — however long the history.
+  // With a checkpoint every 60 s, a crash replays through the advance at
+  // most the frames journaled since the newest checkpoint — one record
+  // batch and one sample per second, under 60 seconds — however long the
+  // history. Every retained frame before them rebuilds the archive.
   constexpr int64_t kT0 = 100'000;
   const online::ReplayLog log = StepStream(3, kT0, kT0 + 1200, -1);
   const std::string dir = MakeTempDir();
@@ -2060,25 +2111,278 @@ TEST(FleetCheckpointTest, RecoveryReplaysOnlyTheSuffix) {
     std::filesystem::copy(dir, copy,
                           std::filesystem::copy_options::recursive |
                               std::filesystem::copy_options::overwrite_existing);
+    // A full replay would have had to scan the whole history.
+    WalScanStats full;
+    ASSERT_TRUE(ScanWal(PosixEnv(), InstanceWalDir(copy), WalOptions(),
+                        WalPosition{},
+                        [](const WalFrame&, const WalPosition&) {}, &full)
+                    .ok());
+    EXPECT_GE(full.samples, static_cast<size_t>(streamed));
     fleet::FleetOptions reopen = options;
     reopen.data_dir = copy;
     Incarnation recovered = Open(reopen);
     const fleet::FleetRecoveryStats& recovery = recovered.service->recovery();
     ASSERT_TRUE(recovery.checkpoint_loaded) << streamed;
-    EXPECT_GT(recovery.frames_valid, 0u);
-    EXPECT_LE(recovery.frames_valid, 2u * 60) << streamed;
-    replayed.push_back(recovery.frames_valid);
+    EXPECT_GT(recovery.frames_replayed, 0u);
+    EXPECT_LE(recovery.frames_replayed, 2u * 60) << streamed;
+    replayed.push_back(recovery.frames_replayed);
 
-    // A full replay would have had to scan the whole history.
-    WalScanStats full;
-    ASSERT_TRUE(ScanWal(PosixEnv(), InstanceWalDir(copy), WalOptions(),
-                        WalPosition{}, [](const WalFrame&) {}, &full)
-                    .ok());
-    EXPECT_GE(full.samples, static_cast<size_t>(streamed));
+    // The rebuild covers the rest of the retained history: every frame of
+    // the journal is either rebuilt or replayed, and the archive is whole.
+    EXPECT_EQ(recovery.frames_rebuilt + recovery.frames_replayed,
+              full.frames_valid);
+    EXPECT_GE(recovery.frames_rebuilt, 2u * (streamed - 60)) << streamed;
+    EXPECT_TRUE(SameRecords(recovered.service->archive(kInstance),
+                            live.service->archive(kInstance)));
     recovered.Stop();
   }
   EXPECT_EQ(replayed[0], replayed[1]) << "recovery cost grew with history";
   live.Stop();
+}
+
+/// The body bytes of the newest checkpoint in `dir` (0 when there is none).
+uint64_t NewestCheckpointBodyBytes(const std::string& dir) {
+  auto names = PosixEnv()->ListDir(dir);
+  EXPECT_TRUE(names.ok());
+  std::string newest;
+  for (const std::string& name : *names) {
+    if (name.size() > 5 && name.compare(name.size() - 5, 5, ".ckpt") == 0 &&
+        name > newest) {
+      newest = name;
+    }
+  }
+  if (newest.empty()) return 0;
+  std::string bytes;
+  EXPECT_TRUE(PosixEnv()->ReadFile(dir + "/" + newest, &bytes).ok());
+  return bytes.size() - 16;  // magic, version and CRC frame the body
+}
+
+TEST(FleetCheckpointTest, CheckpointBodyDoesNotGrowWithHistory) {
+  // A checkpoint holds only what the WAL cannot rebuild: three times the
+  // history leaves its body the same size.
+  constexpr int64_t kT0 = 100'000;
+  const online::ReplayLog log = StepStream(5, kT0, kT0 + 1800, -1);
+  const std::string dir = MakeTempDir();
+  fleet::FleetOptions options = DurableOpts(dir);
+  options.checkpoint_every_sec = 100'000;  // explicit checkpoints only
+  options.wal.fsync = FsyncPolicy::kNever;
+  Incarnation live = Open(options);
+  std::vector<uint64_t> body_bytes;
+  for (int64_t streamed : {600, 1800}) {
+    Feed(&live, log, body_bytes.empty() ? kT0 : kT0 + 600, kT0 + streamed);
+    ASSERT_TRUE(live.service->Checkpoint().ok());
+    body_bytes.push_back(NewestCheckpointBodyBytes(dir));
+  }
+  ASSERT_GT(body_bytes[0], 0u);
+  EXPECT_LE(body_bytes[1], body_bytes[0] + body_bytes[0] / 100)
+      << body_bytes[0] << " -> " << body_bytes[1];
+  EXPECT_GE(body_bytes[1] + body_bytes[0] / 100, body_bytes[0]);
+  EXPECT_EQ(live.service->archive(kInstance)->size(), log.records.size());
+  live.Stop();
+}
+
+TEST(DurableFleetTest, FarFutureRecordIsRefusedAndCostsNoRecovery) {
+  // 600 s at 5 records/s. At second 100 a record dated 7,200 s ahead is
+  // offered: the WAL scan would reject the frame after it (dated more than
+  // time_grace_sec before it) and abandon the rest of its segment at every
+  // later recovery, so ingest refuses it and counts it. One dated 3,000 s
+  // ahead is within the grace: accepted, and nothing is lost.
+  constexpr int64_t kT0 = 100'000;
+  online::ReplayLog log;
+  for (int64_t sec = kT0; sec < kT0 + 600; ++sec) {
+    log.samples.push_back(Sample(sec, 4.0));
+    for (int64_t i = 0; i < 5; ++i) {
+      log.records.push_back(Rec(sec * 1000 + i * 200, 1 + i % 4));
+    }
+  }
+  const std::string dir = MakeTempDir();
+  fleet::FleetOptions options = DurableOpts(dir);
+  options.checkpoint_every_sec = 0;
+  options.wal.fsync = FsyncPolicy::kNever;
+  {
+    Incarnation run = Open(options);
+    Feed(&run, log, kT0, kT0 + 100);
+    EXPECT_FALSE(
+        run.service->IngestRecord(kInstance, Rec((kT0 + 99 + 7200) * 1000, 2)));
+    EXPECT_TRUE(
+        run.service->IngestRecord(kInstance, Rec((kT0 + 99 + 3000) * 1000, 3)));
+    Feed(&run, log, kT0 + 100, kT0 + 600);
+    const fleet::FleetStats stats = run.service->stats();
+    EXPECT_EQ(stats.ingest.records_dropped_future, 1u);
+    EXPECT_EQ(stats.ingest.records_enqueued,
+              stats.ingest.records_folded + stats.ingest.records_dropped_late +
+                  stats.ingest.records_dropped_future +
+                  stats.ingest.records_dropped_backpressure +
+                  stats.ingest.records_staged);
+    run.Stop();
+  }
+  Incarnation resumed = Open(options);
+  const fleet::FleetRecoveryStats& recovery = resumed.service->recovery();
+  EXPECT_EQ(recovery.records, log.records.size() + 1);
+  EXPECT_EQ(recovery.samples, log.samples.size());
+  EXPECT_EQ(recovery.frames_time_rejected, 0u);
+  EXPECT_EQ(recovery.stopped_early, 0u);
+  resumed.Stop();
+
+  // An in-memory fleet accepts the same stream; an instance without a
+  // sample yet is measured from the fleet clock.
+  fleet::FleetService memory({{0, 0}, {1, 0}}, fleet::FleetOptions{});
+  memory.Start();
+  EXPECT_TRUE(memory.IngestMetrics(0, Sample(kT0, 4.0)));
+  memory.AdvanceTo(kT0);
+  EXPECT_FALSE(memory.IngestRecord(0, Rec((kT0 + 7200) * 1000, 2)));
+  EXPECT_FALSE(memory.IngestRecord(1, Rec((kT0 + 7200) * 1000, 2)));
+  EXPECT_TRUE(memory.IngestRecord(1, Rec((kT0 + 3000) * 1000, 2)));
+  EXPECT_EQ(memory.stats().ingest.records_dropped_future, 2u);
+  memory.Stop();
+}
+
+TEST(DurableFleetTest, SecondsTheWalCannotJournalAreRefused) {
+  // A sample second or record arrival beyond kMaxEventSec is refused and
+  // counted in every fleet, so no later retention sweep, window floor or
+  // lookback multiplies it into milliseconds (signed overflow under UBSan
+  // before the bound existed).
+  fleet::FleetService fleet({{0, 0}}, fleet::FleetOptions{});
+  fleet.Start();
+  EXPECT_TRUE(fleet.IngestMetrics(0, Sample(100'000, 4.0)));
+  EXPECT_FALSE(fleet.IngestMetrics(0, Sample(int64_t{1} << 55, 4.0)));
+  EXPECT_FALSE(fleet.IngestMetrics(0, Sample(-(int64_t{1} << 55), 4.0)));
+  EXPECT_FALSE(fleet.IngestMetrics(0, Sample(kMaxEventSec + 1, 4.0)));
+  EXPECT_FALSE(fleet.IngestRecord(0, Rec(int64_t{1} << 62, 1)));
+  for (int64_t sec = 100'001; sec <= 100'080; ++sec) {
+    ASSERT_TRUE(fleet.IngestMetrics(0, Sample(sec, 4.0)));
+    fleet.AdvanceTo(sec);  // a retention sweep runs at 100'020 and 100'080
+  }
+  const fleet::FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.ingest.metric_samples_dropped, 3u);
+  EXPECT_EQ(stats.ingest.records_dropped_future, 1u);
+  EXPECT_EQ(stats.retention_sweeps, 2u);
+  fleet.Stop();
+
+  // At the edge itself the sample is taken, and the arithmetic around it
+  // holds.
+  fleet::FleetService edge({{0, 0}}, fleet::FleetOptions{});
+  edge.Start();
+  EXPECT_TRUE(edge.IngestMetrics(0, Sample(kMaxEventSec - 120, 4.0)));
+  edge.AdvanceTo(kMaxEventSec - 120);
+  edge.Stop();
+}
+
+TEST(FleetCheckpointTest, SegmentDeletionFollowsTheFirstNeededSegment) {
+  // Small segments, a checkpoint every 10 minutes and a history that
+  // crosses the 3-day retention horizon, so segments really are deleted.
+  // A burst of records at the start, a sparse stretch (one sample every
+  // 5 minutes) across the horizon, then a dense tail with an incident.
+  constexpr int64_t kT0 = 1'000'000;
+  constexpr int64_t kDay = 24 * 3600;
+  constexpr int64_t kDense = kT0 + 3 * kDay + 900;
+  constexpr int64_t kEnd = kDense + 900;
+  online::ReplayLog log;
+  const online::ReplayLog head = StepStream(7, kT0, kT0 + 600, -1);
+  const online::ReplayLog tail = StepStream(8, kDense, kEnd, kDense + 600);
+  log.samples = head.samples;
+  log.records = head.records;
+  for (int64_t sec = kT0 + 600; sec < kDense; sec += 300) {
+    log.samples.push_back(Sample(sec, 4.0));
+    log.records.push_back(Rec(sec * 1000 + 5, 1));
+  }
+  log.samples.insert(log.samples.end(), tail.samples.begin(),
+                     tail.samples.end());
+  log.records.insert(log.records.end(), tail.records.begin(),
+                     tail.records.end());
+
+  const std::string dir = MakeTempDir();
+  fleet::FleetOptions options = DurableOpts(dir);
+  options.checkpoint_every_sec = 600;
+  options.wal.segment_bytes = 16 << 10;
+  options.wal.fsync = FsyncPolicy::kNever;
+  const std::string wal_dir = InstanceWalDir(dir);
+
+  /// Sequences of the WAL segments on disk.
+  const auto segments_on_disk = [&](const std::string& at) {
+    std::vector<uint64_t> seqs;
+    auto names = PosixEnv()->ListDir(at);
+    EXPECT_TRUE(names.ok());
+    for (const std::string& name : *names) {
+      if (name.compare(0, 4, "wal-") == 0) {
+        seqs.push_back(std::stoull(name.substr(4, 20)));
+      }
+    }
+    std::sort(seqs.begin(), seqs.end());
+    return seqs;
+  };
+  /// The oldest retained checkpoint's first-needed segment.
+  const auto oldest_first_needed = [&]() {
+    const std::vector<std::string> files = CheckpointFiles(dir);
+    EXPECT_FALSE(files.empty());
+    std::string bytes;
+    EXPECT_TRUE(PosixEnv()->ReadFile(dir + "/" + files.front(), &bytes).ok());
+    auto state = fleet::DecodeFleetState(
+        std::string_view(bytes).substr(12, bytes.size() - 16));
+    EXPECT_TRUE(state.ok());
+    return state.ok() ? state->instances[0].first_needed_seq : 0;
+  };
+
+  Incarnation live = Open(options);
+  std::string crash_copy;
+  std::vector<QueryLogRecord> archive_at_copy;
+  std::vector<std::string> checkpoints = CheckpointFiles(dir);
+  size_t sample_index = 0;
+  for (const online::PerfSample& sample : log.samples) {
+    Feed(&live, log, sample.sec, sample.sec + 1);
+    ++sample_index;
+    if (CheckpointFiles(dir) == checkpoints) continue;
+    checkpoints = CheckpointFiles(dir);
+    // No segment from the oldest retained checkpoint's first-needed one
+    // on is ever deleted.
+    const uint64_t first_needed = oldest_first_needed();
+    const std::vector<uint64_t> seqs = segments_on_disk(wal_dir);
+    ASSERT_FALSE(seqs.empty());
+    for (uint64_t seq = first_needed; seq <= seqs.back(); ++seq) {
+      EXPECT_TRUE(std::binary_search(seqs.begin(), seqs.end(), seq))
+          << "segment " << seq << " deleted, first needed " << first_needed;
+    }
+    if (crash_copy.empty() && sample.sec >= kDense + 300) {
+      crash_copy = MakeTempDir();
+      std::filesystem::copy(
+          dir, crash_copy,
+          std::filesystem::copy_options::recursive |
+              std::filesystem::copy_options::overwrite_existing);
+      archive_at_copy = live.service->archive(kInstance)->SnapshotRange(
+          std::numeric_limits<int64_t>::min(),
+          std::numeric_limits<int64_t>::max());
+    }
+  }
+  live.Stop();
+  ASSERT_FALSE(crash_copy.empty());
+  EXPECT_GT(live.service->stats().records_retired, 0u);
+  EXPECT_GT(segments_on_disk(wal_dir).front(), 1u) << "nothing was deleted";
+  ASSERT_FALSE(live.outcomes.empty()) << "the tail's incident must trigger";
+
+  fleet::FleetOptions reopen = options;
+  reopen.data_dir = crash_copy;
+  Incarnation recovered = Open(reopen);
+  const fleet::FleetRecoveryStats& recovery = recovered.service->recovery();
+  ASSERT_TRUE(recovery.checkpoint_loaded);
+  EXPECT_EQ(recovery.seq_gaps, 0u);
+  EXPECT_GT(recovery.frames_rebuilt, 0u);
+  // The recovered archive is the live one at the copy, record for record:
+  // nothing retired comes back, nothing retained is lost.
+  const std::vector<QueryLogRecord> rebuilt =
+      recovered.service->archive(kInstance)->SnapshotRange(
+          std::numeric_limits<int64_t>::min(),
+          std::numeric_limits<int64_t>::max());
+  ASSERT_EQ(rebuilt.size(), archive_at_copy.size());
+  for (size_t i = 0; i < rebuilt.size(); ++i) {
+    ASSERT_EQ(rebuilt[i].arrival_ms, archive_at_copy[i].arrival_ms) << i;
+    ASSERT_EQ(rebuilt[i].sql_id, archive_at_copy[i].sql_id) << i;
+  }
+  EXPECT_GE(rebuilt.front().arrival_ms, kT0 * 1000 + 600 * 1000)
+      << "the head burst was retired";
+  Feed(&recovered, log, kDense + 301, kEnd);
+  recovered.Stop();
+  EXPECT_EQ(recovered.Result().InstanceFingerprint(kInstance),
+            live.Result(recovered.checkpointed).InstanceFingerprint(kInstance));
 }
 
 }  // namespace

@@ -10,10 +10,11 @@
 /// recovered byte-exactly under every policy; a torn tail is truncated on
 /// the first scan and the second scan is clean; recovery touches every
 /// byte the writer reported; a checkpoint body does not grow with the
-/// history (within 1% at three times the length); and both recoveries end
-/// with identical archives, record for record, and identical FleetStats.
-/// Throughput ordering across fsync policies is printed but not counted —
-/// it is hardware-dependent.
+/// history (within 1% at three times the length); both recoveries end
+/// with identical archives, record for record, and identical FleetStats;
+/// and each of them ends the same at 1 and at 4 advance workers. Throughput
+/// ordering across fsync policies, and the recovery times at either worker
+/// count, are printed but not counted — they are hardware-dependent.
 ///
 /// Environment knobs: PINSQL_BENCH_STORE_SECONDS (simulated seconds per
 /// policy run, default 20000), PINSQL_BENCH_STORE_BATCH (records per
@@ -28,6 +29,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -187,9 +189,11 @@ std::vector<pinsql::fleet::FleetInstanceSpec> Specs(int instances) {
   return specs;
 }
 
-pinsql::fleet::FleetOptions CheckpointingOptions(const std::string& dir) {
+pinsql::fleet::FleetOptions CheckpointingOptions(const std::string& dir,
+                                                 int advance_workers = 4) {
   pinsql::fleet::FleetOptions options;
   options.data_dir = dir;
+  options.advance_workers = advance_workers;
   options.checkpoint_every_sec = 300;
   options.wal.segment_bytes = 256 << 10;
   options.wal.fsync = FsyncPolicy::kNever;
@@ -197,10 +201,11 @@ pinsql::fleet::FleetOptions CheckpointingOptions(const std::string& dir) {
   return options;
 }
 
-Recovered Recover(const std::string& dir, int instances) {
+Recovered Recover(const std::string& dir, int instances,
+                  int advance_workers) {
   Recovered out;
   out.fleet = std::make_unique<pinsql::fleet::FleetService>(
-      Specs(instances), CheckpointingOptions(dir));
+      Specs(instances), CheckpointingOptions(dir, advance_workers));
   RegisterTemplates(out.fleet.get());
   out.fleet->Start();
   out.ms = out.fleet->recovery().recovery_ms;
@@ -262,23 +267,32 @@ bool SameRecovery(const Recovered& a, const Recovered& b) {
          x.pool.max_wait_sec == y.pool.max_wait_sec;
 }
 
+/// Advance-worker counts each recovery leg runs at; the first is serial.
+constexpr int kRecoveryWorkers[] = {1, 4};
+
 struct CheckpointRun {
   uint64_t body_bytes = 0;
   double checkpoint_ms = 0;
   uint64_t wal_bytes = 0;
-  double from_checkpoint_ms = 0;
-  double from_wal_ms = 0;
+  /// Recovery times at each of kRecoveryWorkers.
+  double from_checkpoint_ms[2] = {0, 0};
+  double from_wal_ms[2] = {0, 0};
   bool same = false;
+  bool same_at_any_workers = false;
 };
 
 /// Streams `seconds` of ~13 records per instance-second through a durable
-/// fleet checkpointing every 300 s, checkpoints once more, and recovers a
-/// copy of the data dir twice: from the newest checkpoint, and with the
-/// checkpoints removed.
+/// fleet checkpointing every 300 s, checkpoints once more, and recovers
+/// copies of the data dir from the newest checkpoint and with the
+/// checkpoints removed, each at every count of kRecoveryWorkers.
 CheckpointRun RunCheckpointed(int instances, int seconds) {
   const std::string dir = MakeTempDir();
-  const std::string from_checkpoint_dir = MakeTempDir();
-  const std::string from_wal_dir = MakeTempDir();
+  std::vector<std::string> from_checkpoint_dirs;
+  std::vector<std::string> from_wal_dirs;
+  for (size_t k = 0; k < std::size(kRecoveryWorkers); ++k) {
+    from_checkpoint_dirs.push_back(MakeTempDir());
+    from_wal_dirs.push_back(MakeTempDir());
+  }
   CheckpointRun run;
   {
     pinsql::fleet::FleetService fleet(Specs(instances),
@@ -320,31 +334,49 @@ CheckpointRun RunCheckpointed(int instances, int seconds) {
     run.body_bytes = std::filesystem::file_size(newest) - 16;
     run.wal_bytes = FileBytes(dir, ".log");
     // Crash copies, taken without Stop() (whose final checkpoint would
-    // leave no suffix to replay): one as is, one without its checkpoints.
-    for (const std::string& copy : {from_checkpoint_dir, from_wal_dir}) {
-      std::filesystem::copy(
-          dir, copy,
-          std::filesystem::copy_options::recursive |
-              std::filesystem::copy_options::overwrite_existing);
-    }
-    for (const auto& entry :
-         std::filesystem::directory_iterator(from_wal_dir)) {
-      if (entry.path().extension() == ".ckpt") {
-        std::filesystem::remove(entry.path());
+    // leave no suffix to replay): some as is, some without checkpoints.
+    for (const auto* copies : {&from_checkpoint_dirs, &from_wal_dirs}) {
+      for (const std::string& copy : *copies) {
+        std::filesystem::copy(
+            dir, copy,
+            std::filesystem::copy_options::recursive |
+                std::filesystem::copy_options::overwrite_existing);
       }
     }
-    const Recovered from_checkpoint = Recover(from_checkpoint_dir, instances);
-    const Recovered from_wal = Recover(from_wal_dir, instances);
-    run.from_checkpoint_ms = from_checkpoint.ms;
-    run.from_wal_ms = from_wal.ms;
-    run.same = from_checkpoint.fleet->recovery().checkpoint_loaded &&
-               !from_wal.fleet->recovery().checkpoint_loaded &&
-               SameRecovery(from_checkpoint, from_wal);
-    from_checkpoint.fleet->Stop();
-    from_wal.fleet->Stop();
+    for (const std::string& copy : from_wal_dirs) {
+      for (const auto& entry : std::filesystem::directory_iterator(copy)) {
+        if (entry.path().extension() == ".ckpt") {
+          std::filesystem::remove(entry.path());
+        }
+      }
+    }
+    std::vector<Recovered> from_checkpoint;
+    std::vector<Recovered> from_wal;
+    for (size_t k = 0; k < std::size(kRecoveryWorkers); ++k) {
+      from_checkpoint.push_back(Recover(from_checkpoint_dirs[k], instances,
+                                        kRecoveryWorkers[k]));
+      from_wal.push_back(
+          Recover(from_wal_dirs[k], instances, kRecoveryWorkers[k]));
+      run.from_checkpoint_ms[k] = from_checkpoint.back().ms;
+      run.from_wal_ms[k] = from_wal.back().ms;
+    }
+    run.same = from_checkpoint[0].fleet->recovery().checkpoint_loaded &&
+               !from_wal[0].fleet->recovery().checkpoint_loaded &&
+               SameRecovery(from_checkpoint[0], from_wal[0]);
+    run.same_at_any_workers = true;
+    for (size_t k = 1; k < std::size(kRecoveryWorkers); ++k) {
+      run.same_at_any_workers = run.same_at_any_workers &&
+                                SameRecovery(from_checkpoint[0],
+                                             from_checkpoint[k]) &&
+                                SameRecovery(from_wal[0], from_wal[k]);
+    }
+    for (const auto* recovered : {&from_checkpoint, &from_wal}) {
+      for (const Recovered& fleet : *recovered) fleet.fleet->Stop();
+    }
   }
-  for (const std::string& tree : {dir, from_checkpoint_dir, from_wal_dir}) {
-    RemoveTree(tree);
+  RemoveTree(dir);
+  for (const auto* copies : {&from_checkpoint_dirs, &from_wal_dirs}) {
+    for (const std::string& copy : *copies) RemoveTree(copy);
   }
   return run;
 }
@@ -447,18 +479,21 @@ int main(int argc, char** argv) {
   std::printf("\nCheckpointed durable fleet (%d instances, ~13 records per "
               "instance-second, checkpoint every 300 s)\n",
               fleet_instances);
-  std::printf("%9s | %10s %13s %10s | %14s %14s\n", "history", "body(B)",
+  std::printf("recovery times at %d / %d advance workers\n",
+              kRecoveryWorkers[0], kRecoveryWorkers[1]);
+  std::printf("%9s | %10s %13s %10s | %17s %17s\n", "history", "body(B)",
               "Checkpoint(ms)", "WAL(MB)", "from ckpt(ms)", "WAL only(ms)");
   std::printf("----------+--------------------------------------+------------"
-              "------------------\n");
+              "------------------------\n");
   std::vector<CheckpointRun> checkpointed;
   for (int seconds : {short_history, 3 * short_history}) {
     checkpointed.push_back(RunCheckpointed(fleet_instances, seconds));
     const CheckpointRun& run = checkpointed.back();
-    std::printf("%8ds | %10llu %13.2f %10.2f | %14.1f %14.1f\n", seconds,
-                static_cast<unsigned long long>(run.body_bytes),
+    std::printf("%8ds | %10llu %13.2f %10.2f | %7.1f / %7.1f %7.1f / %7.1f\n",
+                seconds, static_cast<unsigned long long>(run.body_bytes),
                 run.checkpoint_ms, static_cast<double>(run.wal_bytes) / 1e6,
-                run.from_checkpoint_ms, run.from_wal_ms);
+                run.from_checkpoint_ms[0], run.from_checkpoint_ms[1],
+                run.from_wal_ms[0], run.from_wal_ms[1]);
   }
   const uint64_t short_body = checkpointed[0].body_bytes;
   const uint64_t long_body = checkpointed[1].body_bytes;
@@ -466,6 +501,8 @@ int main(int argc, char** argv) {
                          long_body <= short_body + short_body / 100 &&
                          long_body + short_body / 100 >= short_body;
   const bool recoveries_agree = checkpointed[0].same && checkpointed[1].same;
+  const bool workers_agree = checkpointed[0].same_at_any_workers &&
+                             checkpointed[1].same_at_any_workers;
 
   std::printf("\nshape checks:\n");
   std::printf("  every appended frame recovered under every policy: %s\n",
@@ -478,7 +515,11 @@ int main(int argc, char** argv) {
               body_flat ? "OK" : "VIOLATED");
   std::printf("  checkpoint and WAL-only recoveries agree: %s\n",
               recoveries_agree ? "OK" : "VIOLATED");
+  std::printf("  each recovery agrees at %d and %d advance workers: %s\n",
+              kRecoveryWorkers[0], kRecoveryWorkers[1],
+              workers_agree ? "OK" : "VIOLATED");
 
   return (recovered_ok ? 0 : 1) + (scan_complete_ok ? 0 : 1) +
-         (torn_ok ? 0 : 1) + (body_flat ? 0 : 1) + (recoveries_agree ? 0 : 1);
+         (torn_ok ? 0 : 1) + (body_flat ? 0 : 1) + (recoveries_agree ? 0 : 1) +
+         (workers_agree ? 0 : 1);
 }

@@ -95,11 +95,11 @@ int main(int argc, char** argv) {
     std::printf("recovered %lld seconds of stream from %s\n",
                 static_cast<long long>(already), data_dir.c_str());
     std::printf("  checkpoint: %s   WAL frames rebuilt: %llu   replayed: "
-                "%llu   recovery: %.1f ms\n",
+                "%llu   recovery: %.1f ms (scan %.1f ms, replay %.1f ms)\n",
                 recovery.checkpoint_loaded ? "loaded" : "none",
                 static_cast<unsigned long long>(recovery.frames_rebuilt),
                 static_cast<unsigned long long>(recovery.frames_replayed),
-                recovery.recovery_ms);
+                recovery.recovery_ms, recovery.scan_ms, recovery.replay_ms);
   } else {
     std::printf("fresh data dir %s\n", data_dir.c_str());
   }

@@ -19,23 +19,6 @@ const char* FeatureTypeName(FeatureType type) {
   return "unknown";
 }
 
-namespace {
-
-double MedianOf(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  const size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + static_cast<ptrdiff_t>(mid),
-                   v.end());
-  double hi = v[mid];
-  if (v.size() % 2 == 1) return hi;
-  std::nth_element(v.begin(),
-                   v.begin() + static_cast<ptrdiff_t>(mid) - 1,
-                   v.begin() + static_cast<ptrdiff_t>(mid));
-  return 0.5 * (hi + v[mid - 1]);
-}
-
-}  // namespace
-
 StreamingFeatureDetector::StreamingFeatureDetector(
     const DetectorOptions& options, int64_t start_time, int64_t interval_sec)
     : options_(options), start_time_(start_time), interval_sec_(interval_sec) {}
@@ -68,22 +51,56 @@ std::optional<FeatureEvent> StreamingFeatureDetector::CloseRun(
   return ev;
 }
 
+void StreamingFeatureDetector::RefreshBaseline() {
+  const size_t n = sorted_.size();
+  const size_t mid = n / 2;
+  double median = 0.0;
+  double mad = 0.0;
+  if (n > 0) {
+    const double hi = sorted_[mid];
+    median = n % 2 == 1 ? hi : 0.5 * (hi + sorted_[mid - 1]);
+    // The distances |x - median| form two non-decreasing runs, leftward
+    // from the last point below the median and rightward from the first
+    // one at or above it; merging them yields the distances in ascending
+    // order, so the mid-th merged distance (and the one before it, for an
+    // even window) is the MAD's order statistic.
+    size_t left = static_cast<size_t>(
+        std::lower_bound(sorted_.begin(), sorted_.end(), median) -
+        sorted_.begin());
+    size_t right = left;
+    double prev = 0.0;
+    double cur = 0.0;
+    for (size_t k = 0; k <= mid; ++k) {
+      prev = cur;
+      if (right == n ||
+          (left > 0 && std::fabs(sorted_[left - 1] - median) <=
+                           std::fabs(sorted_[right] - median))) {
+        cur = std::fabs(sorted_[--left] - median);
+      } else {
+        cur = std::fabs(sorted_[right++] - median);
+      }
+    }
+    mad = n % 2 == 1 ? cur : 0.5 * (cur + prev);
+  }
+  baseline_median_ = median;
+  const double floor = options_.mad_floor_frac * std::fabs(median) + 0.5;
+  baseline_mad_ = std::max(mad, floor);
+  baseline_fresh_ = true;
+}
+
 std::optional<FeatureEvent> StreamingFeatureDetector::Push(double value) {
+  if (!std::isfinite(value)) {
+    // A gap: nothing to score and nothing the baseline may hold.
+    last_z_ = 0.0;
+    ++count_;
+    return std::nullopt;
+  }
   std::optional<FeatureEvent> closed;
   bool flagged = false;
   bool up = true;
   double z = 0.0;
   if (clean_.size() >= options_.min_baseline) {
-    if (!baseline_fresh_) {
-      std::vector<double> v(clean_.begin(), clean_.end());
-      baseline_median_ = MedianOf(v);
-      for (double& x : v) x = std::fabs(x - baseline_median_);
-      baseline_mad_ = MedianOf(std::move(v));
-      const double floor =
-          options_.mad_floor_frac * std::fabs(baseline_median_) + 0.5;
-      baseline_mad_ = std::max(baseline_mad_, floor);
-      baseline_fresh_ = true;
-    }
+    if (!baseline_fresh_) RefreshBaseline();
     z = (value - baseline_median_) / (1.4826 * baseline_mad_);
     if (z > options_.threshold) {
       flagged = true;
@@ -111,7 +128,15 @@ std::optional<FeatureEvent> StreamingFeatureDetector::Push(double value) {
   } else {
     if (in_run_) closed = CloseRun(count_, /*recovered=*/true);
     clean_.push_back(value);
-    if (clean_.size() > options_.baseline_window) clean_.pop_front();
+    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), value),
+                   value);
+    if (clean_.size() > options_.baseline_window) {
+      // Finite values only, so the equal value is found (a -0.0 may take
+      // a +0.0's place: they compare equal).
+      sorted_.erase(
+          std::lower_bound(sorted_.begin(), sorted_.end(), clean_.front()));
+      clean_.pop_front();
+    }
     baseline_fresh_ = false;
   }
   ++count_;
@@ -139,7 +164,11 @@ StreamingFeatureDetector StreamingFeatureDetector::FromSnapshot(
     const DetectorOptions& options, const StreamingDetectorSnapshot& snap) {
   StreamingFeatureDetector detector(options, snap.start_time,
                                     snap.interval_sec);
-  detector.clean_.assign(snap.clean.begin(), snap.clean.end());
+  for (double value : snap.clean) {
+    if (std::isfinite(value)) detector.clean_.push_back(value);
+  }
+  detector.sorted_.assign(detector.clean_.begin(), detector.clean_.end());
+  std::sort(detector.sorted_.begin(), detector.sorted_.end());
   detector.baseline_median_ = snap.baseline_median;
   detector.baseline_mad_ = snap.baseline_mad;
   detector.baseline_fresh_ = snap.baseline_fresh;

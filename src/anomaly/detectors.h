@@ -69,16 +69,22 @@ struct StreamingDetectorSnapshot {
 };
 
 /// Incremental robust detector: push one sample at a time, each compared
-/// against the median/MAD of the last `baseline_window` *clean* points, so
-/// the baseline stays frozen while an anomaly is in progress (otherwise a
-/// long pile-up would absorb itself into the baseline and end the event).
+/// against the median/MAD of the last `baseline_window` *clean* points.
+/// The baseline rolls with every clean sample and freezes only while a run
+/// is open (otherwise a long pile-up would absorb itself into the baseline
+/// and end the event).
 ///
-/// Cost per Push is O(1) amortized for a fixed baseline window: the
-/// median/MAD recompute (O(window)) only happens lazily, when a sample must
-/// be scored after the clean set changed; flagged stretches reuse the
-/// frozen baseline for free. This is the entry point the online service
-/// feeds sample-by-sample; the batch DetectFeatures below is a thin loop
-/// over it, so the two are equivalent by construction.
+/// Cost per Push is O(window) when the clean set changed since the last
+/// score, which is every sample of a quiet stream: the clean window is kept
+/// twice, as a FIFO and as a sorted copy, so a clean sample costs one
+/// ordered insert and one erase, the median is read from the middle of the
+/// sorted copy, and the MAD is selected by merging the two sorted distance
+/// runs outward from the median (half the window). Flagged stretches reuse
+/// the frozen baseline for free. A non-finite sample is a gap: it advances
+/// the clock but is never scored (last_z() reads 0), never enters the
+/// baseline, and neither opens nor closes a run. This is the entry point
+/// the online service feeds sample-by-sample; the batch DetectFeatures
+/// below is a thin loop over it, so the two are equivalent by construction.
 class StreamingFeatureDetector {
  public:
   /// Samples pushed are at start_time, start_time + interval, ...
@@ -112,17 +118,23 @@ class StreamingFeatureDetector {
   /// Captures the full mutable state (see StreamingDetectorSnapshot).
   StreamingDetectorSnapshot ExportSnapshot() const;
   /// Rebuilds a detector mid-stream from a snapshot; subsequent pushes are
-  /// bit-identical to the detector the snapshot was taken from.
+  /// bit-identical to the detector the snapshot was taken from. A
+  /// non-finite `clean` value, which no detector exports, is dropped.
   static StreamingFeatureDetector FromSnapshot(
       const DetectorOptions& options, const StreamingDetectorSnapshot& snap);
 
  private:
   std::optional<FeatureEvent> CloseRun(size_t end_index, bool recovered);
+  /// Recomputes the baseline median and MAD from `sorted_`.
+  void RefreshBaseline();
 
   DetectorOptions options_;
   int64_t start_time_;
   int64_t interval_sec_;
+  /// The clean window twice: in arrival order (what a snapshot carries)
+  /// and ascending. Both always hold the same finite multiset.
   std::deque<double> clean_;
+  std::vector<double> sorted_;
   double baseline_median_ = 0.0;
   double baseline_mad_ = 0.0;
   bool baseline_fresh_ = false;

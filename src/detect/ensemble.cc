@@ -1,5 +1,7 @@
 #include "detect/ensemble.h"
 
+#include <algorithm>
+#include <cmath>
 #include <initializer_list>
 #include <limits>
 #include <vector>
@@ -163,7 +165,14 @@ Status EnsembleDetector::CheckSnapshot(const EnsembleSnapshot& snap,
        snap.screen.clean.size() > options_.screen.baseline_window)) {
     return Status::FailedPrecondition("ensemble of larger windows");
   }
-  // Content no ensemble of this configuration could have exported.
+  // Content no ensemble of this configuration could have exported. The
+  // screen's baseline holds finite values only: a non-finite one would
+  // leave its sorted window unordered.
+  if (snap.screen_present &&
+      std::any_of(snap.screen.clean.begin(), snap.screen.clean.end(),
+                  [](double value) { return !std::isfinite(value); })) {
+    return Status::InvalidArgument("screen baseline value is not finite");
+  }
   if (snap.screen_present &&
       !PlausibleClock(snap.screen.start_time, snap.screen.interval_sec,
                       snap.screen.count, max_abs_sec,

@@ -84,7 +84,8 @@ class EnsembleDetector {
   /// of another configuration exported it (screen presence, forecaster
   /// count or a member's method differs, or a buffer is longer than this
   /// configuration's window), InvalidArgument when no ensemble could have
-  /// or when a member's clock leaves ±max_abs_sec.
+  /// (a non-finite screen baseline value among them) or when a member's
+  /// clock leaves ±max_abs_sec.
   Status CheckSnapshot(const EnsembleSnapshot& snap,
                        int64_t max_abs_sec) const;
   /// Restores mid-stream state (one CheckSnapshot accepts); subsequent

@@ -133,7 +133,12 @@ struct FleetRecoveryStats {
   size_t samples = 0;
   size_t templates = 0;
   uint64_t torn_tail_bytes_truncated = 0;
+  /// Wall time of the whole recovery, and of two of its phases: loading,
+  /// decoding and rebuilding every instance's journal (scan_ms), and the
+  /// canonical replay of the suffixes (replay_ms).
   double recovery_ms = 0.0;
+  double scan_ms = 0.0;
+  double replay_ms = 0.0;
 };
 
 struct FleetStats {
@@ -354,6 +359,20 @@ class FleetService {
     std::vector<QueryLogRecord> records;
     std::optional<online::PerfSample> sample;
   };
+  /// One instance's share of a recovery: its journal as loaded, then the
+  /// batches and counts its parse and rebuild produced, merged in instance
+  /// order once every instance is done.
+  struct InstanceRecovery {
+    store::LoadedWal wal;
+    bool loaded = false;
+    std::deque<Batch> batches;
+    /// Seconds of the samples in the suffix the replay runs.
+    std::vector<int64_t> sample_secs;
+    store::WalScanStats scan;
+    std::optional<store::WalTruncation> truncation;
+    size_t frames_rebuilt = 0;
+    size_t frames_replayed = 0;
+  };
   /// What one instance-second produced, recorded by the parallel advance
   /// step and merged sequentially in instance order.
   struct SecondEvent {
@@ -371,8 +390,11 @@ class FleetService {
   };
 
   Instance* Find(uint32_t instance_id);
-  /// Appends what the processed seconds produced to `out`.
-  void AdvanceToLocked(int64_t fleet_sec, Output* out);
+  /// Appends what the processed seconds produced to `out`. A recovery
+  /// replay passes each instance's journaled batches: the worker that
+  /// processes an instance first ingests its batches due by `fleet_sec`.
+  void AdvanceToLocked(int64_t fleet_sec, Output* out,
+                       std::vector<std::deque<Batch>>* replay = nullptr);
   /// Dedups and routes one instance-second's trigger and run activity.
   void MergeEvent(const Instance& instance, const SecondEvent& event,
                   Output* out);
@@ -385,8 +407,16 @@ class FleetService {
   /// instance's data from the frames up to its LSN, imports the
   /// checkpoint, then replays every instance's WAL suffix through the
   /// normal ingest path with the canonical per-second discipline. Appends
-  /// what the replay produced to `out`.
+  /// what the replay produced to `out`. Every Env call stays on this
+  /// thread, in instance order; the parse and rebuild of each instance run
+  /// on the advance workers, with at most advance_workers + 1 instances'
+  /// raw segments held at once.
   void RecoverLocked(Output* out);
+  /// An instance's parse of its loaded journal (freed as soon as it is
+  /// parsed) into batches, then the rebuild of the checkpoint's data
+  /// (`slice`: nullptr without a checkpoint). Touches only the instance.
+  void RecoverInstance(Instance* instance, const FleetInstanceState* slice,
+                       InstanceRecovery* recovery);
   /// Passes the first `rebuilt` of an instance's journaled batches (those
   /// up to a checkpoint's LSN) through its ingestor, pumping where the
   /// canonical replay advances, leaves staged what the slice counts as

@@ -36,7 +36,9 @@ struct AnomalyTrigger {
 };
 
 struct OnlineDetectorOptions {
-  /// Screening detector (robust z against a frozen clean baseline).
+  /// Screening detector: robust z against a baseline of the trailing clean
+  /// samples, which rolls with every clean sample and freezes only while a
+  /// run is open.
   anomaly::DetectorOptions screen;
   /// Disable to run the configured forecasters without the robust-z screen
   /// — ablation studies only; production keeps the screen as the fast path

@@ -45,7 +45,8 @@ struct PerfSample {
 /// chunk at a time, so a pump takes each queue lock once per ~256 records
 /// instead of once per record, and staging allocates nothing per record —
 /// chunks recycle through an arena-backed pool (shared fleet-wide when the
-/// fleet passes one in).
+/// fleet passes one in), behind a small per-ingestor cache of emptied
+/// chunks.
 inline constexpr uint32_t kIngestChunkCapacity = 256;
 using IngestChunk = util::Chunk<QueryLogRecord, kIngestChunkCapacity>;
 using IngestChunkPool = util::ChunkPool<QueryLogRecord, kIngestChunkCapacity>;
@@ -254,12 +255,25 @@ class StreamIngestor {
 
   /// Releases a shard's staged chunk list back to the pool (queue_mu held).
   void DropStagedLocked(Shard* shard);
+  /// An empty chunk: from the cache when it holds one, else from the pool.
+  IngestChunk* AcquireChunk();
+  /// Takes a pumped chain [head..last] of `count` chunks back: up to the
+  /// cache's cap into the cache, the rest to the pool in one splice.
+  void RecycleChain(IngestChunk* head, IngestChunk* last, size_t count);
   /// Appends one record to a shard's staged chunk list (queue_mu held).
   void StageLocked(Shard* shard, const QueryLogRecord& record);
 
   IngestorOptions options_;
   std::shared_ptr<IngestChunkPool> pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Emptied chunks kept for this ingestor's own staging, in front of the
+  /// (possibly fleet-wide) pool, so a steady stage-and-pump cycle never
+  /// takes the pool's lock. Capped at one chunk per shard: what a pump of
+  /// a second with under a chunk staged per shard empties. A leaf lock,
+  /// taken under a queue_mu or alone, before the pool's.
+  std::mutex cache_mu_;
+  IngestChunk* cache_ = nullptr;
+  size_t cache_count_ = 0;
   /// num_shards - 1 when num_shards is a power of two, else 0 (use %).
   uint64_t shard_mask_ = 0;
   LogStore* archive_ = nullptr;

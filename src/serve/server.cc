@@ -929,6 +929,8 @@ HttpResponse Server::HandleMetricsz() const {
   recovery.Set("torn_tail_bytes_truncated",
                static_cast<int64_t>(recovery_.torn_tail_bytes_truncated));
   recovery.Set("recovery_ms", recovery_.recovery_ms);
+  recovery.Set("scan_ms", recovery_.scan_ms);
+  recovery.Set("replay_ms", recovery_.replay_ms);
   fleet.Set("recovery", std::move(recovery));
   root.Set("fleet", std::move(fleet));
 

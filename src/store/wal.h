@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,22 @@ struct WalOptions {
   /// enough to be believed.
   int64_t time_grace_sec = 3600;
   int64_t max_segment_span_sec = 4 * 24 * 3600;
+};
+
+/// The event-time range check the scan applies to every timestamped frame
+/// within one segment (see WalOptions::time_grace_sec), from the segment's
+/// first timestamped frame on. The writer applies the same check before
+/// each append and opens a new segment rather than write a frame the scan
+/// would reject.
+struct SegmentEventClock {
+  bool has_t0 = false;
+  int64_t t0_sec = 0;
+  int64_t prev_hi_sec = 0;
+
+  /// Whether a frame spanning [lo_ms, hi_ms] passes the check.
+  bool Admits(int64_t lo_ms, int64_t hi_ms, const WalOptions& options) const;
+  /// Records an admitted frame.
+  void Note(int64_t lo_ms, int64_t hi_ms);
 };
 
 enum class FrameKind : uint8_t {
@@ -197,8 +214,10 @@ class WalWriter {
   WalWriter(Env* env, std::string dir, const WalOptions& options);
 
   Status OpenSegment(uint64_t seq);
-  Status AppendFrame(const WalFrame& frame, int64_t max_event_ms);
-  Status AppendWrapped(const std::string& wrapped, int64_t max_event_ms);
+  Status AppendFrame(const WalFrame& frame);
+  /// `hi_ms` is INT64_MIN for an untimestamped frame.
+  Status AppendWrapped(const std::string& wrapped, int64_t lo_ms,
+                       int64_t hi_ms);
   Status MaybeSync();
   void SealCurrent();
 
@@ -210,7 +229,8 @@ class WalWriter {
   uint64_t current_seq_ = 0;
   uint64_t current_offset_ = 0;
   int64_t current_max_event_ms_ = 0;
-  bool current_has_event_ = false;
+  /// Holds a start once the segment has a timestamped frame.
+  SegmentEventClock current_clock_;
   size_t frames_since_sync_ = 0;
 
   std::vector<SealedSegment> sealed_;
@@ -255,6 +275,27 @@ struct WalScanStats {
 /// Receives one valid frame and the position one past its end.
 using WalFrameFn = std::function<void(const WalFrame&, const WalPosition&)>;
 
+/// A WAL directory as read from disk: the segment-named files in name
+/// order, each with its bytes or a failed read. LoadWal fills it; ParseWal
+/// reads it without touching the Env, so a recovery can load on one thread
+/// and parse on others.
+struct LoadedWal {
+  struct File {
+    std::string name;
+    bool read_ok = false;
+    std::string data;
+  };
+  std::string dir;
+  std::vector<File> files;
+};
+
+/// A torn tail the parse found in the newest segment: the bytes of `path`
+/// from `size` on are to be cut off.
+struct WalTruncation {
+  std::string path;
+  uint64_t size = 0;
+};
+
 /// Scans every segment in `dir` in sequence order, validating headers,
 /// frame CRCs and event-time ranges, and invokes `fn` for every valid
 /// frame that ends after `start` ({0,0} delivers everything; a start in a
@@ -264,9 +305,26 @@ using WalFrameFn = std::function<void(const WalFrame&, const WalPosition&)>;
 /// torn frame to the next segment, so the stream stays contiguous); a
 /// corruption with valid bytes after it in the same segment aborts the
 /// scan with everything later counted as discarded.
+///
+/// ScanWal is LoadWal, then ParseWal, then the truncation ParseWal asks
+/// for.
 Status ScanWal(Env* env, const std::string& dir, const WalOptions& options,
                const WalPosition& start, const WalFrameFn& fn,
                WalScanStats* stats);
+
+/// The load half of ScanWal, and its only Env calls: lists `dir` and reads
+/// every segment-named file in name order (ListDir, then one ReadFile
+/// each). Fails only when the directory cannot be listed.
+Status LoadWal(Env* env, const std::string& dir, LoadedWal* out);
+
+/// The parse half of ScanWal: validates and delivers the frames of a
+/// loaded WAL exactly as ScanWal does, and returns the torn-tail
+/// truncation the caller applies (TruncateFile) instead of applying it.
+std::optional<WalTruncation> ParseWal(const LoadedWal& wal,
+                                      const WalOptions& options,
+                                      const WalPosition& start,
+                                      const WalFrameFn& fn,
+                                      WalScanStats* stats);
 
 /// Segment file name for a sequence number ("wal-00000000000000000042.log").
 std::string SegmentFileName(uint64_t seq);

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <deque>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "anomaly/detectors.h"
 #include "anomaly/pettitt.h"
@@ -144,6 +150,258 @@ TEST(DetectorTest, StreamingPushMatchesBatchDetectFeatures) {
     EXPECT_EQ(streamed[i].end_sec, batch[i].end_sec);
     EXPECT_DOUBLE_EQ(streamed[i].severity, batch[i].severity);
   }
+}
+
+/// The screen as it scored before it kept a sorted window: every score
+/// after a clean sample copies the window and selects the median and the
+/// MAD with nth_element. The sorted window must reproduce it.
+class CopySelectScreen {
+ public:
+  explicit CopySelectScreen(const DetectorOptions& options)
+      : options_(options) {}
+
+  std::optional<FeatureEvent> Push(double value) {
+    std::optional<FeatureEvent> closed;
+    bool flagged = false;
+    bool up = true;
+    double z = 0.0;
+    if (clean_.size() >= options_.min_baseline) {
+      if (!fresh_) {
+        std::vector<double> v(clean_.begin(), clean_.end());
+        median_ = MedianOf(v);
+        for (double& x : v) x = std::fabs(x - median_);
+        mad_ = MedianOf(std::move(v));
+        mad_ = std::max(mad_,
+                        options_.mad_floor_frac * std::fabs(median_) + 0.5);
+        fresh_ = true;
+      }
+      z = (value - median_) / (1.4826 * mad_);
+      if (z > options_.threshold) {
+        flagged = true;
+      } else if (z < -options_.threshold) {
+        flagged = true;
+        up = false;
+      }
+    }
+    last_z_ = z;
+    if (flagged) {
+      if (in_run_ && up != run_up_) closed = CloseRun(true);
+      if (!in_run_) {
+        in_run_ = true;
+        run_up_ = up;
+        run_start_ = count_;
+        run_peak_ = std::fabs(z);
+      } else {
+        run_peak_ = std::max(run_peak_, std::fabs(z));
+      }
+    } else {
+      if (in_run_) closed = CloseRun(true);
+      clean_.push_back(value);
+      if (clean_.size() > options_.baseline_window) clean_.pop_front();
+      fresh_ = false;
+    }
+    ++count_;
+    return closed;
+  }
+
+  std::optional<FeatureEvent> Finish() {
+    if (!in_run_) return std::nullopt;
+    return CloseRun(false);
+  }
+
+  double last_z() const { return last_z_; }
+  double median() const { return median_; }
+  double mad() const { return mad_; }
+  bool fresh() const { return fresh_; }
+
+ private:
+  static double MedianOf(std::vector<double> v) {
+    if (v.empty()) return 0.0;
+    const size_t mid = v.size() / 2;
+    std::nth_element(v.begin(), v.begin() + static_cast<ptrdiff_t>(mid),
+                     v.end());
+    double hi = v[mid];
+    if (v.size() % 2 == 1) return hi;
+    std::nth_element(v.begin(), v.begin() + static_cast<ptrdiff_t>(mid) - 1,
+                     v.begin() + static_cast<ptrdiff_t>(mid));
+    return 0.5 * (hi + v[mid - 1]);
+  }
+
+  std::optional<FeatureEvent> CloseRun(bool recovered) {
+    const auto start = static_cast<int64_t>(run_start_);
+    const auto end = static_cast<int64_t>(count_);
+    FeatureEvent ev;
+    if (!recovered || end - start >= options_.level_shift_min_sec) {
+      ev.type =
+          run_up_ ? FeatureType::kLevelShiftUp : FeatureType::kLevelShiftDown;
+    } else {
+      ev.type = run_up_ ? FeatureType::kSpikeUp : FeatureType::kSpikeDown;
+    }
+    ev.start_sec = start;
+    ev.end_sec = end;
+    ev.severity = run_peak_;
+    in_run_ = false;
+    return ev;
+  }
+
+  DetectorOptions options_;
+  std::deque<double> clean_;
+  double median_ = 0.0;
+  double mad_ = 0.0;
+  bool fresh_ = false;
+  bool in_run_ = false;
+  bool run_up_ = true;
+  size_t run_start_ = 0;
+  double run_peak_ = 0.0;
+  double last_z_ = 0.0;
+  size_t count_ = 0;
+};
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+bool SameEvent(const std::optional<FeatureEvent>& a,
+               const std::optional<FeatureEvent>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a.has_value() ||
+         (a->type == b->type && a->start_sec == b->start_sec &&
+          a->end_sec == b->end_sec && SameBits(a->severity, b->severity));
+}
+
+/// One seeded stream of a kind the screen must score exactly as the
+/// copy-and-select reference does: quiet stretches interleaved with
+/// flagged runs up and down, some long enough to become level shifts.
+std::vector<double> ScreenStream(int kind, size_t n, Rng* rng) {
+  std::vector<double> out;
+  out.reserve(n);
+  double level = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    double x = 0.0;
+    switch (kind) {
+      case 0:  // integer session counts: ties everywhere
+        x = static_cast<double>(rng->UniformInt(0, 6));
+        break;
+      case 1:  // continuous noise
+        x = rng->Normal(10.0, 1.0);
+        break;
+      case 2:  // 1e-3-scale values
+        x = 1e-3 * rng->Uniform(0.5, 1.5);
+        break;
+      default:  // magnitudes spanning 2^-20 .. 2^20, both signs
+        x = std::ldexp(rng->Uniform(1.0, 2.0),
+                       static_cast<int>(rng->UniformInt(-20, 20))) *
+            (rng->Bernoulli(0.2) ? -1.0 : 1.0);
+        break;
+    }
+    if (rng->Bernoulli(0.01)) level = rng->Bernoulli(0.5) ? 0.0 : 1.0;
+    if (level > 0.0) {
+      // A run: far above the baseline (kinds 0-2), or a level shift.
+      x = kind == 3 ? x * 4096.0 : x * 50.0 + 200.0;
+    } else if (rng->Bernoulli(0.01)) {
+      x = kind == 3 ? -x : -x * 50.0 - 200.0;  // a downward blip
+    }
+    out.push_back(x);
+  }
+  return out;
+}
+
+TEST(DetectorTest, SortedWindowScoresAsCopyAndSelect) {
+  // Bitwise-equal z-scores, events and severities against the reference
+  // at every window size from 1 to 200 (odd and even), over ties, small
+  // and widely spread magnitudes and flagged runs, with a snapshot and
+  // restore mid-stream; baseline medians and MADs equal by value.
+  Rng rng(20261020);
+  size_t checked = 0;
+  size_t events = 0;
+  for (size_t window = 1; window <= 200; ++window) {
+    for (int kind = 0; kind < 4; ++kind) {
+      DetectorOptions options;
+      options.baseline_window = window;
+      options.min_baseline =
+          window % 10 == 0 ? 0 : std::min<size_t>(window, 1 + window / 4);
+      options.level_shift_min_sec = 40;
+      const size_t n = 2 * window + 160;
+      const std::vector<double> stream = ScreenStream(kind, n, &rng);
+      const size_t restore_at = n / 2 + static_cast<size_t>(kind);
+
+      CopySelectScreen reference(options);
+      std::optional<StreamingFeatureDetector> screen;
+      screen.emplace(options, 0, 1);
+      for (size_t i = 0; i < n; ++i) {
+        if (i == restore_at) {
+          const StreamingDetectorSnapshot snap = screen->ExportSnapshot();
+          screen.emplace(StreamingFeatureDetector::FromSnapshot(options, snap));
+        }
+        const auto want = reference.Push(stream[i]);
+        const auto got = screen->Push(stream[i]);
+        ASSERT_TRUE(SameBits(screen->last_z(), reference.last_z()))
+            << "window " << window << " kind " << kind << " sample " << i
+            << ": z " << screen->last_z() << " vs " << reference.last_z();
+        ASSERT_TRUE(SameEvent(got, want))
+            << "window " << window << " kind " << kind << " sample " << i;
+        if (want.has_value()) ++events;
+        const StreamingDetectorSnapshot snap = screen->ExportSnapshot();
+        ASSERT_EQ(snap.baseline_fresh, reference.fresh());
+        ASSERT_EQ(snap.baseline_median, reference.median());
+        ASSERT_EQ(snap.baseline_mad, reference.mad());
+        ++checked;
+      }
+      ASSERT_TRUE(SameEvent(screen->Finish(), reference.Finish()));
+    }
+  }
+  EXPECT_GT(checked, 100000u);
+  EXPECT_GT(events, 1000u);
+  std::printf("%zu samples, %zu events checked\n", checked, events);
+}
+
+TEST(DetectorTest, NonFiniteSampleIsAGap) {
+  // A gap advances the clock and nothing else: it is not scored, never
+  // enters the baseline and neither opens nor closes a run, so a stream
+  // with gaps scores its finite samples as the stream without them does.
+  DetectorOptions options;
+  options.baseline_window = 40;
+  options.min_baseline = 10;
+  Rng rng(5);
+  std::vector<double> finite;
+  for (size_t i = 0; i < 300; ++i) {
+    finite.push_back(i >= 150 && i < 160 ? 90.0 : rng.Normal(10.0, 1.0));
+  }
+  const double gaps[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  StreamingFeatureDetector plain(options, 0, 1);
+  StreamingFeatureDetector gapped(options, 0, 1);
+  size_t pushed = 0;
+  for (size_t i = 0; i < finite.size(); ++i) {
+    if (i % 7 == 3 || (i >= 152 && i < 155)) {
+      EXPECT_FALSE(gapped.Push(gaps[i % 3]).has_value());
+      EXPECT_EQ(gapped.last_z(), 0.0);
+      EXPECT_EQ(gapped.in_run(), plain.in_run());
+      ++pushed;
+    }
+    const auto want = plain.Push(finite[i]);
+    const auto got = gapped.Push(finite[i]);
+    ++pushed;
+    EXPECT_TRUE(SameBits(gapped.last_z(), plain.last_z())) << "sample " << i;
+    ASSERT_EQ(got.has_value(), want.has_value()) << "sample " << i;
+    if (got.has_value()) {
+      EXPECT_EQ(got->type, want->type);
+    }
+    const StreamingDetectorSnapshot a = gapped.ExportSnapshot();
+    const StreamingDetectorSnapshot b = plain.ExportSnapshot();
+    EXPECT_EQ(a.clean, b.clean);
+  }
+  EXPECT_EQ(gapped.count(), pushed);
+  // A snapshot carrying a non-finite baseline value restores without it.
+  StreamingDetectorSnapshot snap = plain.ExportSnapshot();
+  const std::vector<double> kept = snap.clean;
+  snap.clean.insert(snap.clean.begin() + 3, gaps[0]);
+  snap.clean.push_back(gaps[1]);
+  EXPECT_EQ(StreamingFeatureDetector::FromSnapshot(options, snap)
+                .ExportSnapshot()
+                .clean,
+            kept);
 }
 
 // --------------------------------------------------------------- Phenomena

@@ -367,7 +367,13 @@ TEST(ServeServerTest, MetricszServesTheLastRecovery) {
   EXPECT_EQ(recovery->GetNumberOr("stopped_early", -1), 1);
   EXPECT_EQ(recovery->GetNumberOr("frames_corrupt", -1), 0);
   EXPECT_EQ(recovery->GetNumberOr("seq_gaps", -1), 0);
-  EXPECT_GE(recovery->GetNumberOr("recovery_ms", -1), 0);
+  const double recovery_ms = recovery->GetNumberOr("recovery_ms", -1);
+  const double scan_ms = recovery->GetNumberOr("scan_ms", -1);
+  const double replay_ms = recovery->GetNumberOr("replay_ms", -1);
+  EXPECT_GE(recovery_ms, 0);
+  EXPECT_GE(scan_ms, 0);
+  EXPECT_GE(replay_ms, 0);
+  EXPECT_LE(scan_ms + replay_ms, recovery_ms);
   const Json* ingest_drops = parsed.value().Find("drops")->Find("ingest");
   ASSERT_NE(ingest_drops, nullptr);
   EXPECT_EQ(ingest_drops->GetNumberOr("future", -1), 0);

@@ -1792,6 +1792,18 @@ TEST(FleetCheckpointTest, ImportRefusesStateItCannotRun) {
     EXPECT_EQ(import(screen, options), StatusCode::kInvalidArgument) << start;
   }
 
+  // A screen baseline value no screen admits: its sorted window would be
+  // unordered, and an erase of it could miss.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    fleet::FleetState screen = exported;
+    std::vector<double>& clean =
+        screen.instances[0].detector.ensemble.screen.clean;
+    ASSERT_FALSE(clean.empty());
+    clean[clean.size() / 2] = bad;
+    EXPECT_EQ(import(screen, options), StatusCode::kInvalidArgument) << bad;
+  }
+
   // A Holt update count that no conversion to an integer survives.
   for (double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0, 1e20}) {
     fleet::FleetState holt = exported;
@@ -2383,6 +2395,221 @@ TEST(FleetCheckpointTest, SegmentDeletionFollowsTheFirstNeededSegment) {
   recovered.Stop();
   EXPECT_EQ(recovered.Result().InstanceFingerprint(kInstance),
             live.Result(recovered.checkpointed).InstanceFingerprint(kInstance));
+}
+
+TEST(DurableFleetTest, RecordDatedDaysBeforeTheFirstSampleCostsNoRecovery) {
+  // Before an instance's first sample no late bound applies, so a record
+  // dated 5 days back is accepted and journaled with the first second's
+  // records. The sample frame after it lies more than
+  // max_segment_span_sec past that record: the writer starts a new
+  // segment there, so no recovery rejects the rest of the journal.
+  constexpr int64_t kT0 = 1'000'000;
+  const std::string dir = MakeTempDir();
+  fleet::FleetOptions options = DurableOpts(dir);
+  options.checkpoint_every_sec = 0;
+  options.wal.fsync = FsyncPolicy::kNever;
+  online::ReplayLog log;
+  for (int64_t sec = kT0; sec < kT0 + 600; ++sec) {
+    log.samples.push_back(Sample(sec, 4.0));
+    for (int64_t i = 0; i < 5; ++i) {
+      log.records.push_back(Rec(sec * 1000 + i * 200, 1 + i % 4));
+    }
+  }
+  std::vector<QueryLogRecord> live_archive;
+  {
+    Incarnation run = Open(options);
+    ASSERT_TRUE(
+        run.service->IngestRecord(kInstance, Rec((kT0 - 5 * 86'400) * 1000, 2)));
+    Feed(&run, log, kT0, kT0 + 600);
+    EXPECT_EQ(run.service->stats().ingest.records_enqueued, 3'001u);
+    run.Stop();
+    live_archive = run.service->archive(kInstance)->SnapshotRange(
+        std::numeric_limits<int64_t>::min(),
+        std::numeric_limits<int64_t>::max());
+  }
+  Incarnation resumed = Open(options);
+  const fleet::FleetRecoveryStats& recovery = resumed.service->recovery();
+  EXPECT_EQ(recovery.records, 3'001u);
+  EXPECT_EQ(recovery.samples, 600u);
+  EXPECT_EQ(recovery.frames_time_rejected, 0u);
+  EXPECT_EQ(recovery.stopped_early, 0u);
+  const std::vector<QueryLogRecord> recovered =
+      resumed.service->archive(kInstance)->SnapshotRange(
+          std::numeric_limits<int64_t>::min(),
+          std::numeric_limits<int64_t>::max());
+  ASSERT_GE(live_archive.size(), 3'000u);
+  ASSERT_EQ(recovered.size(), live_archive.size());
+  for (size_t i = 0; i < recovered.size(); ++i) {
+    ASSERT_EQ(recovered[i].arrival_ms, live_archive[i].arrival_ms) << i;
+    ASSERT_EQ(recovered[i].sql_id, live_archive[i].sql_id) << i;
+  }
+  resumed.Stop();
+}
+
+/// FleetStats as comparable text (every count a recovery determines).
+std::string StatsDigest(const fleet::FleetStats& stats) {
+  const online::IngestStats& in = stats.ingest;
+  std::string out;
+  for (uint64_t value :
+       {uint64_t{stats.instances}, uint64_t{in.records_enqueued},
+        uint64_t{in.records_folded}, uint64_t{in.records_dropped_backpressure},
+        uint64_t{in.records_dropped_late}, uint64_t{in.records_dropped_future},
+        uint64_t{in.records_staged}, uint64_t{in.metric_samples},
+        uint64_t{in.metric_samples_dropped}, uint64_t{stats.samples_observed},
+        uint64_t{stats.triggers_confirmed}, uint64_t{stats.triggers_accepted},
+        uint64_t{stats.triggers_suppressed}, uint64_t{stats.diagnoses_ok},
+        uint64_t{stats.diagnoses_failed}, uint64_t{stats.storms_detected},
+        uint64_t{stats.storm_deferred}, uint64_t{stats.neighbor_verdicts},
+        static_cast<uint64_t>(stats.seconds_processed),
+        uint64_t{stats.repairs_applied}, uint64_t{stats.repairs_rejected},
+        uint64_t{stats.retention_sweeps}, uint64_t{stats.records_retired},
+        uint64_t{stats.pending_journal_records}, stats.wal.bytes_written,
+        stats.wal.frames_appended, uint64_t{stats.pool.enqueued},
+        uint64_t{stats.pool.completed}, uint64_t{stats.pool.max_queue_depth}}) {
+    out += std::to_string(value);
+    out += ',';
+  }
+  return out;
+}
+
+/// The counts of a FleetRecoveryStats as comparable text (not its times).
+std::string RecoveryCounts(const fleet::FleetRecoveryStats& r) {
+  std::string out = r.checkpoint_error;
+  for (uint64_t value :
+       {uint64_t{r.attempted}, uint64_t{r.checkpoint_loaded},
+        r.checkpoint_counter, uint64_t{r.checkpoints_corrupt_skipped},
+        uint64_t{r.checkpoints_mismatched_skipped},
+        uint64_t{r.instances_with_wal}, uint64_t{r.frames_valid},
+        uint64_t{r.frames_rebuilt}, uint64_t{r.frames_replayed},
+        uint64_t{r.frames_corrupt}, uint64_t{r.frames_malformed},
+        uint64_t{r.frames_time_rejected}, uint64_t{r.segments_duplicate_seq},
+        uint64_t{r.segments_invalid_header}, uint64_t{r.seq_gaps},
+        uint64_t{r.stopped_early}, uint64_t{r.records}, uint64_t{r.samples},
+        uint64_t{r.templates}, r.torn_tail_bytes_truncated}) {
+    out += ',';
+    out += std::to_string(value);
+  }
+  return out;
+}
+
+/// Seven instances, two of which step into an incident, journaled with a
+/// checkpoint every 300 s and small segments, then left as a crash would
+/// (no Stop(), so the WAL holds a suffix above the newest checkpoint).
+struct CrashedFleet {
+  std::vector<fleet::FleetInstanceSpec> specs;
+  std::string dir;
+};
+
+CrashedFleet JournalCrashedFleet() {
+  CrashedFleet crashed;
+  std::vector<online::ReplayLog> logs;
+  constexpr int64_t kT0 = 100'000;
+  for (uint32_t id = 0; id < 7; ++id) {
+    crashed.specs.push_back({id, id / 3});
+    logs.push_back(StepStream(id + 1, kT0, kT0 + 1000,
+                              id % 3 == 1 ? kT0 + 700 + 40 * id : -1));
+  }
+  const std::string live_dir = MakeTempDir();
+  fleet::FleetOptions options = DurableOpts(live_dir);
+  options.wal.segment_bytes = 64 << 10;
+  options.wal.fsync = FsyncPolicy::kNever;
+  {
+    auto service =
+        std::make_unique<fleet::FleetService>(crashed.specs, options);
+    RegisterCatalog(service.get());
+    Incarnation run = Begin(std::move(service));
+    FeedFleet(&run, crashed.specs, logs, kT0, kT0 + 1000);
+    EXPECT_FALSE(run.outcomes.empty());
+    // The copy is taken while the fleet runs: its destructor would drain
+    // and checkpoint.
+    crashed.dir = MakeTempDir();
+    std::filesystem::copy(
+        live_dir, crashed.dir,
+        std::filesystem::copy_options::recursive |
+            std::filesystem::copy_options::overwrite_existing);
+  }
+  std::filesystem::remove_all(live_dir);
+  return crashed;
+}
+
+/// Recovers a copy of `source` at `advance_workers` and digests what it
+/// recovered: the replay's outcomes and events, every archive, the stats
+/// and the recovery counts.
+std::string RecoveredDigest(const CrashedFleet& crashed, bool keep_checkpoints,
+                            int advance_workers, Env* env = nullptr) {
+  const std::string dir = MakeTempDir();
+  std::filesystem::copy(crashed.dir, dir,
+                        std::filesystem::copy_options::recursive |
+                            std::filesystem::copy_options::overwrite_existing);
+  if (!keep_checkpoints) DeleteFilesEndingIn(dir, ".ckpt");
+  fleet::FleetOptions options = DurableOpts(dir);
+  options.wal.segment_bytes = 64 << 10;
+  options.wal.fsync = FsyncPolicy::kNever;
+  options.advance_workers = advance_workers;
+  options.env = env;
+  auto service = std::make_unique<fleet::FleetService>(crashed.specs, options);
+  RegisterCatalog(service.get());
+  Incarnation run = Begin(std::move(service));
+  EXPECT_EQ(run.service->recovery().checkpoint_loaded, keep_checkpoints);
+  std::string digest = run.Result().Fingerprint();
+  for (const fleet::FleetInstanceSpec& spec : crashed.specs) {
+    digest += run.Result().InstanceFingerprint(spec.instance_id);
+    for (const QueryLogRecord& record :
+         run.service->archive(spec.instance_id)
+             ->SnapshotRange(std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int64_t>::max())) {
+      digest += std::to_string(record.arrival_ms) + ':' +
+                std::to_string(record.sql_id) + ':' +
+                std::to_string(record.examined_rows) + ';';
+    }
+  }
+  digest += StatsDigest(run.service->stats());
+  digest += RecoveryCounts(run.service->recovery());
+  run.Stop();
+  std::filesystem::remove_all(dir);
+  return digest;
+}
+
+TEST(DurableFleetTest, RecoveryIsIdenticalAtAnyAdvanceWorkerCount) {
+  // Recovery parses and rebuilds each instance, and ingests its replayed
+  // batches, on the advance workers: copies of one crashed data dir,
+  // recovered WAL-only and from the checkpoint, must come back the same
+  // at 1, 2 and 4 workers.
+  const CrashedFleet crashed = JournalCrashedFleet();
+  for (bool from_checkpoint : {false, true}) {
+    const std::string one = RecoveredDigest(crashed, from_checkpoint, 1);
+    EXPECT_EQ(RecoveredDigest(crashed, from_checkpoint, 2), one)
+        << "from_checkpoint " << from_checkpoint;
+    EXPECT_EQ(RecoveredDigest(crashed, from_checkpoint, 4), one)
+        << "from_checkpoint " << from_checkpoint;
+  }
+}
+
+TEST(StorageFaultTest, ReadFaultsFallTheSameAtAnyAdvanceWorkerCount) {
+  // The journals load on the recovering thread in instance order, so a
+  // seeded injector flips the same bits and shortens the same reads at
+  // any worker count, and the recovery counts what they destroyed alike.
+  const CrashedFleet crashed = JournalCrashedFleet();
+  faults::StorageFaultPlan plan;
+  plan.seed = 3;
+  plan.severity = 1.0;
+  plan.bit_flip_rate = 0.3;
+  plan.short_read_rate = 0.2;
+  plan.torn_write_rate = 0;
+  plan.fsync_failure_rate = 0;
+  for (bool from_checkpoint : {false, true}) {
+    faults::StorageFaultInjector serial_env(PosixEnv(), plan);
+    faults::StorageFaultInjector parallel_env(PosixEnv(), plan);
+    const std::string serial =
+        RecoveredDigest(crashed, from_checkpoint, 1, &serial_env);
+    const std::string parallel =
+        RecoveredDigest(crashed, from_checkpoint, 4, &parallel_env);
+    EXPECT_GT(serial_env.stats().reads_bit_flipped +
+                  serial_env.stats().reads_shortened,
+              0u);
+    EXPECT_EQ(parallel_env.stats().ToString(), serial_env.stats().ToString());
+    EXPECT_EQ(parallel, serial) << "from_checkpoint " << from_checkpoint;
+  }
 }
 
 }  // namespace

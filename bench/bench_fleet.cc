@@ -4,8 +4,8 @@
 /// latency percentiles, then hard-checks the headline fleet guarantees at
 /// the largest scale:
 ///
-///   - byte-identical FleetResult fingerprints across {ingest shards 1 v 4,
-///     diagnoser pool 1 v 8} and across repeated runs;
+///   - byte-identical FleetResult fingerprints across {ingest workers 1 v
+///     4, diagnoser pool 1 v 8} and across repeated runs;
 ///   - a storm collapses into prioritized triage batches with zero
 ///     confirmed-trigger loss and concurrency never above the pool bound;
 ///   - the noisy-neighbor correlator flags the injected host.
@@ -35,7 +35,6 @@ int EnvInt(const char* name, int fallback) {
 
 pinsql::fleet::FleetReplayOptions ReplayOptions() {
   pinsql::fleet::FleetReplayOptions options;
-  options.fleet.ingestor.num_shards = 4;
   options.fleet.ingestor.window_sec = 900;
   options.fleet.scheduler.cooldown_sec = 120;
   options.fleet.scheduler.top_k = 3;
@@ -72,7 +71,7 @@ int main(int argc, char** argv) {
   }
   sweep.push_back(max_instances);
 
-  std::printf("Fleet-scale online diagnosis: sharded ingest -> per-instance "
+  std::printf("Fleet-scale online diagnosis: per-instance ingest and "
               "detectors -> cross-instance correlator -> bounded diagnoser "
               "pool\n(%d simulated seconds per instance, seed %llu)\n\n",
               duration, static_cast<unsigned long long>(seed));
@@ -128,14 +127,17 @@ int main(int argc, char** argv) {
       fleet_case.specs, fleet_case.logs, fleet_case.catalog, base_options);
   const std::string fingerprint = base.Fingerprint();
 
-  auto one_shard = base_options;
-  one_shard.fleet.ingestor.num_shards = 1;
+  const auto fingerprint_at_workers = [&](int ingest_workers) {
+    auto options = base_options;
+    options.num_ingest_workers = ingest_workers;
+    return pinsql::fleet::RunFleetReplay(fleet_case.specs, fleet_case.logs,
+                                         fleet_case.catalog, options)
+        .Fingerprint();
+  };
+  const bool workers_identical = fingerprint_at_workers(1) == fingerprint &&
+                                 fingerprint_at_workers(4) == fingerprint;
   auto serial_pool = base_options;
   serial_pool.fleet.pool.pool_size = 1;
-  const bool shards_identical =
-      pinsql::fleet::RunFleetReplay(fleet_case.specs, fleet_case.logs,
-                                    fleet_case.catalog, one_shard)
-          .Fingerprint() == fingerprint;
   const bool pool_identical =
       pinsql::fleet::RunFleetReplay(fleet_case.specs, fleet_case.logs,
                                     fleet_case.catalog, serial_pool)
@@ -196,7 +198,7 @@ int main(int argc, char** argv) {
     bool ok;
   } checks[] = {
       {"fleet produced triggers and diagnoses", triggered},
-      {"fingerprint identical at 1 vs 4 ingest shards", shards_identical},
+      {"fingerprint identical at 1 vs 4 ingest workers", workers_identical},
       {"fingerprint identical at pool size 1 vs 8", pool_identical},
       {"fingerprint identical across repeated runs", repeat_identical},
       {"every accepted trigger accounted (zero loss)", no_loss},

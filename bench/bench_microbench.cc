@@ -153,12 +153,11 @@ pinsql::QueryLogRecord IngestRecordAt(size_t i, uint64_t tid = 0) {
 }
 
 /// Producer-side staging only: the per-record cost a collector thread pays
-/// (shard lock + chunk append), pump kept out of the timed loop.
+/// (queue lock + chunk append), pump kept out of the timed loop.
 void BM_IngestStage(benchmark::State& state) {
   pinsql::online::IngestorOptions options;
-  options.num_shards = 16;
   options.window_sec = 600;
-  options.shard_queue_capacity = 1 << 20;
+  options.queue_capacity = 1 << 20;
   pinsql::online::StreamIngestor ingestor(options);
   size_t i = 0;
   size_t staged = 0;
@@ -180,9 +179,8 @@ BENCHMARK(BM_IngestStage);
 void BM_IngestStagePump(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   pinsql::online::IngestorOptions options;
-  options.num_shards = 16;
   options.window_sec = 600;
-  options.shard_queue_capacity = 1 << 20;
+  options.queue_capacity = 1 << 20;
   pinsql::online::StreamIngestor ingestor(options);
   size_t i = 0;
   for (auto _ : state) {
@@ -201,9 +199,8 @@ BENCHMARK(BM_IngestStagePump)->Arg(256)->Arg(4096)->Arg(65536);
 void BM_IngestStagePumpArchived(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   pinsql::online::IngestorOptions options;
-  options.num_shards = 16;
   options.window_sec = 600;
-  options.shard_queue_capacity = 1 << 20;
+  options.queue_capacity = 1 << 20;
   pinsql::online::StreamIngestor ingestor(options);
   pinsql::LogStore archive;
   ingestor.AttachArchive(&archive);
@@ -228,9 +225,8 @@ BENCHMARK(BM_IngestStagePumpArchived)->Arg(4096)->Arg(65536);
 /// the aggregation, the series a diagnosis of that window computes.
 void BM_IngestSnapshotTemplates(benchmark::State& state) {
   pinsql::online::IngestorOptions options;
-  options.num_shards = 16;
   options.window_sec = 600;
-  options.shard_queue_capacity = 1 << 20;
+  options.queue_capacity = 1 << 20;
   pinsql::online::StreamIngestor ingestor(options);
   pinsql::LogStore archive;
   ingestor.AttachArchive(&archive);

@@ -8,21 +8,21 @@
 /// Headline properties: recall >= 0.9 with zero duplicate triggers per
 /// anomaly; median detection latency <= 5 simulated seconds; replay is
 /// bit-deterministic across runs, ingest-worker counts and diagnoser
-/// thread counts; a severity-0 action-fault injector is a no-op through
-/// the online path; and ingest throughput scales from 1 to 4 producer
-/// threads (hard-checked only when the host has >= 4 cores).
+/// thread counts; and a severity-0 action-fault injector is a no-op
+/// through the online path. It also reports the ingestor's stage + pump
+/// throughput, cooperatively on one core and with one producer thread
+/// beside the pumping thread (printed, not checked: wall-clock rates on a
+/// shared host are noise).
 ///
 /// Environment knobs: PINSQL_BENCH_CASES (default 6), PINSQL_BENCH_SEED,
 /// PINSQL_BENCH_THREADS (diagnoser threads), PINSQL_BENCH_INGEST_RECORDS
-/// (per producer thread in the throughput sweep). `--smoke` shrinks
-/// everything for CI.
+/// (records per throughput point). `--smoke` shrinks everything for CI.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "detect/forecast.h"
 #include "eval/online_e2e.h"
@@ -132,30 +132,17 @@ int main(int argc, char** argv) {
   const bool ens_recall_ok = ens_summary.recall >= summary.recall;
   const bool ens_dup_ok = ens_summary.duplicate_triggers == 0;
 
-  // --- Ingest throughput sweep ------------------------------------------
-  const size_t per_thread = static_cast<size_t>(
+  // --- Ingest throughput ----------------------------------------------
+  const size_t records = static_cast<size_t>(
       EnvInt("PINSQL_BENCH_INGEST_RECORDS", smoke ? 50'000 : 400'000));
-  std::printf("ingest throughput (%zu records per producer):\n", per_thread);
-  double rate1 = 0.0, rate4 = 0.0;
-  for (int threads : {0, 1, 2, 4, 8}) {
-    const auto point = pinsql::eval::RunIngestThroughput(threads, per_thread);
-    if (point.threads == 0) {
-      std::printf("  coop 1-core: %9.0f rec/s  (%.3fs, %zu backpressure "
-                  "rejections)\n",
-                  point.records_per_sec, point.seconds, point.dropped);
-    } else {
-      std::printf("  %d thread%s  : %9.0f rec/s  (%.3fs, %zu backpressure "
-                  "rejections)\n",
-                  point.threads, point.threads == 1 ? " " : "s",
-                  point.records_per_sec, point.seconds, point.dropped);
-    }
-    if (threads == 1) rate1 = point.records_per_sec;
-    if (threads == 4) rate4 = point.records_per_sec;
+  std::printf("ingest throughput (%zu records):\n", records);
+  for (bool cooperative : {true, false}) {
+    const auto point = pinsql::eval::RunIngestThroughput(cooperative, records);
+    std::printf("  %-12s: %9.0f rec/s  (%.3fs, %zu backpressure "
+                "rejections)\n",
+                cooperative ? "coop 1-core" : "1 producer",
+                point.records_per_sec, point.seconds, point.dropped);
   }
-  const unsigned cores = std::thread::hardware_concurrency();
-  const bool scaling_ok = rate4 > rate1;
-  const bool scaling_hard = cores >= 4;
-
   std::printf("\nshape checks:\n");
   const bool recall_ok = summary.recall >= 0.9;
   std::printf("  trigger recall >= 0.9 (%.2f): %s\n", summary.recall,
@@ -188,20 +175,10 @@ int main(int argc, char** argv) {
   std::printf("  ensemble replay bit-identical at 1 vs 4 ingest workers: "
               "%s\n",
               ens_ingest_identical ? "OK" : "VIOLATED");
-  if (scaling_hard) {
-    std::printf("  ingest throughput scales 1 -> 4 threads: %s\n",
-                scaling_ok ? "OK" : "VIOLATED");
-  } else {
-    std::printf("  ingest throughput scales 1 -> 4 threads: %s (only %u "
-                "core%s available; not counted)\n",
-                scaling_ok ? "OK" : "VIOLATED", cores,
-                cores == 1 ? "" : "s");
-  }
 
   return (recall_ok ? 0 : 1) + (dup_ok ? 0 : 1) + (latency_ok ? 0 : 1) +
          (repaired_ok ? 0 : 1) + (repeat_identical ? 0 : 1) +
          (ingest_identical ? 0 : 1) + (diag_identical ? 0 : 1) +
          (sev0_noop ? 0 : 1) + (ens_recall_ok ? 0 : 1) + (ens_dup_ok ? 0 : 1) +
-         (ens_ingest_identical ? 0 : 1) +
-         (scaling_hard && !scaling_ok ? 1 : 0);
+         (ens_ingest_identical ? 0 : 1);
 }

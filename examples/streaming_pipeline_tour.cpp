@@ -44,11 +44,9 @@ int main() {
                   ? "yes"
                   : "BUG");
 
-  // 2. Collectors stage per-query records in the ingestor's sql_id-sharded
-  //    queues; a pump moves everything staged into the archive.
-  pinsql::online::IngestorOptions options;
-  options.num_shards = 4;
-  pinsql::online::StreamIngestor ingestor(options);
+  // 2. Collectors stage per-query records in the ingestor's staging
+  //    queue; a pump moves everything staged into the archive.
+  pinsql::online::StreamIngestor ingestor(pinsql::online::IngestorOptions{});
   pinsql::LogStore archive;
   ingestor.AttachArchive(&archive);
   pinsql::Rng rng(5);
@@ -73,8 +71,7 @@ int main() {
       ingestor.IngestRecord(rec);
     }
   }
-  std::printf("staged %zu records across %zu shards\n",
-              ingestor.stats().records_staged, options.num_shards);
+  std::printf("staged %zu records\n", ingestor.stats().records_staged);
   const size_t pumped = ingestor.Pump();
   std::printf("pump archived %zu records\n", pumped);
 

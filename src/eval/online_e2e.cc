@@ -219,30 +219,42 @@ OnlineE2ESummary RunOnlineE2E(const OnlineE2EOptions& options) {
   return summary;
 }
 
-ThroughputPoint RunIngestThroughput(int threads, size_t records_per_thread) {
+ThroughputPoint RunIngestThroughput(bool cooperative, size_t records) {
   ThroughputPoint point;
-  point.threads = std::max(threads, 0);
-  point.records = records_per_thread *
-                  static_cast<size_t>(std::max(point.threads, 1));
+  point.cooperative = cooperative;
+  point.records = records;
 
   online::IngestorOptions ingest_options;
-  ingest_options.num_shards = 16;
   ingest_options.window_sec = 600;
   online::StreamIngestor ingestor(ingest_options);
-
-  if (point.threads == 0) {
-    // Cooperative single-core: stage a batch, pump it, repeat — the same
-    // records and the same full path (stage + pump), but one thread
-    // doing both halves so the measurement is per-core work, not
-    // scheduling.
-    constexpr size_t kPumpEvery = 4096;
+  const auto record_at = [](size_t i) {
     QueryLogRecord record;
+    record.sql_id = i % 512;
+    record.arrival_ms = static_cast<int64_t>(i % 600'000);
+    record.response_ms = 1.0 + static_cast<double>(i % 17);
+    record.examined_rows = static_cast<int64_t>(i % 100);
+    return record;
+  };
+  const auto finish = [&](std::chrono::steady_clock::time_point t0) {
+    point.seconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    point.records_per_sec =
+        point.seconds > 0.0
+            ? static_cast<double>(point.records) / point.seconds
+            : 0.0;
+    point.dropped = ingestor.stats().records_dropped_backpressure;
+    return point;
+  };
+
+  if (cooperative) {
+    // Stage a batch, pump it, repeat — the same records and the same full
+    // path (stage + pump), but one thread doing both halves so the
+    // measurement is per-core work, not scheduling.
+    constexpr size_t kPumpEvery = 4096;
     size_t since_pump = 0;
     const auto feed = [&](size_t i) {
-      record.sql_id = i % 512;
-      record.arrival_ms = static_cast<int64_t>(i % 600'000);
-      record.response_ms = 1.0 + static_cast<double>(i % 17);
-      record.examined_rows = static_cast<int64_t>(i % 100);
+      const QueryLogRecord record = record_at(i);
       while (!ingestor.IngestRecord(record)) ingestor.Pump();
       if (++since_pump >= kPumpEvery) {
         ingestor.Pump();
@@ -258,55 +270,30 @@ ThroughputPoint RunIngestThroughput(int threads, size_t records_per_thread) {
     ingestor.Pump();
     since_pump = 0;
     const auto t0 = std::chrono::steady_clock::now();
-    for (size_t i = kWarmup; i < kWarmup + records_per_thread; ++i) feed(i);
+    for (size_t i = kWarmup; i < kWarmup + records; ++i) feed(i);
     ingestor.Pump();
-    const auto t1 = std::chrono::steady_clock::now();
-    point.seconds = std::chrono::duration<double>(t1 - t0).count();
-    point.records_per_sec =
-        point.seconds > 0.0
-            ? static_cast<double>(point.records) / point.seconds
-            : 0.0;
-    point.dropped = ingestor.stats().records_dropped_backpressure;
-    return point;
+    return finish(t0);
   }
 
   std::atomic<bool> done{false};
   const auto t0 = std::chrono::steady_clock::now();
-  std::thread pumper([&]() {
-    while (!done.load(std::memory_order_relaxed)) {
-      if (ingestor.Pump() == 0) std::this_thread::yield();
-    }
-    ingestor.Pump();
-  });
-  std::vector<std::thread> producers;
-  producers.reserve(static_cast<size_t>(point.threads));
-  for (int tid = 0; tid < point.threads; ++tid) {
-    producers.emplace_back([&, tid]() {
-      QueryLogRecord record;
-      for (size_t i = 0; i < records_per_thread; ++i) {
-        record.sql_id = static_cast<uint64_t>(tid) * 131071ULL + i % 512;
-        record.arrival_ms = static_cast<int64_t>(i % 600'000);
-        record.response_ms = 1.0 + static_cast<double>(i % 17);
-        record.examined_rows = static_cast<int64_t>(i % 100);
-        while (!ingestor.IngestRecord(record)) {
-          // Full shard queue: yield to the pumper (drops are already
-          // counted; for throughput we want the sustained rate, not the
-          // drop rate).
-          std::this_thread::yield();
-        }
+  std::thread producer([&]() {
+    for (size_t i = 0; i < records; ++i) {
+      const QueryLogRecord record = record_at(i);
+      while (!ingestor.IngestRecord(record)) {
+        // Full queue: yield to the pumper (drops are already counted; for
+        // throughput we want the sustained rate, not the drop rate).
+        std::this_thread::yield();
       }
-    });
+    }
+    done.store(true, std::memory_order_relaxed);
+  });
+  while (!done.load(std::memory_order_relaxed)) {
+    if (ingestor.Pump() == 0) std::this_thread::yield();
   }
-  for (std::thread& producer : producers) producer.join();
-  done.store(true, std::memory_order_relaxed);
-  pumper.join();
-  const auto t1 = std::chrono::steady_clock::now();
-  point.seconds = std::chrono::duration<double>(t1 - t0).count();
-  point.records_per_sec =
-      point.seconds > 0.0 ? static_cast<double>(point.records) / point.seconds
-                          : 0.0;
-  point.dropped = ingestor.stats().records_dropped_backpressure;
-  return point;
+  producer.join();
+  ingestor.Pump();
+  return finish(t0);
 }
 
 }  // namespace pinsql::eval

@@ -85,25 +85,23 @@ OnlineCaseOutcome RunOnlineCase(const OnlineE2EOptions& options, size_t index);
 /// Runs every case and aggregates.
 OnlineE2ESummary RunOnlineE2E(const OnlineE2EOptions& options);
 
-/// Ingest-throughput measurement: `threads` producers push
-/// `records_per_thread` synthetic records each into a StreamIngestor while
-/// the main thread pumps. Wall-clock timed (not part of any deterministic
-/// guarantee).
+/// Ingest-throughput measurement: `records` synthetic records staged into
+/// a StreamIngestor and pumped. Wall-clock timed (not part of any
+/// deterministic guarantee).
 ///
-/// `threads == 0` is the cooperative single-core case: ONE thread
-/// alternates staging batches with Pump(), so the number is the stage +
-/// pump capability of one core with no scheduler interference. On hosts
-/// with fewer cores than threads the threaded cases time the kernel
-/// scheduler as much as the ingest path; the cooperative case is the
-/// records/sec/core figure.
+/// `cooperative` is the single-core case: ONE thread alternates staging
+/// batches with Pump(), so the number is the stage + pump capability of one
+/// core with no scheduler interference — the records/sec/core figure.
+/// Otherwise one producer thread stages while the calling thread pumps, as
+/// a collector and the fleet's advance step do.
 struct ThroughputPoint {
-  int threads = 1;
+  bool cooperative = false;
   size_t records = 0;
   double seconds = 0.0;
   double records_per_sec = 0.0;
   size_t dropped = 0;
 };
-ThroughputPoint RunIngestThroughput(int threads, size_t records_per_thread);
+ThroughputPoint RunIngestThroughput(bool cooperative, size_t records);
 
 }  // namespace pinsql::eval
 

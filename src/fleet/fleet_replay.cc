@@ -20,16 +20,15 @@ std::string FormatDouble(double v) {
 }
 
 /// One instance's recorded stream expanded for replay: a per-second sample
-/// timeline (gap-filled) and its records split per ingest shard, each
-/// shard's list in arrival order (stable, so equal arrivals keep their
-/// recorded order).
+/// timeline (gap-filled) and its records in arrival order (stable, so equal
+/// arrivals keep their recorded order).
 struct InstancePlan {
   std::vector<online::PerfSample> timeline;
   int64_t first_sec = 0;
-  std::vector<std::vector<QueryLogRecord>> shards;
+  std::vector<QueryLogRecord> records;
 };
 
-InstancePlan BuildPlan(const online::ReplayLog& log, size_t num_shards) {
+InstancePlan BuildPlan(const online::ReplayLog& log) {
   InstancePlan plan;
   if (log.samples.empty()) return plan;
 
@@ -50,16 +49,11 @@ InstancePlan BuildPlan(const online::ReplayLog& log, size_t num_shards) {
     }
   }
 
-  plan.shards.resize(num_shards);
-  for (const QueryLogRecord& record : log.records) {
-    plan.shards[record.sql_id % num_shards].push_back(record);
-  }
-  for (std::vector<QueryLogRecord>& shard : plan.shards) {
-    std::stable_sort(shard.begin(), shard.end(),
-                     [](const QueryLogRecord& a, const QueryLogRecord& b) {
-                       return a.arrival_ms < b.arrival_ms;
-                     });
-  }
+  plan.records = log.records;
+  std::stable_sort(plan.records.begin(), plan.records.end(),
+                   [](const QueryLogRecord& a, const QueryLogRecord& b) {
+                     return a.arrival_ms < b.arrival_ms;
+                   });
   return plan;
 }
 
@@ -258,14 +252,12 @@ FleetResult RunFleetReplay(const std::vector<FleetInstanceSpec>& specs,
     service.RegisterTemplateFleetWide(sql_id, entry);
   }
 
-  const size_t num_shards =
-      std::max<size_t>(fleet_options.ingestor.num_shards, 1);
   std::vector<InstancePlan> plans;
   plans.reserve(n);
   int64_t first_sec = std::numeric_limits<int64_t>::max();
   int64_t last_sec = std::numeric_limits<int64_t>::min();
   for (size_t i = 0; i < n; ++i) {
-    plans.push_back(BuildPlan(logs[i], num_shards));
+    plans.push_back(BuildPlan(logs[i]));
     if (!plans.back().timeline.empty()) {
       first_sec = std::min(first_sec, plans.back().first_sec);
       last_sec = std::max(last_sec,
@@ -291,46 +283,34 @@ FleetResult RunFleetReplay(const std::vector<FleetInstanceSpec>& specs,
     outcomes.insert(outcomes.end(), std::make_move_iterator(produced.begin()),
                     std::make_move_iterator(produced.end()));
   };
-  // Three barriers per simulated second: the workers push the second's
-  // records, then its samples, then the main loop advances the fleet
-  // watermark while they wait. Worker w owns the w-th contiguous block of
-  // (instance, shard) pairs p = instance · shards + shard — so a large
-  // fleet's workers rarely share an instance while a fleet of one still
-  // has its shards fed concurrently — and advances each owned pair's
-  // cursor through that shard's arrival-ordered records: every shard
-  // queue's order is the recorded order restricted to that shard,
-  // invariant under W, and each record is visited once. A second takes
-  // the records that arrived before its end; an instance's last second
-  // takes the rest. Worker w pushes the samples of instances ≡ w (mod W).
-  const size_t num_pairs = n * num_shards;
-  std::vector<size_t> cursors(num_pairs, 0);
+  // Two barriers per simulated second: the workers push the second's
+  // records and samples, then the main loop advances the fleet watermark
+  // while they wait. Worker w owns the instances i ≡ w (mod W) and, for
+  // each, pushes the records that arrived before the second's end (an
+  // instance's last second takes the rest) from a cursor into its
+  // arrival-ordered list, then the second's sample. Each instance is fed
+  // by one worker in recorded order, so its ingest order — and therefore
+  // the fingerprint — is identical at any W, and each record is visited
+  // once.
+  std::vector<size_t> cursors(n, 0);
   std::barrier sync(static_cast<std::ptrdiff_t>(num_workers) + 1);
   std::vector<std::thread> workers;
   workers.reserve(num_workers);
   for (size_t wid = 0; wid < num_workers; ++wid) {
     workers.emplace_back([&, wid]() {
-      const size_t pairs_end = (wid + 1) * num_pairs / num_workers;
       for (int64_t sec = first_sec; sec <= last_sec; ++sec) {
-        for (size_t pair = wid * num_pairs / num_workers; pair < pairs_end;
-             ++pair) {
-          const size_t i = pair / num_shards;
+        for (size_t i = wid; i < n; i += num_workers) {
           const int64_t idx = index_of(i, sec);
           if (idx < 0) continue;
           const bool last =
               static_cast<size_t>(idx) + 1 == plans[i].timeline.size();
-          const std::vector<QueryLogRecord>& records =
-              plans[i].shards[pair % num_shards];
-          size_t k = cursors[pair];
+          const std::vector<QueryLogRecord>& records = plans[i].records;
+          size_t k = cursors[i];
           while (k < records.size() &&
                  (last || records[k].arrival_ms < (sec + 1) * 1000)) {
             service.IngestRecord(specs[i].instance_id, records[k++]);
           }
-          cursors[pair] = k;
-        }
-        sync.arrive_and_wait();
-        for (size_t i = wid; i < n; i += num_workers) {
-          const int64_t idx = index_of(i, sec);
-          if (idx < 0) continue;
+          cursors[i] = k;
           service.IngestMetrics(specs[i].instance_id,
                                 plans[i].timeline[static_cast<size_t>(idx)]);
         }
@@ -340,7 +320,6 @@ FleetResult RunFleetReplay(const std::vector<FleetInstanceSpec>& specs,
     });
   }
   for (int64_t sec = first_sec; sec <= last_sec; ++sec) {
-    sync.arrive_and_wait();
     sync.arrive_and_wait();
     take(service.AdvanceTo(sec, &events));
     sync.arrive_and_wait();

@@ -14,12 +14,11 @@ namespace pinsql::fleet {
 
 struct FleetReplayOptions {
   FleetOptions fleet;
-  /// Concurrent ingest workers feeding the fleet's record streams. Worker
-  /// w owns the w-th contiguous block of (instance, ingest shard) pairs and
-  /// pushes each owned pair's records in recorded order, so one instance's
-  /// shards are fed concurrently yet every shard queue's order — and
-  /// therefore the fingerprint — is identical at any worker count. The
-  /// workers push the samples after each second's ingest barrier.
+  /// Concurrent ingest workers feeding the fleet's streams. Worker w owns
+  /// the instances i ≡ w (mod W) and pushes each one's records and samples
+  /// in recorded order, so every instance's ingest order — and therefore
+  /// the fingerprint — is identical at any worker count; a fleet of one
+  /// is fed by one worker.
   int num_ingest_workers = 2;
 };
 
@@ -36,10 +35,9 @@ struct FleetResult {
   /// bit-reproducible: every outcome (sorted by instance, onset, trigger —
   /// schedule-invariant), every storm batch and every noisy-neighbor
   /// verdict. Two replays of one fleet log are correct iff their
-  /// fingerprints are byte-identical — at any ingest shard count, any
-  /// diagnoser pool size, any ingest worker count and any
-  /// advance_workers. Stats are excluded (queue depths legitimately vary
-  /// with pool size).
+  /// fingerprints are byte-identical — at any diagnoser pool size, any
+  /// ingest worker count and any advance_workers. Stats are excluded
+  /// (queue depths legitimately vary with pool size).
   std::string Fingerprint() const;
 
   /// The single-instance digest: one instance's detection latencies and

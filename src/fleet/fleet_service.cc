@@ -73,6 +73,7 @@ FleetService::FleetService(const std::vector<FleetInstanceSpec>& specs,
     index_by_id_[spec.instance_id] = instances_.size();
     Instance instance;
     instance.spec = spec;
+    instance.mu = std::make_unique<std::mutex>();
     instance.archive = std::make_unique<LogStore>();
     instance.ingestor =
         std::make_unique<online::StreamIngestor>(options_.ingestor, chunk_pool_);
@@ -90,13 +91,6 @@ FleetService::FleetService(const std::vector<FleetInstanceSpec>& specs,
         std::make_unique<util::ThreadPool>(options_.advance_workers);
   }
   env_ = options_.env != nullptr ? options_.env : store::PosixEnv();
-  for (Instance& instance : instances_) {
-    if (durable()) {
-      instance.journal_mu = std::make_unique<std::mutex>();
-    } else {
-      instance.gate = std::make_unique<std::shared_mutex>();
-    }
-  }
 }
 
 FleetService::~FleetService() { Stop(); }
@@ -124,11 +118,9 @@ void FleetService::RegisterTemplateFleetWide(uint64_t sql_id,
                                              const TemplateCatalogEntry& entry) {
   for (Instance& instance : instances_) {
     instance.archive->RegisterTemplate(sql_id, entry);
-    if (durable()) {
-      std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
-      if (instance.writer != nullptr) {
-        instance.writer->AppendTemplate(sql_id, entry);
-      }
+    std::lock_guard<std::mutex> lock(*instance.mu);
+    if (instance.writer != nullptr) {
+      instance.writer->AppendTemplate(sql_id, entry);
     }
   }
 }
@@ -171,7 +163,7 @@ std::vector<FleetOutcome> FleetService::Stop(FleetEvents* events) {
   if (durable()) {
     if (options_.checkpoint_every_sec > 0) CheckpointLocked();
     for (Instance& instance : instances_) {
-      std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
+      std::lock_guard<std::mutex> lock(*instance.mu);
       if (instance.writer == nullptr) continue;
       if (!instance.pending.empty()) {
         instance.writer->AppendRecordBatch(instance.pending);
@@ -192,13 +184,8 @@ std::vector<FleetOutcome> FleetService::Stop(FleetEvents* events) {
 
 void FleetService::SetAccepting(bool accepting) {
   for (Instance& instance : instances_) {
-    if (durable()) {
-      std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
-      instance.accepting = accepting;
-    } else {
-      std::unique_lock<std::shared_mutex> gate(*instance.gate);
-      instance.accepting = accepting;
-    }
+    std::lock_guard<std::mutex> lock(*instance.mu);
+    instance.accepting = accepting;
   }
 }
 
@@ -222,15 +209,9 @@ bool FleetService::IngestRecord(uint32_t instance_id,
                                 const QueryLogRecord& record) {
   Instance* instance = Find(instance_id);
   if (instance == nullptr) return false;
-  if (!durable()) {
-    std::shared_lock<std::shared_mutex> gate(*instance->gate);
-    if (!instance->accepting) return Refuse(&records_rejected_stopped_);
-    return instance->ingestor->IngestRecord(record,
-                                            NewestRecordSec(*instance));
-  }
   // The inner ingest and the journal buffer form one atomic step, so the
   // journal replays in exactly the order the ingestor accepted.
-  std::lock_guard<std::mutex> journal_lock(*instance->journal_mu);
+  std::lock_guard<std::mutex> lock(*instance->mu);
   if (!instance->accepting) return Refuse(&records_rejected_stopped_);
   const bool accepted =
       instance->ingestor->IngestRecord(record, NewestRecordSec(*instance));
@@ -247,12 +228,7 @@ bool FleetService::IngestMetrics(uint32_t instance_id,
                                  const online::PerfSample& sample) {
   Instance* instance = Find(instance_id);
   if (instance == nullptr) return false;
-  if (!durable()) {
-    std::shared_lock<std::shared_mutex> gate(*instance->gate);
-    if (!instance->accepting) return Refuse(&samples_rejected_stopped_);
-    return instance->ingestor->IngestMetrics(sample);
-  }
-  std::lock_guard<std::mutex> journal_lock(*instance->journal_mu);
+  std::lock_guard<std::mutex> lock(*instance->mu);
   if (!instance->accepting) return Refuse(&samples_rejected_stopped_);
   const bool accepted = instance->ingestor->IngestMetrics(sample);
   if (accepted && instance->writer != nullptr) {
@@ -505,54 +481,41 @@ void FleetService::RebuildLocked(Instance* instance,
                                  std::deque<Batch>* batches, size_t rebuilt) {
   online::StreamIngestor& ingestor = *instance->ingestor;
   const auto prefix_end = batches->begin() + static_cast<ptrdiff_t>(rebuilt);
-  // The records the checkpoint counts as staged stay staged: per shard,
-  // its last ones journaled before the LSN, because a pump empties a shard
-  // under its lock and the journal keeps ingest order. `passed[k]` counts
-  // shard k's records that go through the ingest path first.
-  std::vector<uint64_t> passed(slice.ingestor.shards.size(), 0);
-  for (auto batch = batches->begin(); batch != prefix_end; ++batch) {
-    for (const QueryLogRecord& record : batch->records) {
-      ++passed[ingestor.ShardOf(record.sql_id)];
-    }
-  }
-  for (size_t k = 0; k < passed.size(); ++k) {
-    const online::IngestorShardState& shard = slice.ingestor.shards[k];
-    passed[k] -= std::min(passed[k], shard.enqueued - shard.folded -
-                                         shard.dropped_late -
-                                         shard.dropped_future -
-                                         shard.dropped_backpressure);
-  }
-  std::vector<QueryLogRecord> staged;
-  // The canonical replay advances, and so pumps, before it ingests a
-  // sample newer than every earlier one.
-  std::optional<int64_t> newest;
+  // The journal keeps ingest order and a pump empties the one staging
+  // queue whole, so the records the checkpoint counts as staged are the
+  // last ones journaled before the LSN, and every earlier one was archived
+  // in journal order. CheckStateLocked bounds the subtraction.
+  const online::IngestorState& counts = slice.ingestor;
+  const uint64_t staged = counts.enqueued - counts.folded -
+                          counts.dropped_late - counts.dropped_future -
+                          counts.dropped_backpressure;
+  uint64_t records = 0;
   for (auto it = batches->begin(); it != prefix_end; ++it) {
-    const Batch& batch = *it;
-    if (batch.sample.has_value() &&
-        (!newest.has_value() || batch.sample->sec > *newest)) {
-      ingestor.Pump();
-      newest = batch.sample->sec;
-    }
-    for (const QueryLogRecord& record : batch.records) {
-      uint64_t& left = passed[ingestor.ShardOf(record.sql_id)];
-      if (left > 0) {
-        --left;
-        ingestor.IngestRecord(record);
-      } else {
-        staged.push_back(record);
-      }
-    }
-    if (batch.sample.has_value()) ingestor.IngestMetrics(*batch.sample);
+    records += it->records.size();
   }
-  ingestor.Pump();
-  for (const QueryLogRecord& record : staged) ingestor.Restage(record);
+  uint64_t to_archive = records - std::min(records, staged);
+  // One copy per record, straight from the parsed batches, under one
+  // archive lock hold.
+  std::vector<std::pair<const QueryLogRecord*, size_t>> spans;
+  for (auto it = batches->begin(); it != prefix_end; ++it) {
+    const std::vector<QueryLogRecord>& batch = it->records;
+    const size_t archived =
+        static_cast<size_t>(std::min<uint64_t>(batch.size(), to_archive));
+    if (archived > 0) spans.emplace_back(batch.data(), archived);
+    to_archive -= archived;
+    for (size_t k = archived; k < batch.size(); ++k) {
+      ingestor.Restage(batch[k]);
+    }
+    if (it->sample.has_value()) ingestor.IngestMetrics(*it->sample);
+  }
+  instance->archive->AppendSpans(spans);
   instance->archive->TrimBefore(slice.retention_cutoff_ms);
   batches->erase(batches->begin(), prefix_end);
 }
 
 void FleetService::OpenJournalsLocked() {
   for (Instance& instance : instances_) {
-    std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
+    std::lock_guard<std::mutex> lock(*instance.mu);
     if (instance.writer != nullptr) continue;
     const std::string dir = InstanceDir(instance.spec.instance_id);
     env_->CreateDirs(dir);
@@ -721,10 +684,7 @@ void FleetService::AppendCompletions(
     const std::vector<repair::RepairEvent>& events =
         instance.spec.supervisor->events();
     if (instance.events_seen == events.size()) continue;
-    std::unique_lock<std::mutex> journal_lock;
-    if (instance.journal_mu != nullptr) {
-      journal_lock = std::unique_lock<std::mutex>(*instance.journal_mu);
-    }
+    std::lock_guard<std::mutex> lock(*instance.mu);
     if (instance.writer != nullptr) {
       for (size_t i = instance.events_seen; i < events.size(); ++i) {
         instance.writer->AppendRepairEvent(events[i]);
@@ -930,12 +890,10 @@ FleetStats FleetService::stats() const {
     stats.ingest.metric_samples += cut.metric_samples;
     stats.ingest.metric_samples_dropped += cut.metric_samples_dropped;
     stats.samples_observed += instance.detector->stats().samples;
-    if (instance.journal_mu != nullptr) {
-      std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
-      stats.pending_journal_records += instance.pending.size();
-      stats.wal.Add(instance.closed_writers);
-      if (instance.writer != nullptr) stats.wal.Add(instance.writer->stats());
-    }
+    std::lock_guard<std::mutex> instance_lock(*instance.mu);
+    stats.pending_journal_records += instance.pending.size();
+    stats.wal.Add(instance.closed_writers);
+    if (instance.writer != nullptr) stats.wal.Add(instance.writer->stats());
   }
   stats.triggers_confirmed = counters_.triggers_confirmed;
   stats.triggers_accepted = counters_.triggers_accepted;
@@ -968,12 +926,9 @@ FleetState FleetService::ExportStateLocked() {
   state.instances.reserve(instances_.size());
   for (Instance& instance : instances_) {
     FleetInstanceState& slice = state.instances.emplace_back();
-    // Under the journal mutex, with the buffered records flushed, the
+    // Under the instance mutex, with the buffered records flushed, the
     // ingestor's counters and the WAL position describe one cut.
-    std::unique_lock<std::mutex> journal_lock;
-    if (instance.journal_mu != nullptr) {
-      journal_lock = std::unique_lock<std::mutex>(*instance.journal_mu);
-    }
+    std::lock_guard<std::mutex> lock(*instance.mu);
     if (instance.writer != nullptr) {
       if (!instance.pending.empty()) {
         instance.writer->AppendRecordBatch(instance.pending);
@@ -1033,14 +988,23 @@ Status FleetService::CheckStateLocked(const FleetState& state) const {
         "fleet state has " + std::to_string(state.instances.size()) +
         " instances, fleet has " + std::to_string(instances_.size()));
   }
-  const size_t num_shards = std::max<size_t>(options_.ingestor.num_shards, 1);
   for (size_t i = 0; i < instances_.size(); ++i) {
     const FleetInstanceState& slice = state.instances[i];
     if (slice.instance_id != instances_[i].spec.instance_id) {
       return Status::FailedPrecondition("fleet state instance order differs");
     }
-    if (slice.ingestor.shards.size() != num_shards) {
-      return Status::FailedPrecondition("fleet state ingestor shape differs");
+    // Every record offered is counted once: folded, dropped or still
+    // staged. Subtracting in turn cannot wrap where a sum could.
+    uint64_t unaccounted = slice.ingestor.enqueued;
+    for (uint64_t count :
+         {slice.ingestor.folded, slice.ingestor.dropped_late,
+          slice.ingestor.dropped_future,
+          slice.ingestor.dropped_backpressure}) {
+      if (count > unaccounted) {
+        return Status::InvalidArgument(
+            "ingest counters exceed the records offered");
+      }
+      unaccounted -= count;
     }
     // An instance processes no second past the fleet clock.
     if (bad_sec(slice.last_processed_sec) ||
@@ -1164,7 +1128,7 @@ Status FleetService::CheckpointLocked() {
   // segment it rebuilds from on disk.
   for (size_t i = 0; i < instances_.size(); ++i) {
     Instance& instance = instances_[i];
-    std::lock_guard<std::mutex> journal_lock(*instance.journal_mu);
+    std::lock_guard<std::mutex> lock(*instance.mu);
     if (instance.writer == nullptr) continue;
     instance.writer->DeleteSealedSegments(checkpoint_first_needed_.front()[i],
                                           env_);

@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -57,7 +56,7 @@ struct FleetEvents {
 };
 
 struct FleetOptions {
-  /// Per-instance ingestion (shard count, window, backpressure).
+  /// Per-instance ingestion (window, staging capacity, late grace).
   online::IngestorOptions ingestor;
   /// Per-instance streaming detector.
   online::OnlineDetectorOptions detector;
@@ -104,8 +103,8 @@ struct FleetRecoveryStats {
   uint64_t checkpoint_counter = 0;
   /// Newer checkpoints skipped: corrupt or of an older format (deleted,
   /// unless unreadable), or intact but written for another fleet shape —
-  /// other instance ids or shard count (kept on disk; new checkpoints are
-  /// numbered above them).
+  /// other instance ids or detector configuration (kept on disk; new
+  /// checkpoints are numbered above them).
   size_t checkpoints_corrupt_skipped = 0;
   size_t checkpoints_mismatched_skipped = 0;
   /// Why the data dir's checkpoints could not be listed (empty when they
@@ -115,9 +114,9 @@ struct FleetRecoveryStats {
   size_t instances_with_wal = 0;
   /// Every valid frame the scans read.
   size_t frames_valid = 0;
-  /// Frames up to a loaded checkpoint's LSN, ingested to rebuild its
-  /// archives, metric rings and staged records without advancing; and the
-  /// frames after it, replayed through the advance.
+  /// Frames up to a loaded checkpoint's LSN, read to rebuild its archives,
+  /// metric rings and staged records without advancing; and the frames
+  /// after it, replayed through the advance.
   size_t frames_rebuilt = 0;
   size_t frames_replayed = 0;
   size_t frames_corrupt = 0;
@@ -178,8 +177,7 @@ struct FleetStats {
 };
 
 /// The service core: hundreds-to-thousands of simulated instances (or a
-/// single one — a single instance is a fleet of one) behind one sharded
-/// service. Per-instance StreamIngestor + streaming detector multiplexed
+/// single one — a single instance is a fleet of one) behind one service. Per-instance StreamIngestor + streaming detector multiplexed
 /// over a fixed advance-worker set, confirmed triggers deduped per
 /// instance and fed through the cross-instance correlator into the
 /// bounded diagnoser pool; each instance may close its loop through its
@@ -200,18 +198,19 @@ struct FleetStats {
 /// (DiagnosisReport::repair_events) and, durably, in the WAL.
 ///
 /// Threading: IngestRecord / IngestMetrics are safe from any number of
-/// producers between Start() and Stop(); outside that they refuse whole
-/// and count. AdvanceTo / Stop / stats serialize on an internal mutex.
-/// Lock order: advance_mu_ -> an instance's journal mutex or ingest gate
-/// -> the ingestor's shard queue mutexes. During a dispatch wave each
+/// producers between Start() and Stop() (one instance's calls serialize on
+/// its mutex); outside that they refuse whole and count. AdvanceTo / Stop /
+/// stats serialize on an internal mutex. Lock order: advance_mu_ -> an
+/// instance's mutex -> its ingestor's queue mutex -> the ingestor's chunk
+/// cache -> the chunk pool. During a dispatch wave each
 /// in-flight diagnosis touches only its own instance's ingestor, archive
 /// and supervisor (the wave packs at most one entry per instance), plus
 /// shared read-only state — the whole service is TSan-clean by
 /// construction.
 ///
 /// Determinism: with a fixed ingest order per instance, results are
-/// byte-identical (see FleetResult::Fingerprint) at any ingest shard
-/// count, any diagnoser pool size and any advance_workers — diagnosis
+/// byte-identical (see FleetResult::Fingerprint) at any diagnoser pool
+/// size and any advance_workers — diagnosis
 /// windows are fixed at trigger time and storm membership is decided by
 /// trigger times alone. A recovered durable fleet (checkpoint, the data
 /// rebuilt from the WAL below it, the WAL suffix replayed above it)
@@ -293,19 +292,20 @@ class FleetService {
 
   /// Captures the state no WAL can give back (see FleetState) as one
   /// consistent cut under the advance mutex (each instance's slice under
-  /// its journal mutex, with its buffered records flushed, so the slice
+  /// its mutex, with its buffered records flushed, so the slice
   /// matches its WAL position). Copies no record or sample. Safe while
   /// producers race; call between AdvanceTo() calls.
   FleetState ExportState();
 
   /// Restores an exported state into a stopped fleet of the same shape
-  /// (same instance ids in order, same ingestor shard count, same detector
-  /// configuration): detectors, trigger routing, clocks, counters and the
+  /// (same instance ids in order, same detector configuration): detectors,
+  /// trigger routing, clocks, counters and the
   /// catalog. Archives, metric rings and staged records are left as they
   /// are — only a durable recovery rebuilds them, from the WAL. Nothing
   /// changes on error: FailedPrecondition when the fleet runs or the state
   /// has another shape, InvalidArgument when its content is invalid (e.g.
-  /// a queued trigger or storm member of an instance the fleet lacks). A
+  /// a queued trigger or storm member of an instance the fleet lacks, or
+  /// ingest counters that account for more records than were offered). A
   /// durable fleet's first Start() still recovers its data dir on top.
   Status ImportState(const FleetState& state);
 
@@ -332,16 +332,13 @@ class FleetService {
     /// How many of the supervisor's events are journaled (or, on
     /// recovery, came from the journal).
     size_t events_seen = 0;
-    /// The stop gate: `accepting` is read by producers and written by
-    /// SetAccepting under `gate` (in-memory fleets: held shared per call,
-    /// so the instance's shards still ingest concurrently) or under
-    /// journal_mu (durable fleets, so the served path takes no extra
-    /// lock). journal_mu orders the inner ingest and the journal append as
-    /// one atomic step, so the journal replays in exactly the order the
-    /// ingestor accepted. The writer is null in-memory, for a degraded
-    /// instance, and between Stop() and the next Start().
-    std::unique_ptr<std::shared_mutex> gate;
-    std::unique_ptr<std::mutex> journal_mu;
+    /// The instance's ingest lock and stop gate: every producer call holds
+    /// it, reads `accepting` (written by SetAccepting under it) and, when
+    /// durable, ingests and buffers for the journal as one atomic step, so
+    /// the journal replays in exactly the order the ingestor accepted. It
+    /// also guards the journal state below. The writer is null in-memory,
+    /// for a degraded instance, and between Stop() and the next Start().
+    std::unique_ptr<std::mutex> mu;
     bool accepting = false;
     std::vector<QueryLogRecord> pending;
     std::unique_ptr<store::WalWriter> writer;
@@ -417,10 +414,11 @@ class FleetService {
   /// (`slice`: nullptr without a checkpoint). Touches only the instance.
   void RecoverInstance(Instance* instance, const FleetInstanceState* slice,
                        InstanceRecovery* recovery);
-  /// Passes the first `rebuilt` of an instance's journaled batches (those
-  /// up to a checkpoint's LSN) through its ingestor, pumping where the
-  /// canonical replay advances, leaves staged what the slice counts as
-  /// staged, trims to its retention cutoff, and drops them from `batches`.
+  /// Rebuilds an instance's data from the first `rebuilt` of its journaled
+  /// batches (those up to a checkpoint's LSN): archives their records in
+  /// journal order except the last ones the slice counts as staged, which
+  /// it restages, feeds their samples to the metric ring, trims to the
+  /// slice's retention cutoff, and drops them from `batches`.
   void RebuildLocked(Instance* instance, const FleetInstanceState& slice,
                      std::deque<Batch>* batches, size_t rebuilt);
   /// Opens (or reopens after Stop) each instance's writer, adopts the

@@ -17,22 +17,14 @@ StreamIngestor::StreamIngestor(const IngestorOptions& options,
       metric_ring_(static_cast<size_t>(std::max<int64_t>(options.window_sec, 1))),
       watermark_(std::numeric_limits<int64_t>::min()) {
   options_.window_sec = std::max<int64_t>(options_.window_sec, 1);
-  const size_t num_shards = std::max<size_t>(options_.num_shards, 1);
-  if ((num_shards & (num_shards - 1)) == 0) {
-    shard_mask_ = static_cast<uint64_t>(num_shards - 1);
-  }
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
 }
 
 StreamIngestor::~StreamIngestor() {
   // Staged and cached chunks go back to the (possibly shared) pool, not
   // down with us.
-  for (auto& shard_ptr : shards_) {
-    std::lock_guard<std::mutex> lock(shard_ptr->queue_mu);
-    DropStagedLocked(shard_ptr.get());
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    DropStagedLocked();
   }
   std::lock_guard<std::mutex> lock(cache_mu_);
   pool_->ReleaseList(cache_);
@@ -60,7 +52,7 @@ void StreamIngestor::RecycleChain(IngestChunk* head, IngestChunk* last,
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     IngestChunk* kept_last = nullptr;
-    while (rest != nullptr && cache_count_ + kept < shards_.size()) {
+    while (rest != nullptr && cache_count_ + kept < kChunkCacheCap) {
       kept_last = rest;
       rest = rest->next;
       ++kept;
@@ -74,59 +66,57 @@ void StreamIngestor::RecycleChain(IngestChunk* head, IngestChunk* last,
   if (rest != nullptr) pool_->ReleaseChain(rest, last, count - kept);
 }
 
-void StreamIngestor::DropStagedLocked(Shard* shard) {
-  if (shard->head != nullptr) {
-    pool_->ReleaseList(shard->head);
-    shard->head = nullptr;
-    shard->tail = nullptr;
-    shard->staged = 0;
+void StreamIngestor::DropStagedLocked() {
+  if (head_ != nullptr) {
+    pool_->ReleaseList(head_);
+    head_ = nullptr;
+    tail_ = nullptr;
+    staged_ = 0;
   }
 }
 
-void StreamIngestor::StageLocked(Shard* shard, const QueryLogRecord& record) {
-  if (shard->tail == nullptr || shard->tail->full()) {
+void StreamIngestor::StageLocked(const QueryLogRecord& record) {
+  if (tail_ == nullptr || tail_->full()) {
     IngestChunk* chunk = AcquireChunk();
-    if (shard->tail == nullptr) {
-      shard->head = chunk;
+    if (tail_ == nullptr) {
+      head_ = chunk;
     } else {
-      shard->tail->next = chunk;
+      tail_->next = chunk;
     }
-    shard->tail = chunk;
+    tail_ = chunk;
   }
-  shard->tail->push(record);
-  ++shard->staged;
+  tail_->push(record);
+  ++staged_;
 }
 
 bool StreamIngestor::IngestRecord(const QueryLogRecord& record,
                                   int64_t newest_sec) {
   const int64_t mark = watermark_.load(std::memory_order_relaxed);
   const int64_t sec = record.arrival_ms / 1000;
-  Shard& shard = *shards_[ShardOf(record.sql_id)];
-  std::lock_guard<std::mutex> lock(shard.queue_mu);
-  ++shard.enqueued;
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  ++enqueued_;
   // Strictly older than the grace horizon: a record at exactly
   // watermark - late_grace_sec is still on time.
   if (mark != std::numeric_limits<int64_t>::min() &&
       sec < mark - options_.late_grace_sec) {
-    ++shard.dropped_late;
+    ++dropped_late_;
     return false;
   }
   if (sec > std::min(newest_sec, kMaxEventSec)) {
-    ++shard.dropped_future;
+    ++dropped_future_;
     return false;
   }
-  if (shard.staged >= options_.shard_queue_capacity) {
-    ++shard.dropped_backpressure;
+  if (staged_ >= options_.queue_capacity) {
+    ++dropped_backpressure_;
     return false;
   }
-  StageLocked(&shard, record);
+  StageLocked(record);
   return true;
 }
 
 void StreamIngestor::Restage(const QueryLogRecord& record) {
-  Shard& shard = *shards_[ShardOf(record.sql_id)];
-  std::lock_guard<std::mutex> lock(shard.queue_mu);
-  StageLocked(&shard, record);
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  StageLocked(record);
 }
 
 bool StreamIngestor::IngestMetrics(const PerfSample& sample) {
@@ -156,50 +146,37 @@ bool StreamIngestor::IngestMetrics(const PerfSample& sample) {
 }
 
 size_t StreamIngestor::Pump() {
-  // Everything one pump takes is archived in ONE AppendSpans call, chunk
-  // spans in shard-index order. A concurrent LogStore::SnapshotRange
-  // therefore observes a pump atomically — all of its records or none —
-  // which is also the granularity the durable WAL journals (frame ==
-  // batch). The chunks themselves only return to the pool after the
-  // archive has copied them.
-  std::vector<std::pair<const QueryLogRecord*, size_t>> spans;
-  IngestChunk* release_head = nullptr;
-  IngestChunk** release_tail = &release_head;
-  IngestChunk* release_last = nullptr;
-  size_t release_count = 0;
-  size_t pumped = 0;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    IngestChunk* chunks = nullptr;
-    {
-      // The detach and the count move together under queue_mu, so a
-      // record is always visible to stats() as either staged or folded.
-      std::lock_guard<std::mutex> queue_lock(shard.queue_mu);
-      chunks = shard.head;
-      shard.head = nullptr;
-      shard.tail = nullptr;
-      shard.folded += shard.staged;
-      shard.staged = 0;
-    }
-    if (chunks == nullptr) continue;
-    for (IngestChunk* c = chunks;; c = c->next) {
-      spans.emplace_back(c->items, c->size);
-      pumped += c->size;
-      ++release_count;
-      if (c->next == nullptr) {
-        *release_tail = chunks;
-        release_tail = &c->next;
-        release_last = c;
-        break;
-      }
-    }
+  IngestChunk* chunks = nullptr;
+  {
+    // The detach and the count move together under queue_mu_, so a record
+    // is always visible to stats() as either staged or folded.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    chunks = head_;
+    head_ = nullptr;
+    tail_ = nullptr;
+    folded_ += staged_;
+    staged_ = 0;
   }
-  if (archive_ != nullptr && !spans.empty()) archive_->AppendSpans(spans);
-  if (release_head != nullptr) {
+  // Everything one pump takes is archived in ONE AppendSpans call, in
+  // staging order. A concurrent LogStore::SnapshotRange therefore observes
+  // a pump atomically — all of its records or none. The chunks themselves
+  // only return to the pool after the archive has copied them.
+  std::vector<std::pair<const QueryLogRecord*, size_t>> spans;
+  IngestChunk* last = nullptr;
+  size_t count = 0;
+  size_t pumped = 0;
+  for (IngestChunk* c = chunks; c != nullptr; c = c->next) {
+    spans.emplace_back(c->items, c->size);
+    pumped += c->size;
+    ++count;
+    last = c;
+  }
+  if (chunks != nullptr) {
+    if (archive_ != nullptr) archive_->AppendSpans(spans);
     // The span walk above already visited every chunk, so what the cache
     // does not keep splices into the pool in O(1), without a re-walk under
     // its lock.
-    RecycleChain(release_head, release_last, release_count);
+    RecycleChain(chunks, last, count);
   }
   PINSQL_OBS_COUNT("online.ingest_pumped", pumped);
   return pumped;
@@ -280,74 +257,53 @@ std::optional<int64_t> StreamIngestor::window_floor_sec() const {
 }
 
 IngestorState StreamIngestor::ExportState() const {
-  // Same consistent-cut locking discipline as stats(): every queue_mu,
-  // then the metrics mutex.
-  std::vector<std::unique_lock<std::mutex>> queue_locks;
-  queue_locks.reserve(shards_.size());
-  for (const auto& shard_ptr : shards_) {
-    queue_locks.emplace_back(shard_ptr->queue_mu);
-  }
+  // Same consistent-cut discipline as stats(): queue_mu_, then the
+  // metrics mutex.
   IngestorState state;
-  state.shards.reserve(shards_.size());
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    state.shards.push_back({shard.enqueued, shard.dropped_backpressure,
-                            shard.folded, shard.dropped_late,
-                            shard.dropped_future});
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    state.enqueued = enqueued_;
+    state.dropped_backpressure = dropped_backpressure_;
+    state.folded = folded_;
+    state.dropped_late = dropped_late_;
+    state.dropped_future = dropped_future_;
   }
-  queue_locks.clear();
   std::lock_guard<std::mutex> lock(metrics_mu_);
   state.metric_samples = metric_samples_;
   state.metric_samples_dropped = metric_samples_dropped_;
   return state;
 }
 
-Status StreamIngestor::ImportState(const IngestorState& state) {
-  if (state.shards.size() != shards_.size()) {
-    return Status::InvalidArgument(
-        "ingestor state has " + std::to_string(state.shards.size()) +
-        " shards, ingestor has " + std::to_string(shards_.size()));
-  }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    const IngestorShardState& shard_state = state.shards[i];
-    std::lock_guard<std::mutex> lock(shard.queue_mu);
-    shard.enqueued = static_cast<size_t>(shard_state.enqueued);
-    shard.dropped_backpressure =
-        static_cast<size_t>(shard_state.dropped_backpressure);
-    shard.folded = static_cast<size_t>(shard_state.folded);
-    shard.dropped_late = static_cast<size_t>(shard_state.dropped_late);
-    shard.dropped_future = static_cast<size_t>(shard_state.dropped_future);
+void StreamIngestor::ImportState(const IngestorState& state) {
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    enqueued_ = static_cast<size_t>(state.enqueued);
+    dropped_backpressure_ = static_cast<size_t>(state.dropped_backpressure);
+    folded_ = static_cast<size_t>(state.folded);
+    dropped_late_ = static_cast<size_t>(state.dropped_late);
+    dropped_future_ = static_cast<size_t>(state.dropped_future);
   }
   std::lock_guard<std::mutex> lock(metrics_mu_);
   metric_samples_ = static_cast<size_t>(state.metric_samples);
   metric_samples_dropped_ = static_cast<size_t>(state.metric_samples_dropped);
-  return Status::OK();
 }
 
 IngestStats StreamIngestor::stats() const {
-  // Consistent cut: hold every shard's queue_mu (in shard order), and only
-  // then read. With all locks held no record can move between the staged
-  // / folded / dropped states, so the totals satisfy
-  // enqueued == folded + dropped_late + dropped_backpressure + staged
-  // exactly — a fleet summing per-instance snapshots never sees a torn
-  // read.
-  std::vector<std::unique_lock<std::mutex>> queue_locks;
-  queue_locks.reserve(shards_.size());
-  for (const auto& shard_ptr : shards_) {
-    queue_locks.emplace_back(shard_ptr->queue_mu);
-  }
+  // Consistent cut: every record counter is read under queue_mu_, so no
+  // record can move between the staged / folded / dropped states mid-read
+  // and the totals satisfy enqueued == folded + dropped_late +
+  // dropped_future + dropped_backpressure + staged exactly — a fleet
+  // summing per-instance snapshots never sees a torn read.
   IngestStats stats;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    stats.records_enqueued += shard.enqueued;
-    stats.records_dropped_backpressure += shard.dropped_backpressure;
-    stats.records_folded += shard.folded;
-    stats.records_dropped_late += shard.dropped_late;
-    stats.records_dropped_future += shard.dropped_future;
-    stats.records_staged += shard.staged;
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    stats.records_enqueued = enqueued_;
+    stats.records_dropped_backpressure = dropped_backpressure_;
+    stats.records_folded = folded_;
+    stats.records_dropped_late = dropped_late_;
+    stats.records_dropped_future = dropped_future_;
+    stats.records_staged = staged_;
   }
-  queue_locks.clear();
   std::lock_guard<std::mutex> lock(metrics_mu_);
   stats.metric_samples = metric_samples_;
   stats.metric_samples_dropped = metric_samples_dropped_;

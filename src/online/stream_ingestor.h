@@ -41,12 +41,11 @@ struct PerfSample {
   double mdl_waits = 0.0;
 };
 
-/// Producer->pump handoff unit: records move through the shard queues a
-/// chunk at a time, so a pump takes each queue lock once per ~256 records
-/// instead of once per record, and staging allocates nothing per record —
-/// chunks recycle through an arena-backed pool (shared fleet-wide when the
-/// fleet passes one in), behind a small per-ingestor cache of emptied
-/// chunks.
+/// Producer->pump handoff unit: records move through the staging queue a
+/// chunk at a time, so a pump walks one chunk per ~256 records instead of
+/// one node per record, and staging allocates nothing per record — chunks
+/// recycle through an arena-backed pool (shared fleet-wide when the fleet
+/// passes one in), behind a small per-ingestor cache of emptied chunks.
 inline constexpr uint32_t kIngestChunkCapacity = 256;
 using IngestChunk = util::Chunk<QueryLogRecord, kIngestChunkCapacity>;
 using IngestChunkPool = util::ChunkPool<QueryLogRecord, kIngestChunkCapacity>;
@@ -56,14 +55,10 @@ struct IngestorOptions {
   /// scheduler's delta_s lookback plus the longest anomaly it should be
   /// able to diagnose.
   int64_t window_sec = 1800;
-  /// Query-log records are sharded by sql_id into this many independently
-  /// locked staging queues, so concurrent producers contend only within a
-  /// shard.
-  size_t num_shards = 8;
-  /// Bounded staging queue per shard: a full queue drops the record and
-  /// counts it (explicit backpressure — the collector never blocks the
-  /// database it watches).
-  size_t shard_queue_capacity = 1 << 16;
+  /// Bounded staging queue: a full queue drops the record and counts it
+  /// (explicit backpressure — the collector never blocks the database it
+  /// watches).
+  size_t queue_capacity = 1 << 19;
   /// Records older than watermark - late_grace_sec are refused as late
   /// when offered: never staged, archived or journaled.
   int64_t late_grace_sec = 120;
@@ -71,23 +66,22 @@ struct IngestorOptions {
 
 /// Every drop is accounted: nothing leaves the pipeline silently.
 ///
-/// stats() returns a *consistent cut*: the shard counters are read with
-/// every shard's queue lock held at once, so the invariant
-/// `records_enqueued == records_folded + records_dropped_late +
-/// records_dropped_future + records_dropped_backpressure + records_staged`
-/// holds exactly in every snapshot, even while producers and pumpers race —
-/// never a torn per-shard sum. (Fleet-level stats sum these per-instance
-/// cuts.)
+/// stats() returns a *consistent cut*: the counters are read under the
+/// queue lock, so the invariant `records_enqueued == records_folded +
+/// records_dropped_late + records_dropped_future +
+/// records_dropped_backpressure + records_staged` holds exactly in every
+/// snapshot, even while producers and pumpers race. (Fleet-level stats sum
+/// these per-instance cuts.)
 struct IngestStats {
   /// Every record offered to IngestRecord, accepted or not.
   size_t records_enqueued = 0;
-  /// Records a Pump() took from the shard queues.
+  /// Records a Pump() took from the staging queue.
   size_t records_folded = 0;
   size_t records_dropped_backpressure = 0;
   size_t records_dropped_late = 0;
   /// Records dated beyond the newest second IngestRecord was told to accept.
   size_t records_dropped_future = 0;
-  /// Records accepted into a shard queue but not yet taken by a Pump().
+  /// Records accepted into the staging queue but not yet taken by a Pump().
   size_t records_staged = 0;
   size_t metric_samples = 0;
   size_t metric_samples_dropped = 0;
@@ -103,16 +97,12 @@ struct WindowMetrics {
 /// fleet/fleet_state.h). The data they count (staged records, the metric
 /// ring, the watermark) is not part of it: a durable fleet rebuilds that
 /// from its WAL before it imports the counters.
-struct IngestorShardState {
+struct IngestorState {
   uint64_t enqueued = 0;
   uint64_t dropped_backpressure = 0;
   uint64_t folded = 0;
   uint64_t dropped_late = 0;
   uint64_t dropped_future = 0;
-};
-
-struct IngestorState {
-  std::vector<IngestorShardState> shards;
   uint64_t metric_samples = 0;
   uint64_t metric_samples_dropped = 0;
 };
@@ -121,17 +111,17 @@ struct IngestorState {
 /// perf samples: the staging front of the one aggregation path (records ->
 /// LogStore archive -> AggregateWindow over the diagnosis window).
 ///
-/// Data flow: producers stage records into sql_id-sharded chunk lists
-/// (multi-producer, lock per shard, one pooled chunk per ~256 records);
-/// Pump() detaches each shard's whole chunk list under one lock hold,
-/// archives every chunk span into the attached LogStore in one call, and
-/// recycles the chunks. Metric samples go straight into a per-second ring
-/// and advance the watermark (the service's virtual clock). Snapshot*()
-/// assembles the window views a windowed diagnosis consumes.
+/// Data flow: producers stage records into one chunk list under the queue
+/// lock (one pooled chunk per ~256 records); Pump() detaches the whole list
+/// under one lock hold, archives every chunk span into the attached
+/// LogStore in one call, and recycles the chunks. Metric samples go
+/// straight into a per-second ring and advance the watermark (the service's
+/// virtual clock). Snapshot*() assembles the window views a windowed
+/// diagnosis consumes.
 ///
-/// Determinism: a template's records all land in one shard queue, so the
-/// archive holds them in the producer's publish order, and SnapshotTemplates
-/// is exactly the AggregateWindow a diagnosis runs over that archive.
+/// Determinism: the archive receives the records in exactly the order
+/// IngestRecord accepted them, so SnapshotTemplates is exactly the
+/// AggregateWindow a diagnosis runs over that archive.
 class StreamIngestor {
  public:
   /// `pool` shares chunk capacity across ingestors (the fleet passes one
@@ -150,7 +140,7 @@ class StreamIngestor {
   /// Stages one record (thread-safe). Returns false when the record was
   /// dropped and counted: late (older than watermark - late_grace_sec),
   /// dated after `newest_sec` (or after kMaxEventSec), or refused by a full
-  /// shard queue.
+  /// staging queue.
   bool IngestRecord(const QueryLogRecord& record,
                     int64_t newest_sec = kMaxEventSec);
 
@@ -166,15 +156,8 @@ class StreamIngestor {
   /// start.
   void Restage(const QueryLogRecord& record);
 
-  /// The shard queue a template's records stage in: bitmask when
-  /// num_shards is a power of two, modulo otherwise.
-  size_t ShardOf(uint64_t sql_id) const {
-    return shard_mask_ != 0 ? static_cast<size_t>(sql_id & shard_mask_)
-                            : static_cast<size_t>(sql_id % shards_.size());
-  }
-
   /// Moves every staged record into the archive. Safe to call from any
-  /// thread. Returns the number of records taken from the queues.
+  /// thread. Returns the number of records taken from the queue.
   size_t Pump();
 
   /// Latest metric second seen (the virtual clock), or nullopt before the
@@ -205,7 +188,7 @@ class StreamIngestor {
 
   IngestStats stats() const;
 
-  /// The chunk pool backing the shard queues (shared or private).
+  /// The chunk pool backing the staging queue (shared or private).
   const IngestChunkPool& chunk_pool() const { return *pool_; }
 
   /// Captures the counters as one consistent cut — safe while producers
@@ -213,11 +196,10 @@ class StreamIngestor {
   IngestorState ExportState() const;
 
   /// Overwrites the counters with exported ones, leaving the staged
-  /// records, the metric ring and the watermark as they are. The ingestor
-  /// must have the shard count of the one the state came from;
-  /// InvalidArgument otherwise. Not thread-safe: call before producers
-  /// start.
-  Status ImportState(const IngestorState& state);
+  /// records, the metric ring and the watermark as they are. The caller
+  /// checks the counters (the fleet's CheckStateLocked does). Not
+  /// thread-safe: call before producers start.
+  void ImportState(const IngestorState& state);
 
  private:
   /// Empty-slot sentinel for the metric ring. INT64_MIN (not -1): early
@@ -225,20 +207,10 @@ class StreamIngestor {
   /// sentinel must compare older than every real second so the
   /// recycled-slot checks stay branch-free.
   static constexpr int64_t kEmptySec = std::numeric_limits<int64_t>::min();
+  /// Emptied chunks the cache keeps: what a pump of a few seconds' staging
+  /// empties, so a steady stage-and-pump cycle never takes the pool's lock.
+  static constexpr size_t kChunkCacheCap = 8;
 
-  struct Shard {
-    // Lock order: the pool mutex only ever after queue_mu (the pool is a
-    // leaf). stats() and ExportState() take every queue_mu in shard order.
-    mutable std::mutex queue_mu;
-    IngestChunk* head = nullptr;
-    IngestChunk* tail = nullptr;
-    size_t staged = 0;
-    size_t enqueued = 0;
-    size_t dropped_backpressure = 0;
-    size_t dropped_late = 0;
-    size_t dropped_future = 0;
-    size_t folded = 0;
-  };
   struct MetricBucket {
     int64_t sec = kEmptySec;
     PerfSample sample;
@@ -253,29 +225,36 @@ class StreamIngestor {
     return static_cast<size_t>(m < 0 ? m + w : m);
   }
 
-  /// Releases a shard's staged chunk list back to the pool (queue_mu held).
-  void DropStagedLocked(Shard* shard);
+  /// Releases the staged chunk list back to the pool (queue_mu_ held).
+  void DropStagedLocked();
   /// An empty chunk: from the cache when it holds one, else from the pool.
   IngestChunk* AcquireChunk();
   /// Takes a pumped chain [head..last] of `count` chunks back: up to the
   /// cache's cap into the cache, the rest to the pool in one splice.
   void RecycleChain(IngestChunk* head, IngestChunk* last, size_t count);
-  /// Appends one record to a shard's staged chunk list (queue_mu held).
-  void StageLocked(Shard* shard, const QueryLogRecord& record);
+  /// Appends one record to the staged chunk list (queue_mu_ held).
+  void StageLocked(const QueryLogRecord& record);
 
   IngestorOptions options_;
   std::shared_ptr<IngestChunkPool> pool_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+
+  // Lock order: queue_mu_ -> cache_mu_ -> the pool's mutex (a leaf).
+  mutable std::mutex queue_mu_;
+  IngestChunk* head_ = nullptr;
+  IngestChunk* tail_ = nullptr;
+  size_t staged_ = 0;
+  size_t enqueued_ = 0;
+  size_t dropped_backpressure_ = 0;
+  size_t dropped_late_ = 0;
+  size_t dropped_future_ = 0;
+  size_t folded_ = 0;
+
   /// Emptied chunks kept for this ingestor's own staging, in front of the
-  /// (possibly fleet-wide) pool, so a steady stage-and-pump cycle never
-  /// takes the pool's lock. Capped at one chunk per shard: what a pump of
-  /// a second with under a chunk staged per shard empties. A leaf lock,
-  /// taken under a queue_mu or alone, before the pool's.
+  /// (possibly fleet-wide) pool, at most kChunkCacheCap of them. Taken
+  /// under queue_mu_ or alone, before the pool's lock.
   std::mutex cache_mu_;
   IngestChunk* cache_ = nullptr;
   size_t cache_count_ = 0;
-  /// num_shards - 1 when num_shards is a power of two, else 0 (use %).
-  uint64_t shard_mask_ = 0;
   LogStore* archive_ = nullptr;
 
   mutable std::mutex metrics_mu_;

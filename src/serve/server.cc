@@ -515,9 +515,9 @@ void Server::PumpLoop() {
 
   while (true) {
     if (deliver_round()) {
-      // A snapshot is a consistent cut over every instance and shard, far
-      // dearer than a delivery round: take it at most once per interval
-      // while batches keep arriving.
+      // A snapshot is a consistent cut over every instance, far dearer
+      // than a delivery round: take it at most once per interval while
+      // batches keep arriving.
       if (Clock::now() - snapshot_at >= interval) snapshot();
       continue;
     }

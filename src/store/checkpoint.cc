@@ -26,10 +26,11 @@ constexpr char kCheckpointMagic[8] = {'P', 'S', 'Q', 'L', 'C', 'K', 'P', '1'};
 // and the sketch forecaster is gone. v7: no data the WAL holds — no
 // archive, metric ring, staged records or watermark; each instance names
 // the first segment its archive needs and the retention cutoff it applied,
-// and the ingestor counts records refused as too far ahead. Older
+// and the ingestor counts records refused as too far ahead. v8: the
+// ingestor's counters are one set, not one per staging shard. Older
 // checkpoints fail the version check and recovery falls back to the WAL,
 // which replays into the new format.
-constexpr uint32_t kCheckpointVersion = 7;
+constexpr uint32_t kCheckpointVersion = 8;
 // magic(8) + version(4) at the front, crc(4) at the back.
 constexpr size_t kCheckpointOverhead = 16;
 
@@ -98,20 +99,6 @@ bool DecodeForecast(codec::Reader* r, detect::ForecastSnapshot* fc) {
          r->I64(&fc->interval_sec) && DecodeSeq(r, &fc->model, 8, GetF64);
 }
 
-void EncodeShard(codec::Writer* w, const online::IngestorShardState& shard) {
-  w->U64(shard.enqueued);
-  w->U64(shard.dropped_backpressure);
-  w->U64(shard.folded);
-  w->U64(shard.dropped_late);
-  w->U64(shard.dropped_future);
-}
-
-bool DecodeShard(codec::Reader* r, online::IngestorShardState* shard) {
-  return r->U64(&shard->enqueued) && r->U64(&shard->dropped_backpressure) &&
-         r->U64(&shard->folded) && r->U64(&shard->dropped_late) &&
-         r->U64(&shard->dropped_future);
-}
-
 /// Parses the counter out of a checkpoint file name, or nullopt when the
 /// name is not of the ckpt-<digits>.ckpt form.
 std::optional<uint64_t> ParseCheckpointCounter(const std::string& name) {
@@ -165,14 +152,19 @@ bool DecodeCatalog(
 }
 
 void EncodeIngestor(codec::Writer* w, const online::IngestorState& state) {
-  EncodeSeq(w, state.shards, EncodeShard);
+  w->U64(state.enqueued);
+  w->U64(state.dropped_backpressure);
+  w->U64(state.folded);
+  w->U64(state.dropped_late);
+  w->U64(state.dropped_future);
   w->U64(state.metric_samples);
   w->U64(state.metric_samples_dropped);
 }
 
 bool DecodeIngestor(codec::Reader* r, online::IngestorState* state) {
-  return DecodeSeq(r, &state->shards, 40, DecodeShard) &&
-         r->U64(&state->metric_samples) &&
+  return r->U64(&state->enqueued) && r->U64(&state->dropped_backpressure) &&
+         r->U64(&state->folded) && r->U64(&state->dropped_late) &&
+         r->U64(&state->dropped_future) && r->U64(&state->metric_samples) &&
          r->U64(&state->metric_samples_dropped);
 }
 

@@ -161,7 +161,7 @@ struct SealedSegment {
 };
 
 /// Append side of the segment WAL. Single-writer: callers serialize
-/// externally (the durable fleet holds its journal mutex across every
+/// externally (the durable fleet holds the instance's mutex across every
 /// append). Append errors from the Env seal the wounded segment and retry
 /// the frame once on a fresh one, so a torn write degrades into a
 /// recoverable torn segment tail instead of poisoning the stream.

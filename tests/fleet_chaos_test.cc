@@ -32,7 +32,6 @@ eval::FleetCaseOptions ChaosCaseOptions() {
 
 FleetReplayOptions ChaosReplayOptions() {
   FleetReplayOptions options;
-  options.fleet.ingestor.num_shards = 4;
   options.fleet.ingestor.window_sec = 900;
   options.fleet.scheduler.cooldown_sec = 120;
   options.fleet.scheduler.top_k = 3;

@@ -1,5 +1,5 @@
-/// Fleet-service suite: byte-identical fleet fingerprints across ingest
-/// shard counts, diagnoser pool sizes, advance workers and repeat runs;
+/// Fleet-service suite: byte-identical fleet fingerprints across diagnoser
+/// pool sizes, advance and ingest workers and repeat runs;
 /// storm triage shape (bounded concurrency, zero confirmed-trigger loss);
 /// noisy-neighbor attribution; graceful drain with in-flight diagnoses;
 /// the stop gate; archive retention that never trims an open window.
@@ -39,7 +39,6 @@ eval::FleetCaseOptions SmallCaseOptions() {
 
 FleetReplayOptions BaseReplayOptions() {
   FleetReplayOptions options;
-  options.fleet.ingestor.num_shards = 4;
   options.fleet.ingestor.window_sec = 900;
   options.fleet.scheduler.cooldown_sec = 120;
   options.fleet.scheduler.top_k = 3;
@@ -49,7 +48,7 @@ FleetReplayOptions BaseReplayOptions() {
   return options;
 }
 
-TEST(FleetReplayTest, FingerprintInvariantAcrossShardsPoolWorkersAndRuns) {
+TEST(FleetReplayTest, FingerprintInvariantAcrossPoolWorkersAndRuns) {
   const eval::FleetCase fleet_case = eval::GenerateFleetCase(SmallCaseOptions());
   const FleetReplayOptions base = BaseReplayOptions();
 
@@ -62,8 +61,6 @@ TEST(FleetReplayTest, FingerprintInvariantAcrossShardsPoolWorkersAndRuns) {
   EXPECT_GT(reference.stats.triggers_accepted, 0u);
   EXPECT_GT(reference.stats.diagnoses_ok, 0u);
 
-  FleetReplayOptions one_shard = base;
-  one_shard.fleet.ingestor.num_shards = 1;
   FleetReplayOptions serial_pool = base;
   serial_pool.fleet.pool.pool_size = 1;
   FleetReplayOptions wide_pool = base;
@@ -72,11 +69,6 @@ TEST(FleetReplayTest, FingerprintInvariantAcrossShardsPoolWorkersAndRuns) {
   serial_advance.fleet.advance_workers = 1;
   serial_advance.num_ingest_workers = 1;
 
-  EXPECT_EQ(RunFleetReplay(fleet_case.specs, fleet_case.logs,
-                           fleet_case.catalog, one_shard)
-                .Fingerprint(),
-            fingerprint)
-      << "ingest shard count changed the fleet result";
   EXPECT_EQ(RunFleetReplay(fleet_case.specs, fleet_case.logs,
                            fleet_case.catalog, serial_pool)
                 .Fingerprint(),

@@ -93,7 +93,7 @@ TEST(StreamIngestorTest, SnapshotMatchesBatchAggregation) {
     ExpectSameTemplates(ingestor.SnapshotTemplates(t0, t1), batch);
   }
   {
-    // Records published out of arrival order across every shard, over
+    // Records published out of arrival order across templates, over
     // several pumps, with fractional response times: the snapshot is the
     // diagnosis window's AggregateWindow over the archive, bit for bit.
     auto records = SyntheticRecords(t0, t1, 29, 7);
@@ -126,8 +126,7 @@ TEST(StreamIngestorTest, SnapshotMatchesBatchAggregation) {
 
 TEST(StreamIngestorTest, BackpressureDropsAreCounted) {
   IngestorOptions options;
-  options.num_shards = 1;
-  options.shard_queue_capacity = 8;
+  options.queue_capacity = 8;
   StreamIngestor ingestor(options);
   size_t accepted = 0, rejected = 0;
   for (int i = 0; i < 20; ++i) {
@@ -261,8 +260,7 @@ TEST(StreamIngestorTest, NegativeFloorSecondsAreWellDefined) {
 
 TEST(StreamIngestorTest, StatsAreAConsistentCutUnderConcurrentProducers) {
   IngestorOptions options;
-  options.num_shards = 4;
-  options.shard_queue_capacity = 64;  // force real backpressure
+  options.queue_capacity = 64;  // force real backpressure
   options.late_grace_sec = 50;
   StreamIngestor ingestor(options);
   ASSERT_TRUE(ingestor.IngestMetrics(Sample(1000, 5.0)));
@@ -275,7 +273,7 @@ TEST(StreamIngestorTest, StatsAreAConsistentCutUnderConcurrentProducers) {
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p]() {
       for (int i = 0; i < kPerProducer; ++i) {
-        // Mix of on-time and late records across every shard; some drop as
+        // Mix of on-time and late records across templates; some drop as
         // late, some as backpressure — every path must stay accounted.
         const int64_t sec = i % 7 == 0 ? 900 : 1000;
         ingestor.IngestRecord(Rec(sec * 1000 + i % 1000, 1 + (p + i) % 7));

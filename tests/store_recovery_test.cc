@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -957,12 +958,12 @@ TEST(CheckpointTest, OlderFormatVersionIsSkippedAndCounted) {
   ASSERT_TRUE(WriteCheckpoint(env, dir, 3, "state-at-1000").ok());
   ASSERT_TRUE(WriteCheckpoint(env, dir, 4, "state-at-2000").ok());
 
-  // Version 6 predates the v7 body without the data the WAL holds: the
-  // otherwise intact newest file fails the version check and recovery
-  // falls back, counting it.
+  // Version 7 predates the v8 body with one ingest counter set per
+  // instance: the otherwise intact newest file fails the version check and
+  // recovery falls back, counting it.
   const std::string newest = dir + "/" + CheckpointFileName(4);
-  const uint32_t current = RewriteCheckpointVersion(newest, 6);
-  EXPECT_EQ(current, 7u);
+  const uint32_t current = RewriteCheckpointVersion(newest, 7);
+  EXPECT_EQ(current, 8u);
   std::string older_format;
   ASSERT_TRUE(env->ReadFile(newest, &older_format).ok());
   std::string body;
@@ -1104,14 +1105,14 @@ TEST(DurableFleetTest, OlderFormatCheckpointsFallBackToWalReplay) {
     Feed(&run, log, 0, 1'000'000);
     run.Stop();
   }
-  // Every checkpoint claims version 6: none is usable, so recovery must
-  // replay the WAL alone into the current format.
+  // Every checkpoint claims version 7, the format before this one: none is
+  // usable, so recovery must replay the WAL alone into the current format.
   auto names = PosixEnv()->ListDir(dir);
   ASSERT_TRUE(names.ok());
   size_t rewritten = 0;
   for (const std::string& name : *names) {
     if (name.size() > 5 && name.compare(name.size() - 5, 5, ".ckpt") == 0) {
-      RewriteCheckpointVersion(dir + "/" + name, 6);
+      RewriteCheckpointVersion(dir + "/" + name, 7);
       ++rewritten;
     }
   }
@@ -1613,9 +1614,7 @@ online::AnomalyTrigger Trigger(uint32_t instance_id, int64_t onset) {
 fleet::FleetInstanceState InstanceSlice(uint32_t instance_id, int64_t clock) {
   fleet::FleetInstanceState slice;
   slice.instance_id = instance_id;
-  online::IngestorOptions ingest_options;
-  ingest_options.num_shards = 4;
-  online::StreamIngestor ingestor(ingest_options);
+  online::StreamIngestor ingestor(online::IngestorOptions{});
   online::OnlineAnomalyDetector detector(online::OnlineDetectorOptions{});
   for (int64_t sec = clock - 200; sec <= clock; ++sec) {
     ingestor.IngestMetrics(Sample(sec, sec > clock - 10 ? 300.0 : 4.0));
@@ -1687,8 +1686,8 @@ TEST(FleetCheckpointTest, StateCodecRoundTripsEveryField) {
   EXPECT_EQ(got.instances[1].first_needed_seq, 5u);
   EXPECT_EQ(got.instances[0].retention_cutoff_ms,
             (100'200 - 3 * 24 * 3600) * 1000);
-  EXPECT_EQ(got.instances[0].ingestor.shards.size(), 4u);
-  EXPECT_EQ(got.instances[0].ingestor.shards[1].dropped_late, 0u);
+  EXPECT_EQ(got.instances[0].ingestor.enqueued, 201u);
+  EXPECT_EQ(got.instances[0].ingestor.dropped_late, 0u);
   EXPECT_EQ(got.instances[0].ingestor.metric_samples, 201u);
   EXPECT_EQ(got.instances[0].catalog.size(), 5u);
   EXPECT_EQ(got.dedup_activity, state.dedup_activity);
@@ -1778,6 +1777,20 @@ TEST(FleetCheckpointTest, ImportRefusesStateItCannotRun) {
   storm.correlator.open_batch->opened_sec = 100'110;
   storm.correlator.open_batch->members = {{Trigger(9, 100'100), 100'134, 1.0}};
   EXPECT_EQ(import(storm, options), StatusCode::kInvalidArgument);
+
+  // Ingest counters that account for more records than were offered: a
+  // recovery would restage a wrapped count. A sum of them that wraps back
+  // under the offered count is caught too.
+  fleet::FleetState overcounted = exported;
+  overcounted.instances[0].ingestor.folded =
+      overcounted.instances[0].ingestor.enqueued + 5;
+  EXPECT_EQ(import(overcounted, options), StatusCode::kInvalidArgument);
+  fleet::FleetState wrapped = exported;
+  online::IngestorState& counts = wrapped.instances[1].ingestor;
+  counts.enqueued = 5;
+  counts.folded = std::numeric_limits<uint64_t>::max();
+  counts.dropped_late = 1;
+  EXPECT_EQ(import(wrapped, options), StatusCode::kInvalidArgument);
 
   // A member clock that starts, or ends after its samples, beyond the
   // WAL's bound would put a trigger's onset there.
@@ -2103,6 +2116,98 @@ TEST(FleetCheckpointTest, RecoveryMergesALaggingInstanceBehindTheClock) {
   EXPECT_EQ(recovered.outcomes.size(), 1u);
   EXPECT_EQ(recovered.Result().Fingerprint(),
             reference.Result(recovered.checkpointed).Fingerprint());
+}
+
+TEST(FleetCheckpointTest, RecordsStagedAtACheckpointSurviveACrash) {
+  // Two instances stream five templates each; instance 0's template 9
+  // floods from kOnset. A checkpoint lands after kCut's records are
+  // ingested but before its samples, so both instances hold them staged
+  // (instance 0's queued diagnosis will read them), and the data dir is
+  // copied as a crash leaves it. Recovery must stage exactly those records
+  // again, and the rest of the stream must end as the uninterrupted run
+  // does, archives included.
+  constexpr int64_t kT0 = 100'000;
+  constexpr int64_t kCut = kT0 + 300;
+  constexpr int64_t kOnset = kCut - 10;
+  constexpr int64_t kT1 = kCut + 120;
+  const std::vector<fleet::FleetInstanceSpec> specs = {{0, 0}, {1, 1}};
+  const std::vector<online::ReplayLog> logs = {
+      StepStream(31, kT0, kT1, kOnset), StepStream(32, kT0, kT1, -1)};
+  fleet::FleetOptions options;
+  options.scheduler.zero_timings = true;
+  options.checkpoint_every_sec = 100'000;  // the explicit checkpoint only
+  const auto make = [&](const std::string& dir) {
+    fleet::FleetOptions with_dir = options;
+    with_dir.data_dir = dir;
+    auto service = std::make_unique<fleet::FleetService>(specs, with_dir);
+    RegisterCatalog(service.get());
+    return Begin(std::move(service));
+  };
+  // kCut's samples and the advance, after its records went in.
+  const auto close_cut = [&](Incarnation* run) {
+    for (size_t i = 0; i < specs.size(); ++i) {
+      for (const online::PerfSample& sample : logs[i].samples) {
+        if (sample.sec == kCut) {
+          run->service->IngestMetrics(specs[i].instance_id, sample);
+        }
+      }
+    }
+    run->Take(run->service->AdvanceTo(kCut, &run->events));
+    FeedFleet(run, specs, logs, kCut + 1, kT1);
+    run->Stop();
+  };
+
+  Incarnation reference = make("");
+  FeedFleet(&reference, specs, logs, kT0, kT1);
+  reference.Stop();
+  ASSERT_EQ(reference.outcomes.size(), 1u);
+  ASSERT_TRUE(reference.outcomes[0].outcome.ok);
+
+  const std::string dir = MakeTempDir();
+  const std::string crash_copy = MakeTempDir();
+  online::IngestStats at_checkpoint;
+  {
+    Incarnation live = make(dir);
+    FeedFleet(&live, specs, logs, kT0, kCut);
+    for (size_t i = 0; i < specs.size(); ++i) {
+      std::set<uint64_t> templates;
+      for (const QueryLogRecord& record : logs[i].records) {
+        if (record.arrival_ms / 1000 != kCut) continue;
+        ASSERT_TRUE(live.service->IngestRecord(specs[i].instance_id, record));
+        templates.insert(record.sql_id);
+      }
+      ASSERT_GE(templates.size(), 3u) << "instance " << i;
+    }
+    const fleet::FleetStats stats = live.service->stats();
+    ASSERT_EQ(stats.pool.enqueued, 1u) << "the diagnosis must be queued";
+    ASSERT_EQ(stats.pool.completed, 0u);
+    at_checkpoint = stats.ingest;
+    ASSERT_GT(at_checkpoint.records_staged, 0u);
+    ASSERT_TRUE(live.service->Checkpoint().ok());
+    std::filesystem::copy(dir, crash_copy,
+                          std::filesystem::copy_options::recursive |
+                              std::filesystem::copy_options::overwrite_existing);
+    close_cut(&live);
+    EXPECT_EQ(live.Result().Fingerprint(), reference.Result().Fingerprint());
+  }
+
+  Incarnation recovered = make(crash_copy);
+  ASSERT_TRUE(recovered.service->recovery().checkpoint_loaded);
+  const online::IngestStats cut = recovered.service->stats().ingest;
+  EXPECT_EQ(cut.records_staged, at_checkpoint.records_staged);
+  EXPECT_EQ(cut.records_enqueued,
+            cut.records_folded + cut.records_dropped_late +
+                cut.records_dropped_future + cut.records_dropped_backpressure +
+                cut.records_staged);
+  EXPECT_EQ(cut.records_enqueued, at_checkpoint.records_enqueued);
+  close_cut(&recovered);
+  EXPECT_EQ(recovered.Result().Fingerprint(),
+            reference.Result(recovered.checkpointed).Fingerprint());
+  for (const fleet::FleetInstanceSpec& spec : specs) {
+    EXPECT_TRUE(SameRecords(recovered.service->archive(spec.instance_id),
+                            reference.service->archive(spec.instance_id)))
+        << "instance " << spec.instance_id;
+  }
 }
 
 TEST(FleetCheckpointTest, RecoveryReplaysOnlyTheSuffix) {
